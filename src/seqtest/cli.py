@@ -105,11 +105,13 @@ def _cmd_power_curve(args) -> None:
 
 def _cmd_consistency(args) -> None:
     data = _apply_overrides(_load_config(args.config), args)
+    if "n" in data and "n_schedule" in data:
+        raise ConfigError("consistency config has both 'n' and 'n_schedule'; give only one")
     rows = consistency_experiment(
         family=_pop(data, "family"),
         s=float(_pop(data, "s")),
         c_schedule=_pop(data, "c_schedule"),
-        n_schedule=data.pop("n_schedule", None) or _pop(data, "n"),
+        n_schedule=data.pop("n_schedule") if "n_schedule" in data else _pop(data, "n"),
         reps=int(_pop(data, "reps")),
         seed=int(_pop(data, "seed")),
         alpha=float(data.pop("alpha", 0.05)),

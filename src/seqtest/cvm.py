@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,19 +166,56 @@ def _cache_path(cache_dir: Path, n: int, reps: int, seed: int) -> Path:
     return Path(cache_dir) / f"cvm_null_n{n}_reps{reps}_seed{seed}.json"
 
 
+def _read_cache(path: Path, n: int, reps: int, seed: int) -> CvmCalibration | None:
+    """The cached table, or None when the file is missing or is not the
+    finite, sorted table of length reps that its name promises."""
+    try:
+        table = CvmCalibration.from_json_dict(json.loads(path.read_text()))
+    except (FileNotFoundError, ValueError, KeyError, TypeError, OverflowError):
+        return None  # absent, torn or hand-edited
+    values = table.values
+    if (
+        (table.n, table.reps, table.seed) != (n, reps, seed)
+        or values.shape != (reps,)
+        or not np.all(np.isfinite(values))
+        or np.any(np.diff(values) < 0)
+    ):
+        return None
+    return table
+
+
+def _write_cache(path: Path, table: CvmCalibration) -> None:
+    """Write through a temp file in the same directory and rename it into
+    place, so a concurrent reader sees the old file or the new one, never a
+    torn one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(json.dumps(table.to_json_dict()))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def calibrate_cvm(
     n: int,
     reps: int = 20000,
     seed: int = 0,
     cache_dir: str | Path | None = None,
 ) -> CvmCalibration:
-    """Simulate the null table of n T^2, reading/writing the JSON cache if set."""
+    """Simulate the null table of n T^2, reading/writing the JSON cache if set.
+
+    A cache file that does not hold a valid table for (n, reps, seed) counts
+    as a miss: the table is recomputed and the file rewritten.
+    """
     if n < 1 or reps < 100:
         raise ConfigError("need n >= 1 and reps >= 100 for calibration")
-    if cache_dir is not None:
-        path = _cache_path(Path(cache_dir), n, reps, seed)
-        if path.exists():
-            return CvmCalibration.from_json_dict(json.loads(path.read_text()))
+    path = None if cache_dir is None else _cache_path(Path(cache_dir), n, reps, seed)
+    if path is not None:
+        cached = _read_cache(path, n, reps, seed)
+        if cached is not None:
+            return cached
     grid = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     values = np.empty(reps)
     for rep in range(reps):
@@ -184,10 +223,8 @@ def calibrate_cvm(
         values[rep] = np.sum((u - grid) ** 2) + 1.0 / (12.0 * n)
     values.sort()
     table = CvmCalibration(n=n, reps=reps, seed=seed, values=values)
-    if cache_dir is not None:
-        path = _cache_path(Path(cache_dir), n, reps, seed)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(table.to_json_dict()))
+    if path is not None:
+        _write_cache(path, table)
     return table
 
 

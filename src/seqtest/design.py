@@ -350,7 +350,11 @@ def sample_bayes_prior(design: DetectionDesign, delta: float, seed: int, rep: in
     The noise vector is drawn first and then scaled, so for a fixed seed the
     draw is continuous in delta (and in the design parameters).
     """
-    profile = prior_profile(design, delta)
+    return _draw_prior(design, prior_profile(design, delta), seed, rep)
+
+
+def _draw_prior(design: DetectionDesign, profile: np.ndarray, seed: int, rep: int) -> PriorDraw:
+    """One draw from the prior with variances ``profile`` (see ``prior_profile``)."""
     z = rng_for_replication(seed, rep).standard_normal(profile.size)
     eta = Spectrum(basis="cosine", coeffs=np.sqrt(profile) * z)
     norm_sq = eta.norm_sq()

@@ -214,10 +214,8 @@ def bayes_membership_rate(
     """Empirical probability that a prior draw lands in the alternative set."""
     if draws < 1:
         raise ConfigError("need at least one prior draw")
-    members = 0
-    for rep in range(draws):
-        if design_mod.sample_bayes_prior(design, delta, seed, rep).in_alternative:
-            members += 1
+    profile = design_mod.prior_profile(design, delta)  # one shifted-design solve for every draw
+    members = sum(design_mod._draw_prior(design, profile, seed, rep).in_alternative for rep in range(draws))
     rate = members / draws
     return {
         "draws": draws,

@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 BASES = ("cosine", "complex-exponential", "haar")
 
@@ -161,71 +161,65 @@ def first_violated_tail(spec: Spectrum, ball: BesovBall) -> int | None:
     return int(idx[0]) + 1 if idx.size else None
 
 
-def _dykstra_tail_projection(
-    w: np.ndarray,
-    budgets: np.ndarray,
-    tol: float,
-    max_cycles: int,
-) -> np.ndarray:
-    """Dykstra's cyclic scheme for the intersection of the nested tail balls.
+def _tail_minorant_scale(energies: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Scale c_p of the projection x_p = c_p w_p onto the nested tail balls.
 
-    Constraint k (0-based index k-1) is {x : sum_{p >= k-1} x_p^2 <= budgets[k-1]}.
-    The single-set projection is a closed-form rescaling of the tail block.
-    Dykstra's correction vectors make the limit the metric projection of w,
-    not merely a feasible point.
+    Constraint k is sum_{p >= k} x_p^2 <= budgets[k-1].  With the input's tail
+    energy W_k = sum_{p >= k} w_p^2, the KKT conditions make c nonincreasing in
+    p, so the projected tail energy is a convex function of W: zero at 0, slope
+    c_p^2 on [W_{p+1}, W_p], at most budgets[k-1] at W_k.  The solution is the
+    greatest convex minorant of (0, 0) and the points (W_k, budgets[k-1]) with
+    every slope capped at 1, the pool-adjacent-violators solution of Barlow,
+    Bartholomew, Bremner & Brunk (1972).  One monotone-chain pass over the
+    points in increasing W builds the lower hull in O(J).  A zero energy puts
+    two points on one W; the earlier point has the lower budget and is kept.
     """
-    j = w.size
-    x = w.astype(float).copy()
-    corrections = np.zeros((j, j))  # row k-1 holds the correction for set k; tails are short
-    for _ in range(max_cycles):
-        max_move = 0.0
-        for k in range(j):
-            y = x.copy()
-            y[k:] += corrections[k, k:]
-            tail_sq = float(np.dot(y[k:], y[k:]))
-            if tail_sq > budgets[k] and tail_sq > 0.0:
-                scale = math.sqrt(budgets[k] / tail_sq)
-                x_new = y.copy()
-                x_new[k:] *= scale
-            else:
-                x_new = y
-            corrections[k, k:] = y[k:] - x_new[k:]
-            max_move = max(max_move, float(np.max(np.abs(x_new - x))) if j else 0.0)
-            x = x_new
-        tails = np.cumsum(x[::-1] ** 2)[::-1]
-        feasible = np.all(tails <= budgets * (1.0 + 1e-12) + 1e-300)
-        if feasible and max_move < tol:
-            return x
-    raise NumericError(
-        f"tail-ball projection did not converge in {max_cycles} cycles (last move {max_move:.3e})"
-    )
+    j = energies.size
+    xs = np.concatenate(([0.0], np.cumsum(energies[::-1])))  # W_{J+1} = 0, W_J, ..., W_1
+    ys = np.concatenate(([0.0], budgets[::-1]))
+    x_list, y_list = xs.tolist(), ys.tolist()
+    hull = [0]
+    for i in range(1, j + 1):
+        x, y = x_list[i], y_list[i]
+        if x == x_list[i - 1]:
+            continue
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # drop b when it lies on or above the chord from a to the new point
+            if (y_list[b] - y_list[a]) * (x - x_list[a]) < (y - y_list[a]) * (x_list[b] - x_list[a]):
+                break
+            hull.pop()
+        hull.append(i)
+    h = np.asarray(hull)
+    slopes = np.minimum(np.diff(ys[h]) / np.diff(xs[h]), 1.0)
+    # interval i runs from xs[i] to xs[i+1] and belongs to coordinate J - 1 - i;
+    # zero-width intervals past the last vertex take the last slope
+    segment = np.minimum(np.searchsorted(h, np.arange(j), side="right") - 1, slopes.size - 1)
+    return np.sqrt(slopes[segment])[::-1]
 
 
-def project_besov(
-    spec: Spectrum,
-    ball: BesovBall,
-    tol: float = 1e-11,
-    max_cycles: int = 2000,
-) -> Spectrum:
+def project_besov(spec: Spectrum, ball: BesovBall) -> Spectrum:
     """Metric (closest-point) projection onto the smoothness ball.
 
+    Exact and finite: each coefficient is scaled by the square root of a slope
+    of the greatest convex minorant of the tail budgets against the input's
+    tail energy (see ``_tail_minorant_scale``), in O(J) time and memory.
+
     Head exactness: every frequency below the first violated tail constraint
-    is returned bit-for-bit unchanged.  No projection step can touch those
-    coordinates at the optimum: each tail constraint only ever shrinks
-    magnitudes, so a constraint with slack at the input keeps slack at the
-    solution and its multiplier vanishes.
+    is returned bit-for-bit unchanged.  The optimum does not touch those
+    coordinates: each tail constraint only ever shrinks magnitudes, so a
+    constraint with slack at the input keeps slack at the solution and its
+    multiplier vanishes.  Their minorant slopes are at least 1 in exact
+    arithmetic; the scale is set to exactly 1.0 there so that rounding on a
+    tight constraint cannot move them.
     """
     k_violated = first_violated_tail(spec, ball)
     if k_violated is None:
         return spec
 
     energies = spec.frequency_energies()
-    w = np.sqrt(energies)
-    budgets = ball.tail_budget(np.arange(1, w.size + 1))
-    projected = _dykstra_tail_projection(w, np.asarray(budgets, dtype=float), tol, max_cycles)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(w > 0, projected / np.where(w > 0, w, 1.0), 0.0)
+    budgets = ball.tail_budget(np.arange(1, energies.size + 1))
+    scale = _tail_minorant_scale(energies, budgets)
     scale[: k_violated - 1] = 1.0  # exact head, see docstring
 
     if spec.basis == "complex-exponential":

@@ -50,3 +50,36 @@ def slsqp_tail_projection(w: np.ndarray, s: float, p0: float) -> np.ndarray:
         if res.success:
             return np.asarray(res.x, dtype=float)
     raise RuntimeError("SLSQP failed from every start")
+
+
+def kkt_residual(x: np.ndarray, w: np.ndarray, s: float, p0: float) -> float:
+    """Largest violation of the KKT conditions of the tail-ball projection of w.
+
+    The projection has x_j = w_j / (1 + M_j), where M_j sums multipliers
+    mu_k >= 0 over k <= j, and mu_k > 0 only where the tail constraint at k
+    is tight.  A zero w_j must map to a zero x_j and says nothing about M, so
+    the multipliers are read off the nonzero coordinates: between two of
+    them the tails are equal and the budget shrinks, so the increment of M
+    belongs to the constraint at the later one.  The residual is the worst of
+    relative infeasibility, a negative multiplier, multiplier times relative
+    slack, and a sign flip or growth no multiplier explains.
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    nonzero = w != 0.0
+    if np.any(x[~nonzero] != 0.0):
+        return math.inf
+    budgets = p0 * np.arange(1, w.size + 1, dtype=float) ** (-2.0 * s)
+    tails = np.cumsum((x * x)[::-1])[::-1]
+    rel_slack = (budgets - tails) / budgets
+    ratio = x[nonzero] / w[nonzero]
+    if np.any(ratio <= 0.0):
+        return math.inf
+    cumulative = 1.0 / ratio - 1.0
+    mu = np.diff(cumulative, prepend=0.0)
+    return float(max(
+        np.max(-rel_slack, initial=0.0),
+        np.max(-mu, initial=0.0),
+        np.max(np.abs(mu * rel_slack[nonzero])),
+        np.max(-cumulative, initial=0.0),
+    ))

@@ -8,6 +8,7 @@ the per-module tests.
 import json
 import re
 
+import numpy as np
 import pytest
 
 from seqtest.cli import SUMMARY_FIELDS, main
@@ -125,13 +126,16 @@ class TestExperimentCommands:
         })
         assert main(["experiment", "consistency", "--config", cfg]) == 2
 
-    def test_consistency_rejects_both_n_forms(self, tmp_path):
-        # n_schedule wins the pop, so a stray scalar n must be flagged
+    def test_consistency_rejects_both_n_forms(self, tmp_path, capsys):
+        # a scalar n and an n_schedule together are ambiguous; the error says so
         cfg = _config(tmp_path, "cons.json", {
             "family": "quadratic", "s": 1.0, "c_schedule": [1.0, 4.0],
             "n_schedule": [300, 300], "n": 300, "reps": 10, "seed": 11,
         })
         assert main(["experiment", "consistency", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "'n'" in err and "'n_schedule'" in err and "only one" in err
+        assert "unknown" not in err
 
     def test_decomposition_csv(self, tmp_path):
         cfg = _config(tmp_path, "decomp.json", {
@@ -195,6 +199,16 @@ class TestProjectBesovCommand:
         assert body["seminorm_before"] > body["seminorm_after"]
         assert body["first_violated_tail"] is not None
         assert len(body["projected"]["coeffs"]) == 3
+
+    def test_ordinary_j128_input_exits_0(self, tmp_path):
+        # |N(0,1)| j^-0.6 at s = 1, p0 = 0.05: an input the projection must always solve
+        coeffs = np.abs(np.random.default_rng(1000).standard_normal(128)) * np.arange(1, 129) ** -0.6
+        cfg = _config(tmp_path, "proj.json", {
+            "theta": {"basis": "cosine", "coeffs": coeffs.tolist()}, "s": 1.0, "p0": 0.05,
+        })
+        out = tmp_path / "proj.out.json"
+        assert main(["project-besov", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seminorm_after"] <= 0.05 * (1 + 1e-12)
 
 
 class TestCalibrateCvmCommand:

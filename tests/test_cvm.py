@@ -2,6 +2,9 @@
 
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from seqtest.cvm import (
     ASYMPTOTIC_Q95,
     CvmCalibration,
+    _write_cache,
     bridge_kernel_quadrature,
     calibrate_cvm,
     consistency_margin,
@@ -21,6 +25,7 @@ from seqtest.cvm import (
     cvm_test,
     primitive_mean,
 )
+from seqtest.cli import main
 from seqtest.errors import ConfigError
 from seqtest.sampling import rng_for_replication
 from seqtest.spectra import Spectrum
@@ -118,6 +123,76 @@ class TestCalibration:
         payload["values"][0] = -1.0
         path.write_text(json.dumps(payload))
         assert calibrate_cvm(40, reps=300, seed=9, cache_dir=tmp_path).values[0] == -1.0
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p.update(values=p["values"][:-1]),  # wrong length
+            lambda p: p.update(seed=10),  # not the table the file name promises
+            lambda p: p.pop("values"),
+            lambda p: p["values"].__setitem__(5, math.nan),
+            lambda p: p["values"].reverse(),  # unsorted
+            lambda p: p.update(values="bad"),
+        ],
+        ids=["length", "seed", "missing", "nan", "unsorted", "type"],
+    )
+    def test_invalid_cache_is_a_miss(self, tmp_path, damage):
+        fresh = calibrate_cvm(40, reps=300, seed=9)
+        path = tmp_path / "cvm_null_n40_reps300_seed9.json"
+        payload = fresh.to_json_dict()
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        table = calibrate_cvm(40, reps=300, seed=9, cache_dir=tmp_path)
+        np.testing.assert_array_equal(table.values, fresh.values)
+        # the bad file was replaced by the recomputed table, and nothing else is left
+        assert json.loads(path.read_text()) == fresh.to_json_dict()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_truncated_cache_file_recovers_in_the_cli(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cfg = tmp_path / "cal.json"
+        cfg.write_text(json.dumps({"n": 50, "reps": 200, "seed": 1, "cache_dir": str(cache)}))
+        assert main(["calibrate", "cvm", "--config", str(cfg)]) == 0
+        path = cache / "cvm_null_n50_reps200_seed1.json"
+        path.write_bytes(path.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["calibrate", "cvm", "--config", str(cfg)]) == 0
+        fresh = calibrate_cvm(50, reps=200, seed=1)
+        assert f"q95={fresh.critical_value(0.05):.6f}" in capsys.readouterr().out
+        rewritten = calibrate_cvm(50, reps=200, seed=1, cache_dir=cache)  # a cache hit now
+        np.testing.assert_array_equal(rewritten.values, fresh.values)
+
+    def test_readers_never_see_a_torn_cache_file(self, tmp_path):
+        table = calibrate_cvm(40, reps=300, seed=9)
+        path = tmp_path / "cvm_null_n40_reps300_seed9.json"
+        _write_cache(path, table)
+        want = table.to_json_dict()
+        stop = threading.Event()
+
+        def write():
+            while not stop.is_set():
+                _write_cache(path, table)
+
+        def read(rounds):
+            for _ in range(rounds):
+                assert json.loads(path.read_text()) == want
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                writers = [pool.submit(write) for _ in range(3)]
+                readers = [pool.submit(read, 100) for _ in range(3)]
+                try:
+                    for f in readers:
+                        f.result(timeout=60)
+                finally:
+                    stop.set()  # before the pool joins, or a failed reader hangs it
+                for f in writers:
+                    f.result(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
 
     def test_no_cache_dir_means_no_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,13 +1,14 @@
 """Coefficient sequences, smoothness balls, metric projection, rate table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import direct_seminorm, slsqp_tail_projection
+from helpers import direct_seminorm, kkt_residual, slsqp_tail_projection
 from seqtest.errors import ConfigError
 from seqtest.spectra import (
     BesovBall,
@@ -26,12 +27,26 @@ SEMINORM_RTOL = 1e-12
 
 PROJECTION_ORACLE_ATOL = 1e-6  # SLSQP agreement on small instances
 IDEMPOTENCE_ATOL = 1e-9
+KKT_ATOL = 1e-9  # large-J gates, where SLSQP is out of reach
+FEASIBLE_RTOL = 1e-12
+PEAK_BYTES_J4096 = 16 * 2**20  # a J x J float matrix alone would take 128 MiB
 
 finite_coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=32)
 
 
 def power_law(exponent: float = -1.6, j: int = 512) -> Spectrum:
     return Spectrum(basis="cosine", coeffs=np.arange(1, j + 1, dtype=float) ** exponent)
+
+
+def ordinary_magnitudes(j: int, seed: int, energy: float | None = None) -> np.ndarray:
+    """|N(0,1)| j^-0.6, optionally rescaled to a given total energy.
+
+    Unscaled, every tail is far beyond the s = 1, p0 = 0.05 budget.  At a
+    hundredth of p0 the first ten or so tails keep slack, so the projection
+    has a head to preserve.
+    """
+    w = np.abs(np.random.default_rng(seed).standard_normal(j)) * np.arange(1, j + 1) ** -0.6
+    return w if energy is None else w * math.sqrt(energy / float(np.sum(w**2)))
 
 
 class TestSpectrum:
@@ -177,6 +192,15 @@ class TestProjection:
         proj = project_besov(spec, ball)
         np.testing.assert_array_equal(proj.coeffs[: k_star - 1], spec.coeffs[: k_star - 1])
 
+    def test_head_preserved_bitwise_on_tight_constraints(self):
+        # tails from k = 1..4 sit on their budgets to rounding, k = 5 is just
+        # over: head slopes of the minorant come within an ulp of 1 here
+        w = np.array([0.8660254037844386, 0.3726779962499648, 0.22047927592204936,
+                      0.1499999999999998, 0.11055415967851363, 0.16666666666666674])
+        spec, ball = Spectrum(basis="cosine", coeffs=w), BesovBall(s=1.0, p0=1.0)
+        assert first_violated_tail(spec, ball) == 5
+        np.testing.assert_array_equal(project_besov(spec, ball).coeffs[:4], w[:4])
+
     def test_matches_slsqp_oracle(self):
         # small instances; the acceptance suite runs the 200-instance sweep
         rng = np.random.default_rng(11)
@@ -196,6 +220,86 @@ class TestProjection:
         proj = project_besov(spec, ball)
         assert proj.coeffs[0] == coeffs[0]  # j = 0 carries no tail constraint
         assert ball.contains(proj)
+
+
+class TestLargeProjection:
+    """Feasibility, exact head, KKT optimality and idempotence at large J."""
+
+    BALL = BesovBall(s=1.0, p0=0.05)
+    HEAD_ENERGY = 0.01 * BALL.p0
+
+    def assert_exact_projection(self, spec: Spectrum) -> Spectrum:
+        ball = self.BALL
+        proj = project_besov(spec, ball)
+        energies = proj.frequency_energies()
+        assert direct_seminorm(energies, ball.s) <= ball.p0 * (1.0 + FEASIBLE_RTOL)
+        assert ball.contains(proj)
+        k_star = first_violated_tail(spec, ball)
+        head = k_star if spec.basis == "complex-exponential" else k_star - 1  # coeffs[0] is j = 0 there
+        np.testing.assert_array_equal(proj.coeffs[:head], spec.coeffs[:head])
+        # each coefficient keeps its sign or phase: proj * conj(spec) is real and >= 0
+        cross = proj.coeffs * np.conj(spec.coeffs)
+        assert np.all(cross.real >= 0.0)
+        assert np.all(np.abs(cross.imag) <= 1e-14 * np.abs(proj.coeffs) * np.abs(spec.coeffs))
+        magnitudes = np.sqrt(spec.frequency_energies())
+        assert kkt_residual(np.sqrt(energies), magnitudes, ball.s, ball.p0) <= KKT_ATOL
+        again = project_besov(proj, ball)
+        np.testing.assert_allclose(again.coeffs, proj.coeffs, rtol=0.0, atol=IDEMPOTENCE_ATOL)
+        return proj
+
+    def test_ordinary_j128(self):
+        self.assert_exact_projection(Spectrum("cosine", ordinary_magnitudes(128, 1000)))
+
+    @pytest.mark.parametrize("with_head", [False, True])
+    @pytest.mark.parametrize("j", [4096, 100_000])
+    def test_ordinary_signed_large_j(self, j, with_head):
+        signs = np.where(np.random.default_rng(j).random(j) < 0.5, -1.0, 1.0)
+        energy = self.HEAD_ENERGY if with_head else None
+        spec = Spectrum("cosine", signs * ordinary_magnitudes(j, 7, energy))
+        assert (first_violated_tail(spec, self.BALL) > 1) == with_head
+        self.assert_exact_projection(spec)
+
+    @pytest.mark.filterwarnings("error")  # two tail points on one W must not divide by zero
+    def test_zero_coefficients(self):
+        # zeros at the first and last frequencies, in a run, and every third one
+        w = ordinary_magnitudes(4096, 3, self.HEAD_ENERGY)
+        w[::3] = 0.0
+        w[100:140] = 0.0
+        w[-5:] = 0.0
+        spec = Spectrum("cosine", w)
+        assert first_violated_tail(spec, self.BALL) > 4  # zeros inside the head too
+        proj = self.assert_exact_projection(spec)
+        assert np.all(proj.coeffs[w == 0.0] == 0.0)
+
+    def test_complex_basis_large_j(self):
+        j = 4096
+        rng = np.random.default_rng(44)
+        coeffs = np.empty(j + 1, dtype=complex)
+        coeffs[0] = 0.3
+        coeffs[1:] = ordinary_magnitudes(j, 44, self.HEAD_ENERGY / 2.0) * np.exp(2j * np.pi * rng.random(j))
+        spec = Spectrum("complex-exponential", coeffs)
+        assert first_violated_tail(spec, self.BALL) > 1
+        proj = self.assert_exact_projection(spec)
+        assert proj.coeffs[0] == coeffs[0]
+
+    def test_memory_stays_linear_in_j(self):
+        spec = Spectrum("cosine", ordinary_magnitudes(4096, 1000))
+        tracemalloc.start()
+        try:
+            project_besov(spec, self.BALL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_BYTES_J4096
+
+    def test_kkt_oracle_rejects_feasible_non_optimal_points(self):
+        # one uniform shrink into the ball is feasible but not the projection
+        w = ordinary_magnitudes(128, 1000)
+        semi = direct_seminorm(w**2, 1.0)
+        shrunk = w * math.sqrt(0.05 / semi)
+        assert kkt_residual(shrunk, w, 1.0, 0.05) > 1e-3
+        proj = project_besov(Spectrum("cosine", w), self.BALL).coeffs
+        assert kkt_residual(proj * 1.001, w, 1.0, 0.05) > 1e-3
 
 
 class TestTailAlternative:

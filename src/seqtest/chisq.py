@@ -13,8 +13,8 @@ perturbation, and the frequency-domain aliasing sum
 
 with T_n(F) = n J1.  The companion cross-frequency sum (pairs whose index
 difference is not a multiple of k) vanishes identically because the cell
-phases average to zero; ``cross_frequency_sum`` computes it explicitly so
-the cancellation can be checked rather than assumed.
+phases average to zero; the test suite assembles it explicitly so the
+cancellation is checked rather than assumed.
 
 When k = 2^l the statistic coincides with the quadratic form of empirical
 Haar coefficients through level l - 1:
@@ -25,7 +25,8 @@ Haar coefficients through level l - 1:
 with psi the step wavelet (+1 on [0, 1/2), -1 on [1/2, 1)).  The mean-zero
 step function of cell deviations is exactly resolved by those levels, which
 is the whole identity; ``haar_statistic`` evaluates the right-hand side
-directly from the sample so the equality is a genuine cross-check.
+level by level from the sample's half-cell counts, so the equality is a
+genuine cross-check.
 """
 
 from __future__ import annotations
@@ -52,19 +53,26 @@ def _validate_sample(sample: np.ndarray) -> np.ndarray:
     return x
 
 
-def cell_counts(sample: np.ndarray, k: int) -> np.ndarray:
-    if k < 2:
-        raise ConfigError("need at least k = 2 cells")
-    x = _validate_sample(sample)
+def binned(x: np.ndarray, k: int) -> np.ndarray:
+    """Counts of the points of [0, 1) in k equal cells, unchecked."""
     idx = np.minimum((x * k).astype(np.int64), k - 1)  # guard x*k rounding up to k
     return np.bincount(idx, minlength=k)
 
 
+def statistic_from_counts(counts: np.ndarray, n: int, k: int) -> float:
+    """T_n = k n sum_i (counts_i / n - 1/k)^2, unchecked."""
+    return float(k * n * np.sum((counts / n - 1.0 / k) ** 2))
+
+
+def cell_counts(sample: np.ndarray, k: int) -> np.ndarray:
+    if k < 2:
+        raise ConfigError("need at least k = 2 cells")
+    return binned(_validate_sample(sample), k)
+
+
 def chisq_statistic(sample: np.ndarray, k: int) -> float:
     counts = cell_counts(sample, k)
-    n = counts.sum()
-    phat = counts / n
-    return float(k * n * np.sum((phat - 1.0 / k) ** 2))
+    return statistic_from_counts(counts, counts.sum(), k)
 
 
 def standardized_chisq(t_n: float, k: int) -> float:
@@ -107,12 +115,10 @@ def haar_statistic(sample: np.ndarray, level: int) -> float:
     n = x.size
     total = 0.0
     for i in range(level):
-        m = 2**i
-        pos = x * m
-        q = np.minimum(pos.astype(np.int64), m - 1)
-        sign = np.where(pos - q < 0.5, 1.0, -1.0)
-        coeff_sums = np.bincount(q, weights=sign, minlength=m)
-        bhat = (2.0 ** (i / 2.0)) * coeff_sums / n
+        # psi_iq is +1 on the left and -1 on the right half of its support,
+        # which are cells 2q and 2q + 1 of the 2^{i+1} equal cells
+        halves = binned(x, 2 ** (i + 1))
+        bhat = (2.0 ** (i / 2.0)) * (halves[0::2] - halves[1::2]) / n
         total += float(np.sum(bhat**2))
     return n * total
 
@@ -157,29 +163,6 @@ def _aliasing_sum(theta: Spectrum, k: int) -> float:
             weight = (2.0 - 2.0 * math.cos(2.0 * math.pi * j / k)) / (4.0 * math.pi**2 * j * (j - m * k))
             total += float(np.real(first * np.conj(other))) * weight
     return k * k * total
-
-
-def cross_frequency_sum(theta: Spectrum, k: int) -> float:
-    """|sum over pairs with k not dividing (j - j')| — identically zero.
-
-    Assembles the discarded part of the cell-energy expansion, keeping the
-    explicit phase average sum_l e^{2 pi i (j - j') l / k} instead of using
-    its known value.
-    """
-    js, vals = theta.signed_pairs()
-    nz = js != 0
-    js, vals = js[nz], vals[nz]
-    c = _cell_phase_coeffs(js, k)
-    l = np.arange(k)
-    total = 0.0 + 0.0j
-    for a in range(js.size):
-        for b in range(js.size):
-            diff = js[a] - js[b]
-            if diff % k == 0:
-                continue
-            phase_avg = np.sum(np.exp(2.0j * math.pi * diff * l / k))
-            total += vals[a] * np.conj(vals[b]) * c[a] * np.conj(c[b]) * phase_avg
-    return float(abs(k * total))
 
 
 def population_chisq_functional(theta: Spectrum, k: int, n: int, method: str = "cells") -> float:

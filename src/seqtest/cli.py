@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,14 +22,16 @@ from .errors import ConfigError, InfeasibleDesignError, NumericError
 from .experiments import (
     CONSISTENCY_FIELDS,
     DECOMPOSITION_FIELDS,
+    MEMBERSHIP_FIELDS,
     POWER_CURVE_FIELDS,
+    bayes_membership_rate,
     consistency_experiment,
     maxiset_decomposition_experiment,
     power_curve,
     write_csv,
     write_json,
 )
-from .montecarlo import DEFAULT_CALIBRATION_SEED, ExperimentConfig, run_monte_carlo
+from .montecarlo import DEFAULT_CALIBRATION_SEED, ExperimentConfig, as_number, run_monte_carlo
 from .spectra import BesovBall, Spectrum, besov_seminorm, first_violated_tail, project_besov
 
 SUMMARY_FIELDS = ("experiment", "reps", "rejections", "rate", "std_err", "seed", "config_hash")
@@ -67,10 +70,36 @@ def _write_rows(args, fieldnames, rows, label: str) -> None:
     print(f"wrote {len(rows)} rows to {args.out}")
 
 
-def _pop(data: dict, key: str):
-    if key not in data:
-        raise ConfigError(f"config needs key {key!r}")
-    return data.pop(key)
+_REQUIRED = object()
+
+
+def _take(data: dict, key: str, kind: type = float, default=_REQUIRED, many: bool = False):
+    """Pop ``key`` from the config as a ``kind`` (a finite int or float, or
+    else an instance of ``kind``), or as a list of them when ``many``.  A key
+    that is missing or null falls back to ``default``."""
+    value = data.pop(key, None)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"config needs key {key!r}")
+        return default
+    if many:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key!r} must be a list, got {value!r}")
+        return [_typed(v, key, kind) for v in value]
+    return _typed(value, key, kind)
+
+
+def _typed(value, key: str, kind: type):
+    if kind in (int, float):
+        return as_number(value, repr(key), kind)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _check_empty(data: dict, what: str) -> None:
+    if data:
+        raise ConfigError(f"unknown {what} config keys: {sorted(data)}")
 
 
 def _cmd_simulate(args) -> None:
@@ -94,7 +123,7 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_power_curve(args) -> None:
     data = _apply_overrides(_load_config(args.config), args)
-    scales = _pop(data, "scales")
+    scales = _take(data, "scales", many=True)
     config = ExperimentConfig.from_json_dict(data)
     rows = power_curve(config, scales, threads=args.threads)
     for row in rows:
@@ -108,19 +137,20 @@ def _cmd_consistency(args) -> None:
     if "n" in data and "n_schedule" in data:
         raise ConfigError("consistency config has both 'n' and 'n_schedule'; give only one")
     rows = consistency_experiment(
-        family=_pop(data, "family"),
-        s=float(_pop(data, "s")),
-        c_schedule=_pop(data, "c_schedule"),
-        n_schedule=data.pop("n_schedule") if "n_schedule" in data else _pop(data, "n"),
-        reps=int(_pop(data, "reps")),
-        seed=int(_pop(data, "seed")),
-        alpha=float(data.pop("alpha", 0.05)),
+        family=_take(data, "family", str),
+        s=_take(data, "s"),
+        c_schedule=_take(data, "c_schedule", many=True),
+        n_schedule=(
+            _take(data, "n_schedule", int, many=True) if "n_schedule" in data else _take(data, "n", int)
+        ),
+        reps=_take(data, "reps", int),
+        seed=_take(data, "seed", int),
+        alpha=_take(data, "alpha", default=0.05),
         threads=args.threads,
-        p0_ref=float(data.pop("p0_ref", 1.0)),
-        norm_scale=float(data.pop("norm_scale", np.sqrt(8.0))),
+        p0_ref=_take(data, "p0_ref", default=1.0),
+        norm_scale=_take(data, "norm_scale", default=math.sqrt(8.0)),
     )
-    if data:
-        raise ConfigError(f"unknown consistency config keys: {sorted(data)}")
+    _check_empty(data, "consistency")
     for row in rows:
         print(
             f"C={row['C']:g} m={row['m']} n={row['n']} power={row['power']:.4f} "
@@ -131,9 +161,9 @@ def _cmd_consistency(args) -> None:
 
 def _cmd_decomposition(args) -> None:
     data = _apply_overrides(_load_config(args.config), args)
-    s = float(_pop(data, "s"))
-    gammas = _pop(data, "gammas")
-    floor = float(data.pop("density_floor", 0.0))
+    s = _take(data, "s")
+    gammas = _take(data, "gammas", many=True)
+    floor = _take(data, "density_floor", default=0.0)
     config = ExperimentConfig.from_json_dict(data)
     rows = maxiset_decomposition_experiment(config, s, gammas, threads=args.threads, density_floor=floor)
     for row in rows:
@@ -145,20 +175,25 @@ def _cmd_decomposition(args) -> None:
     _write_rows(args, DECOMPOSITION_FIELDS, rows, "decomposition")
 
 
+def _design_kwargs(data: dict) -> dict:
+    """The direct-design arguments shared by ``minimax-design`` and
+    ``experiment bayes-membership``, popped from the config."""
+    return {
+        "s": _take(data, "s"),
+        "p0": _take(data, "p0"),
+        "rho_n": _take(data, "rho_n"),
+        "n": _take(data, "n", int),
+        "sigma": _take(data, "sigma", default=1.0),
+        "j_max": _take(data, "j_max", int, default=None),
+    }
+
+
 def _cmd_minimax_design(args) -> None:
     data = _apply_overrides(_load_config(args.config), args)
-    kwargs = {
-        "s": float(_pop(data, "s")),
-        "p0": float(_pop(data, "p0")),
-        "rho_n": float(_pop(data, "rho_n")),
-        "n": int(_pop(data, "n")),
-        "sigma": float(data.pop("sigma", 1.0)),
-        "j_max": data.pop("j_max", None),
-    }
-    alpha = float(data.pop("alpha", 0.05))
-    lambdas = data.pop("lambdas", None)
-    if data:
-        raise ConfigError(f"unknown design config keys: {sorted(data)}")
+    kwargs = _design_kwargs(data)
+    alpha = _take(data, "alpha", default=0.05)
+    lambdas = _take(data, "lambdas", default=None, many=True)
+    _check_empty(data, "design")
     if lambdas is not None:
         design = design_mod.solve_inverse_design(lambdas=np.asarray(lambdas, dtype=float), **kwargs)
     else:
@@ -174,13 +209,26 @@ def _cmd_minimax_design(args) -> None:
         print(f"wrote {args.out}")
 
 
+def _cmd_bayes_membership(args) -> None:
+    data = _apply_overrides(_load_config(args.config), args)
+    kwargs = _design_kwargs(data)
+    delta, draws, seed = _take(data, "delta"), _take(data, "draws", int), _take(data, "seed", int)
+    _check_empty(data, "bayes-membership")
+    design = design_mod.solve_design(**kwargs)
+    row = bayes_membership_rate(design, delta, draws, seed)
+    print(
+        f"k_n={design.k_n}: {row['members']}/{row['draws']} draws in the "
+        f"alternative set (rate {row['rate']:.4f}, std_err {row['std_err']:.4f})"
+    )
+    _write_rows(args, MEMBERSHIP_FIELDS, [row], "bayes_membership")
+
+
 def _cmd_project_besov(args) -> None:
     data = _apply_overrides(_load_config(args.config), args)
-    theta = Spectrum.from_json_dict(_pop(data, "theta"))
-    s = float(_pop(data, "s"))
-    p0 = float(_pop(data, "p0"))
-    if data:
-        raise ConfigError(f"unknown projection config keys: {sorted(data)}")
+    theta = Spectrum.from_json_dict(_take(data, "theta", dict))
+    s = _take(data, "s")
+    p0 = _take(data, "p0")
+    _check_empty(data, "projection")
     ball = BesovBall(s, p0)
     projected = project_besov(theta, ball)
     before = besov_seminorm(theta, s)
@@ -201,13 +249,12 @@ def _cmd_project_besov(args) -> None:
 def _cmd_calibrate_cvm(args) -> None:
     data = _apply_overrides(_load_config(args.config), args)
     calibration = calibrate_cvm(
-        n=int(_pop(data, "n")),
-        reps=int(data.pop("reps", 20000)),
-        seed=int(data.pop("seed", DEFAULT_CALIBRATION_SEED)),
-        cache_dir=data.pop("cache_dir", None),
+        n=_take(data, "n", int),
+        reps=_take(data, "reps", int, default=20000),
+        seed=_take(data, "seed", int, default=DEFAULT_CALIBRATION_SEED),
+        cache_dir=_take(data, "cache_dir", str, default=None),
     )
-    if data:
-        raise ConfigError(f"unknown calibration config keys: {sorted(data)}")
+    _check_empty(data, "calibration")
     print(
         f"n={calibration.n} reps={calibration.reps} seed={calibration.seed} "
         f"q95={calibration.critical_value(0.05):.6f}"
@@ -235,6 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kinds = experiment.add_subparsers(dest="kind", required=True)
     kinds.add_parser("consistency", parents=[common]).set_defaults(handler=_cmd_consistency)
     kinds.add_parser("decomposition", parents=[common]).set_defaults(handler=_cmd_decomposition)
+    kinds.add_parser("bayes-membership", parents=[common]).set_defaults(handler=_cmd_bayes_membership)
 
     sub.add_parser("minimax-design", parents=[common]).set_defaults(handler=_cmd_minimax_design)
     sub.add_parser("project-besov", parents=[common]).set_defaults(handler=_cmd_project_besov)

@@ -20,8 +20,8 @@ rewriting int U^2 through it leaves a rank-one remainder,
     int U^2 = int int (min{s,t} - st) f(s) f(t) ds dt + (int_0^1 U)^2,
 
 so the two agree only when int U = 0 (no odd-frequency mass).  The defining
-integral is authoritative here; ``bridge_kernel_quadrature`` evaluates the
-kernel form so the remainder identity can be checked explicitly.
+integral is authoritative here; the test suite evaluates the kernel form by
+quadrature so the remainder identity is checked explicitly.
 
 Critical values come from a seeded Monte Carlo table of n T^2 under the
 null, cached as JSON keyed by (n, reps, seed).  The classical asymptotic
@@ -38,12 +38,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy import integrate
 
 from .errors import ConfigError
 from .report import TestReport
-from .sampling import cumulative_perturbation, density_grid, evaluate_perturbation, rng_for_replication
+from .sampling import density_grid, iid_sampler, rng_for_replication
 from .spectra import Spectrum
 
 # limiting distribution of omega^2 = n T^2: classical upper 5% point
@@ -59,30 +57,21 @@ def _validate_sample(sample: np.ndarray) -> np.ndarray:
     return x
 
 
+def order_grid(n: int) -> np.ndarray:
+    """The centers (2i - 1) / (2n), i = 1..n, that sorted uniforms are compared with."""
+    return (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+
+
+def omega_sq(x_sorted: np.ndarray, grid: np.ndarray) -> float:
+    """n T^2 = sum_i (x_(i) - grid_i)^2 + 1/(12 n), unchecked (the one formula
+    behind ``cvm_statistic``, calibration and the Monte Carlo engine)."""
+    return float(np.sum((x_sorted - grid) ** 2) + 1.0 / (12.0 * grid.size))
+
+
 def cvm_statistic(sample: np.ndarray) -> float:
     """T^2 = int (Fhat_n - x)^2 dx via the exact order-statistic formula."""
     x = np.sort(_validate_sample(sample))
-    n = x.size
-    grid = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    omega_sq = float(np.sum((x - grid) ** 2) + 1.0 / (12.0 * n))
-    return omega_sq / n
-
-
-def cvm_statistic_quadrature(sample: np.ndarray) -> float:
-    """The defining integral, summed segment by segment (oracle path).
-
-    Between consecutive order statistics Fhat_n is flat, so each segment
-    contributes an exact cubic difference.
-    """
-    x = np.sort(_validate_sample(sample))
-    n = x.size
-    knots = np.concatenate([[0.0], x, [1.0]])
-    total = 0.0
-    for i in range(n + 1):
-        level = i / n
-        a, b = knots[i], knots[i + 1]
-        total += ((level - a) ** 3 - (level - b) ** 3) / 3.0
-    return total
+    return omega_sq(x, order_grid(x.size)) / x.size
 
 
 def _require_cosine(theta: Spectrum) -> Spectrum:
@@ -96,29 +85,6 @@ def cvm_population(theta: Spectrum) -> float:
     _require_cosine(theta)
     j = np.arange(1, theta.coeffs.size + 1, dtype=float)
     return float(np.sum(np.asarray(theta.coeffs, dtype=float) ** 2 / (math.pi**2 * j**2)))
-
-
-def cvm_population_quadrature(theta: Spectrum, grid: int = 8192) -> float:
-    """T^2(F - F_0) = int_0^1 U(x)^2 dx by Simpson quadrature of the primitive."""
-    _require_cosine(theta)
-    x = np.linspace(0.0, 1.0, grid + 1)
-    u = cumulative_perturbation(theta, x)
-    return float(integrate.simpson(u**2, x=x))
-
-
-def bridge_kernel_quadrature(theta: Spectrum, order: int = 256) -> float:
-    """int int (min{s,t} - st) f(s) f(t) ds dt by tensor Gauss-Legendre.
-
-    Differs from the defining functional by the rank-one term (int U)^2;
-    see the module docstring.
-    """
-    _require_cosine(theta)
-    nodes, weights = leggauss(order)
-    x = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    f = evaluate_perturbation(theta, x)
-    kern = np.minimum.outer(x, x) - np.outer(x, x)
-    return float((w * f) @ kern @ (w * f))
 
 
 def primitive_mean(theta: Spectrum) -> float:
@@ -216,11 +182,11 @@ def calibrate_cvm(
         cached = _read_cache(path, n, reps, seed)
         if cached is not None:
             return cached
-    grid = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+    grid = order_grid(n)
+    draw = iid_sampler(None)
     values = np.empty(reps)
     for rep in range(reps):
-        u = np.sort(rng_for_replication(seed, rep).random(n))
-        values[rep] = np.sum((u - grid) ** 2) + 1.0 / (12.0 * n)
+        values[rep] = omega_sq(np.sort(draw(rng_for_replication(seed, rep), n)), grid)
     values.sort()
     table = CvmCalibration(n=n, reps=reps, seed=seed, values=values)
     if path is not None:

@@ -272,9 +272,16 @@ def _check_observation(obs: SequenceObservation, design: DetectionDesign) -> np.
     return np.asarray(obs.y.coeffs, dtype=float)
 
 
+def energy_statistic(y: np.ndarray, kappa_j2: np.ndarray, prefactor: float) -> float:
+    """T_n = prefactor * sum_j kappa_j^2 y_j^2 with prefactor = sigma^-4 n^2,
+    unchecked (the one formula both ``minimax_statistic`` and the Monte Carlo
+    engine evaluate)."""
+    return float(prefactor * np.sum(kappa_j2 * y**2))
+
+
 def minimax_statistic(obs: SequenceObservation, design: DetectionDesign) -> float:
     y = _check_observation(obs, design)
-    return float(design.sigma**-4 * design.n**2 * np.sum(design.kappa_j2 * y**2))
+    return energy_statistic(y, design.kappa_j2, design.sigma**-4 * design.n**2)
 
 
 def predicted_type2_minimax(design: DetectionDesign, alpha: float) -> float:
@@ -359,6 +366,5 @@ def _draw_prior(design: DetectionDesign, profile: np.ndarray, seed: int, rep: in
     eta = Spectrum(basis="cosine", coeffs=np.sqrt(profile) * z)
     norm_sq = eta.norm_sq()
     seminorm = besov_seminorm(eta, design.s)
-    ball = BesovBall(s=design.s, p0=design.p0)
-    member = bool(norm_sq >= design.rho_n and ball.contains(eta))
+    member = bool(norm_sq >= design.rho_n and BesovBall(s=design.s, p0=design.p0).admits(seminorm))
     return PriorDraw(eta=eta, norm_sq=float(norm_sq), seminorm=float(seminorm), in_alternative=member)

@@ -29,6 +29,7 @@ POWER_CURVE_FIELDS = (
 CONSISTENCY_FIELDS = (
     "C", "m", "n", "power", "predicted_drift", "std_err", "reps", "seed", "config_hash",
 )
+MEMBERSHIP_FIELDS = ("draws", "members", "rate", "std_err", "delta", "seed")
 DECOMPOSITION_FIELDS = (
     "gamma", "power_f", "power_projected", "power_residual", "gap",
     "std_err_f", "std_err_projected", "std_err_residual",

@@ -178,21 +178,37 @@ def transform_values(kernel: Kernel, h: float, j_max: int) -> np.ndarray:
     return kernel_transform(kernel, np.arange(j_max + 1, dtype=float) * h)
 
 
-def _weighted_energy(spec: Spectrum, kernel: Kernel, h: float, kh: np.ndarray | None = None) -> float:
-    """sum over j in Z of |Khat(j h)|^2 |c_j|^2 for the stored truncation."""
+def weighted_energy(y: np.ndarray, w: np.ndarray) -> float:
+    """S = sum over j in Z of w_j |y_j|^2 from the stored j = 0..J, with
+    w_j = |Khat(j h)|^2 aligned to y; unchecked (the one formula behind
+    ``kernel_statistic``, ``bias_functional`` and the Monte Carlo engine)."""
+    mags = np.abs(y) ** 2
+    return float(w[0] * mags[0] + 2.0 * np.sum(w[1:] * mags[1:]))
+
+
+def studentization(n: int, h: float, sigma: float, consts: KernelConstants) -> tuple[float, float]:
+    """(scale, center) with T_n = scale * (S - center); see the module docstring."""
+    scale = n * math.sqrt(h) / sigma**2 / math.sqrt(consts.kappa_sq)
+    return scale, sigma**2 / (n * h) * consts.l2_norm_sq
+
+
+def studentize(energy: float, scale: float, center: float) -> float:
+    return float(scale * (energy - center))
+
+
+def _squared_transform(spec: Spectrum, kernel: Kernel, h: float, kh: np.ndarray | None) -> np.ndarray:
+    """|Khat(j h)|^2 for the stored frequencies of ``spec``."""
     _require_complex(spec)
     if kh is None:
         kh = transform_values(kernel, h, spec.coeffs.size - 1)
     elif kh.size < spec.coeffs.size:
         raise ConfigError("precomputed transform table shorter than the spectrum")
-    mags = np.abs(spec.coeffs) ** 2
-    head = kh[: mags.size]
-    return float(head[0] ** 2 * mags[0] + 2.0 * np.sum(head[1:] ** 2 * mags[1:]))
+    return kh[: spec.coeffs.size] ** 2
 
 
 def bias_functional(theta: Spectrum, kernel: Kernel, h: float, kh: np.ndarray | None = None) -> float:
     """T1n(theta) = sum_j |Khat(j h) theta_j|^2 over the stored frequencies."""
-    return _weighted_energy(theta, kernel, h, kh)
+    return weighted_energy(theta.coeffs, _squared_transform(theta, kernel, h, kh))
 
 
 def kernel_statistic(
@@ -205,10 +221,8 @@ def kernel_statistic(
     if not 0.0 < h < 1.0:
         raise ConfigError("bandwidth h must lie in (0, 1)")
     consts = constants if constants is not None else kernel_constants(kernel)
-    n, sigma = obs.n, obs.sigma
-    s = _weighted_energy(obs.y, kernel, h, kh)
-    centered = s - sigma**2 / (n * h) * consts.l2_norm_sq
-    return float(n * math.sqrt(h) / sigma**2 / math.sqrt(consts.kappa_sq) * centered)
+    energy = weighted_energy(obs.y.coeffs, _squared_transform(obs.y, kernel, h, kh))
+    return studentize(energy, *studentization(obs.n, h, obs.sigma, consts))
 
 
 def predicted_type2_kernel(
@@ -222,8 +236,8 @@ def predicted_type2_kernel(
     kh: np.ndarray | None = None,
 ) -> float:
     consts = constants if constants is not None else kernel_constants(kernel)
-    shift = n * math.sqrt(h) / sigma**2 / math.sqrt(consts.kappa_sq) * bias_functional(theta, kernel, h, kh)
-    return normal_cdf(upper_quantile(alpha) - shift)
+    scale, _ = studentization(n, h, sigma, consts)
+    return normal_cdf(upper_quantile(alpha) - scale * bias_functional(theta, kernel, h, kh))
 
 
 def kernel_test(
@@ -252,26 +266,3 @@ def kernel_test(
         predicted_type2=beta,
     )
 
-
-def space_domain_energy(y: Spectrum, kernel: Kernel, h: float, grid: int = 2048) -> float:
-    """||smoothed field||^2 by direct periodic convolution on a grid.
-
-    Reconstructs the band-limited field from the stored coefficients, wraps
-    the scaled kernel around the circle, convolves by direct summation, and
-    integrates the square.  Cross-checks the spectral path in tests; O(grid^2).
-    """
-    _require_complex(y)
-    t = np.arange(grid) / grid
-    js, vals = y.signed_pairs()
-    field = np.real(np.exp(2j * math.pi * np.outer(t, js)) @ vals)
-    # wrapped kernel (t - u mod 1), scaled by 1/h
-    d = t[:, None] - t[None, :]
-    d = (d + 0.5) % 1.0 - 0.5
-    wrapped = np.zeros_like(d)
-    width = kernel.halfwidth * h
-    for shift in (-1.0, 0.0, 1.0):  # h < 1/2 keeps at most one wrap relevant
-        sel = np.abs(d + shift) <= width
-        if np.any(sel):
-            wrapped[sel] += kernel.fn((d[sel] + shift) / h) / h
-    smoothed = wrapped @ field / grid
-    return float(np.mean(smoothed**2))

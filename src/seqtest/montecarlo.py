@@ -6,9 +6,10 @@ rejection counts are identical no matter how replications are sliced across
 workers, and partial counts add associatively.  Wall time is measured but
 kept out of every serialized output for byte-reproducibility.
 
-The per-family fast paths below reproduce the reference implementations
-draw-for-draw (same generator call order, same floating-point expression
-shapes as the ``*_test`` functions); the unit tests pin that equivalence.
+Each family's plan supplies only how a replication draws its data and how
+the data is tested; both call the same sampling functions and statistic
+cores as ``draw_sequence_observation``/``sample_iid`` and the ``*_test``
+functions, and one loop (``_counter``) counts the rejections.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ from . import kernels as kernels_mod
 from . import quadratic as quad_mod
 from .errors import ConfigError
 from .report import normal_cdf, upper_quantile
-from .sampling import MIN_DENSITY, cdf_grid, min_density, rng_for_replication
+from .sampling import iid_sampler, rng_for_replication, sequence_noise
 from .spectra import Spectrum
 
 FAMILIES = ("quadratic", "kernel", "chisq", "cvm", "minimax")
@@ -59,6 +61,44 @@ _THETA_BASIS = {
 
 # calibration tables must not share streams with test replications
 DEFAULT_CALIBRATION_SEED = 1000003
+
+
+def as_number(value, key: str, kind: type = float):
+    """A config value as a finite ``kind`` (int or float), or a ConfigError
+    naming ``key``.  Only numbers qualify (not strings or booleans), and an
+    int must be integral: 2.0 reads as 2, 1.5 is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if kind is int and isinstance(value, numbers.Integral):
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return int(number)
+    return number
+
+
+def as_array(value, key: str) -> np.ndarray:
+    """A config list as a finite 1-d float array, or a ConfigError naming ``key``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a list of numbers") from exc
+    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key} must be a flat list of finite numbers")
+    return arr
+
+
+def _param(params: dict, key: str, default=None):
+    """params[key], with a missing or null entry read as ``default``."""
+    value = params.get(key)
+    return default if value is None else value
 
 
 @dataclass(frozen=True)
@@ -92,8 +132,8 @@ class ExperimentConfig:
             raise ConfigError("n and reps must be positive integers")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        if self.sigma <= 0.0:
-            raise ConfigError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigError("sigma must be positive and finite")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         unknown = set(self.params) - _PARAM_KEYS[self.family]
@@ -104,21 +144,47 @@ class ExperimentConfig:
                 f"family {self.family!r} expects theta in the {_THETA_BASIS[self.family]!r} basis"
             )
         p = self.params
+
+        def number(key: str, kind: type = float, required: bool = False):
+            """params[key] as a number; None when it is missing or null."""
+            if _param(p, key) is None:
+                if required:
+                    raise ConfigError(f"{self.family} family needs param {key!r}")
+                return None
+            return as_number(p[key], f"params.{key}", kind)
+
+        j_max = number("j_max", int)
+        if j_max is not None and j_max < 1:
+            raise ConfigError("params.j_max must be a positive integer")
         if self.family == "quadratic":
             if ("kappa_sq" in p) == ("gamma" in p):
                 raise ConfigError("quadratic family needs exactly one of 'kappa_sq' or 'gamma'")
+            if "kappa_sq" in p:
+                kq = as_array(p["kappa_sq"], "params.kappa_sq")
+                if kq.size == 0 or np.any(kq < 0):
+                    raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
+            else:
+                number("gamma", required=True)
         elif self.family == "kernel":
-            if p.get("kernel") not in _KERNELS:
+            if not isinstance(p.get("kernel"), str) or p["kernel"] not in _KERNELS:
                 raise ConfigError(f"kernel must be one of {sorted(_KERNELS)}")
-            if not 0.0 < float(p.get("h", 0.0)) < 1.0:
+            if not 0.0 < number("h", required=True) < 1.0:
                 raise ConfigError("kernel family needs a bandwidth h in (0, 1)")
         elif self.family == "chisq":
-            if int(p.get("k", 0)) < 2:
+            if number("k", int, required=True) < 2:
                 raise ConfigError("chisq family needs k >= 2 cells")
+        elif self.family == "cvm":
+            number("calibration_reps", int)
+            number("calibration_seed", int)
+            if not isinstance(_param(p, "cache_dir", ""), str):
+                raise ConfigError("params.cache_dir must be a path string")
         elif self.family == "minimax":
             for key in ("s", "p0", "rho_n"):
-                if key not in p:
-                    raise ConfigError(f"minimax family needs param {key!r}")
+                number(key, required=True)
+            if _param(p, "lambdas") is not None:
+                as_array(p["lambdas"], "params.lambdas")
+            if not isinstance(_param(p, "least_favorable", False), bool):
+                raise ConfigError("params.least_favorable must be true or false")
             if p.get("least_favorable") and self.theta is not None:
                 raise ConfigError("give either an explicit theta or least_favorable, not both")
 
@@ -140,11 +206,11 @@ class ExperimentConfig:
             theta = data.get("theta")
             return ExperimentConfig(
                 family=data["family"],
-                n=int(data["n"]),
-                reps=int(data["reps"]),
-                seed=int(data["seed"]),
-                alpha=float(data.get("alpha", 0.05)),
-                sigma=float(data.get("sigma", 1.0)),
+                n=as_number(data["n"], "n", int),
+                reps=as_number(data["reps"], "reps", int),
+                seed=as_number(data["seed"], "seed", int),
+                alpha=as_number(data.get("alpha", 0.05), "alpha"),
+                sigma=as_number(data.get("sigma", 1.0), "sigma"),
                 theta=None if theta is None else Spectrum.from_json_dict(theta),
                 params=dict(data.get("params", {})),
             )
@@ -206,59 +272,65 @@ def _padded(theta: Spectrum | None, j_max: int, basis: str) -> np.ndarray:
     return out
 
 
-def _iid_sampler(theta: Spectrum | None, n: int, grid_points: int = 8193):
-    """Per-replication draw matching sample_iid's stream exactly."""
-    if theta is None:
-        return lambda rng: rng.random(n)
-    floor = min_density(theta, points=2 * grid_points - 1)
-    if floor < MIN_DENSITY:
-        raise ConfigError(f"1 + f is not bounded away from zero (min {floor:.3e}); not a usable density")
-    x, cdf = cdf_grid(theta, grid_points)
-    return lambda rng: np.interp(rng.random(n), cdf, x)
+def _counter(seed: int, draw, rejects) -> Callable[[int, int], int]:
+    """The one replication loop: ``count(lo, hi)`` runs replications lo..hi-1,
+    each drawing its data from its own generator and testing it."""
+
+    def count(lo: int, hi: int) -> int:
+        c = 0
+        for rep in range(lo, hi):
+            c += rejects(draw(rng_for_replication(seed, rep)))
+        return c
+
+    return count
+
+
+def _sequence_draw(th: np.ndarray, n: int, sigma: float):
+    """Observations y = theta + (sigma / sqrt(n)) xi, as ``draw_sequence_observation``."""
+    noise_scale = sigma / math.sqrt(n)
+    complex_ = np.iscomplexobj(th)
+    return lambda rng: th + noise_scale * sequence_noise(rng, th.size, complex_)
+
+
+def _iid_draw(theta: Spectrum | None, n: int):
+    sample = iid_sampler(theta)
+    return lambda rng: sample(rng, n)
 
 
 def _plan_quadratic(cfg: ExperimentConfig) -> MonteCarloPlan:
     p = cfg.params
     if "kappa_sq" in p:
         kq = np.asarray(p["kappa_sq"], dtype=float)
-        if kq.ndim != 1 or kq.size == 0 or np.any(kq < 0):
-            raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
     else:
-        kq = quad_mod.example_coefficients(cfg.n, float(p["gamma"]), int(p.get("j_max", 4096)))
-    j_max = kq.size
-    th = _padded(cfg.theta, j_max, "cosine")
+        kq = quad_mod.example_coefficients(cfg.n, float(p["gamma"]), int(_param(p, "j_max", 4096)))
+    th = _padded(cfg.theta, kq.size, "cosine")
     n, sigma, alpha = cfg.n, cfg.sigma, cfg.alpha
-    center = sigma**2 / n * float(np.sum(kq))
+    center = quad_mod.null_center(kq, n, sigma)
     sd0 = quad_mod.null_sd(kq, n, sigma)
     x_alpha = upper_quantile(alpha)
-    noise_scale = sigma / math.sqrt(n)
-    seed = cfg.seed
-
-    def count(lo: int, hi: int) -> int:
-        c = 0
-        for rep in range(lo, hi):
-            y = th + noise_scale * rng_for_replication(seed, rep).standard_normal(j_max)
-            t_n = float(np.dot(kq, y**2) - center)
-            c += (t_n / sd0) > x_alpha
-        return c
-
+    count = _counter(
+        cfg.seed,
+        _sequence_draw(th, n, sigma),
+        lambda y: quad_mod.centered_energy(y, kq, center) / sd0 > x_alpha,
+    )
     drift = quad_mod.drift(th, kq, n, sigma)
     predicted = quad_mod.predicted_type2_quadratic(th, kq, n, sigma, alpha)
-    return MonteCarloPlan(count, predicted, {"j_max": j_max, "drift": drift})
+    return MonteCarloPlan(count, predicted, {"j_max": kq.size, "drift": drift})
 
 
 def _plan_minimax(cfg: ExperimentConfig) -> MonteCarloPlan:
     p = cfg.params
-    lambdas = p.get("lambdas")
+    lambdas = _param(p, "lambdas")
+    j_max = None if _param(p, "j_max") is None else int(p["j_max"])
     if lambdas is not None:
         dsg = design_mod.solve_inverse_design(
             float(p["s"]), float(p["p0"]), float(p["rho_n"]), cfg.n, cfg.sigma,
-            np.asarray(lambdas, dtype=float), j_max=p.get("j_max"),
+            np.asarray(lambdas, dtype=float), j_max=j_max,
         )
     else:
         dsg = design_mod.solve_design(
             float(p["s"]), float(p["p0"]), float(p["rho_n"]), cfg.n, cfg.sigma,
-            j_max=p.get("j_max"),
+            j_max=j_max,
         )
     if p.get("least_favorable"):
         th = design_mod.least_favorable(dsg).coeffs
@@ -269,21 +341,14 @@ def _plan_minimax(cfg: ExperimentConfig) -> MonteCarloPlan:
         mean_shift = dsg.null_mean() - dsg.c_n + quad_mod.noncentrality(th, dsg.kappa_j2, cfg.n, cfg.sigma)
         drift = mean_shift / dsg.null_sd()
         predicted = float(normal_cdf(upper_quantile(cfg.alpha) - drift))
-    n, sigma = cfg.n, cfg.sigma
     x_alpha = upper_quantile(cfg.alpha)
-    prefactor = sigma**-4 * n**2
+    prefactor = cfg.sigma**-4 * cfg.n**2
     kq, c_n, sd = dsg.kappa_j2, dsg.c_n, dsg.null_sd()
-    noise_scale = sigma / math.sqrt(n)
-    seed, j_max = cfg.seed, dsg.j_max
-
-    def count(lo: int, hi: int) -> int:
-        c = 0
-        for rep in range(lo, hi):
-            y = th + noise_scale * rng_for_replication(seed, rep).standard_normal(j_max)
-            t_n = float(prefactor * np.sum(kq * y**2))
-            c += ((t_n - c_n) / sd) > x_alpha
-        return c
-
+    count = _counter(
+        cfg.seed,
+        _sequence_draw(th, cfg.n, cfg.sigma),
+        lambda y: (design_mod.energy_statistic(y, kq, prefactor) - c_n) / sd > x_alpha,
+    )
     details = {"k_n": dsg.k_n, "a_n": dsg.a_n, "c_n": dsg.c_n, "j_max": dsg.j_max, "drift": drift}
     return MonteCarloPlan(count, predicted, details)
 
@@ -293,7 +358,7 @@ def _plan_kernel(cfg: ExperimentConfig) -> MonteCarloPlan:
     kernel = _KERNELS[p["kernel"]]()
     h = float(p["h"])
     theta_support = 0 if cfg.theta is None else cfg.theta.coeffs.size - 1
-    j_max = int(p.get("j_max", max(1024, theta_support)))
+    j_max = int(_param(p, "j_max", max(1024, theta_support)))
     if theta_support > j_max:
         raise ConfigError(f"signal support {theta_support} exceeds the run's truncation {j_max}")
     consts = kernels_mod.kernel_constants(kernel)
@@ -301,27 +366,13 @@ def _plan_kernel(cfg: ExperimentConfig) -> MonteCarloPlan:
     w = kh**2
     th = _padded(cfg.theta, j_max, "complex-exponential")
     n, sigma, alpha = cfg.n, cfg.sigma, cfg.alpha
-    scale = n * math.sqrt(h) / sigma**2 / math.sqrt(consts.kappa_sq)
-    center = sigma**2 / (n * h) * consts.l2_norm_sq
+    scale, center = kernels_mod.studentization(n, h, sigma, consts)
     x_alpha = upper_quantile(alpha)
-    noise_scale = sigma / math.sqrt(n)
-    seed = cfg.seed
-    size = j_max + 1
-
-    def count(lo: int, hi: int) -> int:
-        c = 0
-        for rep in range(lo, hi):
-            rng = rng_for_replication(seed, rep)
-            re = rng.standard_normal(size)
-            im = rng.standard_normal(size)
-            noise = (re + 1j * im) / math.sqrt(2.0)
-            noise[0] = re[0]
-            y = th + noise_scale * noise
-            mags = np.abs(y) ** 2
-            energy = float(w[0] * mags[0] + 2.0 * np.sum(w[1:] * mags[1:]))
-            c += (scale * (energy - center)) > x_alpha
-        return c
-
+    count = _counter(
+        cfg.seed,
+        _sequence_draw(th, n, sigma),
+        lambda y: kernels_mod.studentize(kernels_mod.weighted_energy(y, w), scale, center) > x_alpha,
+    )
     theta_spec = cfg.theta if cfg.theta is not None else Spectrum("complex-exponential", np.zeros(1, dtype=complex))
     predicted = kernels_mod.predicted_type2_kernel(theta_spec, kernel, h, n, sigma, alpha, consts, kh)
     t1n = kernels_mod.bias_functional(theta_spec, kernel, h, kh)
@@ -331,52 +382,40 @@ def _plan_kernel(cfg: ExperimentConfig) -> MonteCarloPlan:
 
 def _plan_chisq(cfg: ExperimentConfig) -> MonteCarloPlan:
     k = int(cfg.params["k"])
-    draw = _iid_sampler(cfg.theta, cfg.n)
     n, alpha = cfg.n, cfg.alpha
     x_alpha = upper_quantile(alpha)
-    root_2k = math.sqrt(2.0 * k)
-    seed = cfg.seed
-
-    def count(lo: int, hi: int) -> int:
-        c = 0
-        for rep in range(lo, hi):
-            xs = draw(rng_for_replication(seed, rep))
-            counts = np.bincount(np.minimum((xs * k).astype(np.int64), k - 1), minlength=k)
-            t_n = float(k * n * np.sum((counts / n - 1.0 / k) ** 2))
-            c += ((t_n - (k - 1)) / root_2k) > x_alpha
-        return c
-
+    count = _counter(
+        cfg.seed,
+        _iid_draw(cfg.theta, n),
+        lambda xs: chisq_mod.standardized_chisq(
+            chisq_mod.statistic_from_counts(chisq_mod.binned(xs, k), n, k), k
+        ) > x_alpha,
+    )
     if cfg.theta is not None:
         t_f = chisq_mod.population_chisq_functional(cfg.theta, k, n)
         predicted = chisq_mod.predicted_type2_chisq(cfg.theta, k, n, alpha)
     else:
         t_f, predicted = 0.0, 1.0 - alpha
-    return MonteCarloPlan(count, predicted, {"k": k, "drift": t_f / root_2k})
+    return MonteCarloPlan(count, predicted, {"k": k, "drift": t_f / math.sqrt(2.0 * k)})
 
 
 def _plan_cvm(cfg: ExperimentConfig) -> MonteCarloPlan:
     p = cfg.params
     calibration = cvm_mod.calibrate_cvm(
         cfg.n,
-        reps=int(p.get("calibration_reps", 20000)),
-        seed=int(p.get("calibration_seed", DEFAULT_CALIBRATION_SEED)),
-        cache_dir=p.get("cache_dir"),
+        reps=int(_param(p, "calibration_reps", 20000)),
+        seed=int(_param(p, "calibration_seed", DEFAULT_CALIBRATION_SEED)),
+        cache_dir=_param(p, "cache_dir"),
     )
     critical = calibration.critical_value(cfg.alpha)
-    draw = _iid_sampler(cfg.theta, cfg.n)
     n = cfg.n
-    grid = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    seed = cfg.seed
-
-    def count(lo: int, hi: int) -> int:
-        c = 0
-        for rep in range(lo, hi):
-            xs = np.sort(draw(rng_for_replication(seed, rep)))
-            omega_sq = float(np.sum((xs - grid) ** 2) + 1.0 / (12.0 * n))
-            # n * (omega_sq / n): keep the reference path's rounding exactly
-            c += (n * (omega_sq / n)) > critical
-        return c
-
+    grid = cvm_mod.order_grid(n)
+    # n * (omega^2 / n) is n T^2 as cvm_test forms it, rounding included
+    count = _counter(
+        cfg.seed,
+        _iid_draw(cfg.theta, n),
+        lambda xs: n * (cvm_mod.omega_sq(np.sort(xs), grid) / n) > critical,
+    )
     margin = 0.0 if cfg.theta is None else n * cvm_mod.cvm_population(cfg.theta)
     details = {"critical_value": critical, "margin": margin, "calibration_reps": calibration.reps}
     return MonteCarloPlan(count, None, details)

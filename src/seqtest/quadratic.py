@@ -85,12 +85,23 @@ def null_sd(kappa_sq: np.ndarray, n: int, sigma: float) -> float:
     return float(sigma**2 / n * math.sqrt(2.0 * np.sum(kappa_sq**2)))
 
 
+def null_center(kappa_sq: np.ndarray, n: int, sigma: float) -> float:
+    """E T_n's offset under the null: (sigma^2 / n) sum_j kappa^2_j."""
+    return sigma**2 / n * float(np.sum(kappa_sq))
+
+
+def centered_energy(y: np.ndarray, kappa_sq: np.ndarray, center: float) -> float:
+    """T_n = sum_j kappa^2_j y_j^2 - center, unchecked (the one formula both
+    ``quadratic_statistic`` and the Monte Carlo engine evaluate)."""
+    return float(np.dot(kappa_sq, y**2) - center)
+
+
 def quadratic_statistic(y, kappa_sq: np.ndarray, n: int, sigma: float) -> float:
     yv = _as_coeff_array(y)
     kq = np.asarray(kappa_sq, dtype=float)
     if yv.size != kq.size:
         raise ConfigError(f"observation length {yv.size} != weight length {kq.size}")
-    return float(np.dot(kq, yv**2) - sigma**2 / n * np.sum(kq))
+    return centered_energy(yv, kq, null_center(kq, n, sigma))
 
 
 def drift(theta, kappa_sq: np.ndarray, n: int, sigma: float) -> float:

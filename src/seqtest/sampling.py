@@ -49,6 +49,22 @@ class SequenceObservation:
     sigma: float
 
 
+def sequence_noise(rng: np.random.Generator, size: int, complex_: bool) -> np.ndarray:
+    """Standard Gaussian coordinates xi_1..xi_size of the sequence model.
+
+    Complex coordinates take independent real and imaginary parts of
+    variance 1/2, except the j = 0 coordinate, which is real with unit
+    variance.
+    """
+    if not complex_:
+        return rng.standard_normal(size)
+    re = rng.standard_normal(size)
+    im = rng.standard_normal(size)
+    noise = (re + 1j * im) / math.sqrt(2.0)
+    noise[0] = re[0]
+    return noise
+
+
 def draw_sequence_observation(
     signal: Spectrum,
     n: int,
@@ -57,16 +73,8 @@ def draw_sequence_observation(
 ) -> SequenceObservation:
     if n < 1 or sigma <= 0:
         raise ConfigError("sequence model needs n >= 1 and sigma > 0")
-    scale = sigma / math.sqrt(n)
-    if signal.basis == "complex-exponential":
-        size = signal.coeffs.size
-        re = rng.standard_normal(size)
-        im = rng.standard_normal(size)
-        noise = (re + 1j * im) / math.sqrt(2.0)
-        noise[0] = re[0]  # the j = 0 coordinate is real with unit variance
-        y = signal.coeffs + scale * noise
-    else:
-        y = signal.coeffs + scale * rng.standard_normal(signal.coeffs.size)
+    complex_ = signal.basis == "complex-exponential"
+    y = signal.coeffs + sigma / math.sqrt(n) * sequence_noise(rng, signal.coeffs.size, complex_)
     return SequenceObservation(y=Spectrum(signal.basis, y), n=n, sigma=sigma)
 
 
@@ -141,26 +149,32 @@ def cdf_grid(spec: Spectrum, points: int = 8193) -> tuple[np.ndarray, np.ndarray
     return x, cdf
 
 
-def sample_iid(
-    spec: Spectrum,
-    size: int,
-    rng: np.random.Generator,
-    grid_points: int = 8193,
-) -> np.ndarray:
-    """Draw i.i.d. points from the density 1 + f by inverse-CDF lookup.
+def iid_sampler(spec: Spectrum | None, grid_points: int = 8193):
+    """``draw(rng, size)``: i.i.d. points from the density 1 + f (uniform for None).
 
     The CDF is exact on the grid; between nodes the inverse is linear, so the
     sampled density is a fine piecewise-constant approximation whose cell
     masses on any interval wider than the grid step match the target to
-    O(step^2).
+    O(step^2).  The density floor and the grid are settled here, once.
     """
-    if size < 0:
-        raise ConfigError("sample size must be non-negative")
+    if spec is None:
+        return lambda rng, size: rng.random(size)
     floor = min_density(spec, points=2 * grid_points - 1)
     if floor < MIN_DENSITY:
         raise ConfigError(
             f"1 + f is not bounded away from zero (min {floor:.3e}); not a usable density"
         )
     x, cdf = cdf_grid(spec, grid_points)
-    u = rng.random(size)
-    return np.interp(u, cdf, x)
+    return lambda rng, size: np.interp(rng.random(size), cdf, x)
+
+
+def sample_iid(
+    spec: Spectrum,
+    size: int,
+    rng: np.random.Generator,
+    grid_points: int = 8193,
+) -> np.ndarray:
+    """Draw i.i.d. points from the density 1 + f by inverse-CDF lookup."""
+    if size < 0:
+        raise ConfigError("sample size must be non-negative")
+    return iid_sampler(spec, grid_points)(rng, size)

@@ -37,6 +37,9 @@ BASES = ("cosine", "complex-exponential", "haar")
 # Families whose optimal tuning follows the k_n ~ n^{2-4r} schedule.
 FAMILIES_QUADRATIC_RATE = ("quadratic", "kernel", "chisq")
 
+# Relative slack on the budget when testing ball membership.
+CONTAINS_REL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -104,13 +107,13 @@ class Spectrum:
             raw = data["coeffs"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"spectrum JSON needs 'basis' and 'coeffs': {exc}") from exc
-        if basis == "complex-exponential":
-            try:
+        try:
+            if basis == "complex-exponential":
                 arr = np.array([complex(re, im) for re, im in raw])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("complex coeffs must be [re, im] pairs") from exc
-        else:
-            arr = np.asarray(raw, dtype=float)
+            else:
+                arr = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("coeffs must be numbers ([re, im] pairs in the complex basis)") from exc
         return Spectrum(basis=basis, coeffs=arr)
 
 
@@ -148,8 +151,12 @@ class BesovBall:
     def tail_budget(self, k: np.ndarray | int) -> np.ndarray | float:
         return self.p0 * np.asarray(k, dtype=float) ** (-2.0 * self.s)
 
-    def contains(self, spec: Spectrum, rel_tol: float = 1e-12) -> bool:
-        return besov_seminorm(spec, self.s) <= self.p0 * (1.0 + rel_tol)
+    def admits(self, seminorm: float) -> bool:
+        """Whether a point with this ``besov_seminorm`` lies in the ball."""
+        return seminorm <= self.p0 * (1.0 + CONTAINS_REL_TOL)
+
+    def contains(self, spec: Spectrum) -> bool:
+        return self.admits(besov_seminorm(spec, self.s))
 
 
 def first_violated_tail(spec: Spectrum, ball: BesovBall) -> int | None:

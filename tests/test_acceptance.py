@@ -19,15 +19,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import direct_seminorm, slsqp_tail_projection
+from helpers import (
+    cross_frequency_sum,
+    cvm_population_quadrature,
+    direct_seminorm,
+    slsqp_tail_projection,
+)
 from seqtest.chisq import (
     chisq_statistic,
-    cross_frequency_sum,
     haar_statistic,
     population_chisq_functional,
 )
 from seqtest.cli import main as cli_main
-from seqtest.cvm import cvm_population, cvm_population_quadrature, cvm_statistic
+from seqtest.cvm import cvm_population, cvm_statistic
 from seqtest.design import predicted_type2_minimax, solve_design, solve_inverse_design
 from seqtest.experiments import (
     bayes_membership_rate,

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from helpers import cross_frequency_sum
 from seqtest.chisq import (
     cell_counts,
     cell_integrals,
     chisq_statistic,
     chisq_test,
-    cross_frequency_sum,
     haar_statistic,
     population_chisq_functional,
     predicted_type2_chisq,

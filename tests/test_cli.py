@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 from seqtest.cli import SUMMARY_FIELDS, main
+from seqtest.design import solve_design
 from seqtest.errors import NumericError
 from seqtest.experiments import (
     CONSISTENCY_FIELDS,
     DECOMPOSITION_FIELDS,
+    MEMBERSHIP_FIELDS,
     POWER_CURVE_FIELDS,
+    bayes_membership_rate,
 )
 
 HASH_RE = re.compile(r"^[0-9a-f]{12}$")
@@ -230,6 +233,88 @@ class TestCalibrateCvmCommand:
         cfg = _config(tmp_path, "cal.json", {"n": 40, "seed": 5})
         assert main(["calibrate", "cvm", "--config", cfg, "--reps", "200"]) == 0
         assert "reps=200" in capsys.readouterr().out
+
+
+class TestBayesMembershipCommand:
+    def test_matches_the_library_call(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "bayes.json", {
+            "s": 1.0, "p0": 1.0, "rho_n": 4e-5, "n": 10000,
+            "delta": 0.2, "draws": 40, "seed": 77001,
+        })
+        out = tmp_path / "bayes.csv"
+        assert main(["experiment", "bayes-membership", "--config", cfg, "--out", str(out)]) == 0
+        want = bayes_membership_rate(solve_design(1.0, 1.0, 4e-5, 10000), 0.2, 40, 77001)
+        assert f"{want['members']}/40 draws" in capsys.readouterr().out
+        header, row = _rows(out)
+        assert header == ",".join(MEMBERSHIP_FIELDS)
+        cells = dict(zip(MEMBERSHIP_FIELDS, row.split(",")))
+        assert int(cells["members"]) == want["members"]
+        assert cells["seed"] == "77001"
+
+    def test_unknown_key_exits_2(self, tmp_path):
+        cfg = _config(tmp_path, "bayes.json", {
+            "s": 1.0, "p0": 1.0, "rho_n": 4e-5, "n": 10000,
+            "delta": 0.2, "draws": 10, "seed": 1, "lambdas": [1.0, 0.5],
+        })
+        assert main(["experiment", "bayes-membership", "--config", cfg]) == 2
+
+
+def _params(family: str, **params) -> dict:
+    base = {
+        "quadratic": {"gamma": 2.0, "j_max": 64},
+        "kernel": {"kernel": "box", "h": 0.1, "j_max": 64},
+        "chisq": {"k": 8},
+        "cvm": {"calibration_reps": 200},
+        "minimax": {"s": 1.0, "p0": 1.0, "rho_n": 2e-3, "least_favorable": True},
+    }[family]
+    if family == "quadratic" and "kappa_sq" in params:
+        base = {}
+    return {"family": family, "n": 300, "reps": 10, "seed": 1, "params": {**base, **params}}
+
+
+_DESIGN = {"s": 1.0, "p0": 1.0, "rho_n": 3e-4, "n": 10000}
+_CONSISTENCY = {"family": "quadratic", "s": 1.0, "c_schedule": [1.0, 4.0], "n": 300, "reps": 10, "seed": 1}
+_DECOMPOSITION = {**_simulate_payload(reps=10), "s": 1.0, "gammas": [0.5, 1.0]}
+
+BAD_CONFIGS = {
+    "chisq k": (["simulate"], _params("chisq", k="x")),
+    "kernel h": (["simulate"], _params("kernel", h="x")),
+    "kernel name": (["simulate"], _params("kernel", kernel=["box"])),
+    "quadratic gamma": (["simulate"], _params("quadratic", gamma="a")),
+    "quadratic kappa_sq": (["simulate"], _params("quadratic", kappa_sq=["a"])),
+    "minimax s": (["simulate"], _params("minimax", s="a")),
+    "minimax j_max": (["simulate"], _params("minimax", j_max="x")),
+    "calibration_reps": (["simulate"], _params("cvm", calibration_reps="x")),
+    "sigma nan": (["simulate"], _simulate_payload(sigma="nan")),
+    "fractional seed": (["simulate"], _simulate_payload(seed=1.5)),
+    "scalar scales": (["power-curve"], {**_simulate_payload(reps=10), "scales": 3}),
+    "text scales": (["power-curve"], {**_simulate_payload(reps=10), "scales": ["a"]}),
+    "scalar c_schedule": (["experiment", "consistency"], {**_CONSISTENCY, "c_schedule": 5}),
+    "text gammas": (["experiment", "decomposition"], {**_DECOMPOSITION, "gammas": "ab"}),
+    "design j_max": (["minimax-design"], {**_DESIGN, "j_max": "x"}),
+    "membership draws": (
+        ["experiment", "bayes-membership"],
+        {**_DESIGN, "delta": 0.2, "draws": "x", "seed": 1},
+    ),
+    "calibration reps": (["calibrate", "cvm"], {"n": 40, "reps": "x"}),
+}
+
+
+class TestBadConfigValues:
+    """A wrong type or a non-finite value is an invalid config, never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_exits_2_without_traceback(self, name, tmp_path, capsys):
+        argv, payload = BAD_CONFIGS[name]
+        cfg = _config(tmp_path, "bad.json", payload)
+        assert main(argv + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config:" in err
+        assert "Traceback" not in err
+
+    def test_integral_float_counts_still_read(self, tmp_path):
+        cfg = _config(tmp_path, "sim.json", _simulate_payload(n=400.0, reps=20.0, seed=7.0))
+        assert main(["simulate", "--config", cfg]) == 0
 
 
 class TestExitCodes:

@@ -11,17 +11,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import bridge_kernel_quadrature, cvm_population_quadrature, cvm_statistic_quadrature
 from seqtest.cvm import (
     ASYMPTOTIC_Q95,
     CvmCalibration,
     _write_cache,
-    bridge_kernel_quadrature,
     calibrate_cvm,
     consistency_margin,
     cvm_population,
-    cvm_population_quadrature,
     cvm_statistic,
-    cvm_statistic_quadrature,
     cvm_test,
     primitive_mean,
 )

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import space_domain_energy
 from seqtest.errors import ConfigError
 from seqtest.kernels import (
     Kernel,
@@ -17,7 +18,6 @@ from seqtest.kernels import (
     kernel_test,
     kernel_transform,
     predicted_type2_kernel,
-    space_domain_energy,
     transform_values,
     triangle_kernel,
 )

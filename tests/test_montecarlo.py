@@ -1,11 +1,14 @@
 """Monte Carlo engine: config contract, seeded streams, fast-path equivalence."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from seqtest.chisq import chisq_test
+from seqtest.cli import main as cli_main
 from seqtest.cvm import calibrate_cvm, cvm_test
 from seqtest.design import least_favorable, minimax_test, solve_design
 from seqtest.errors import ConfigError
@@ -223,6 +226,54 @@ class TestEngineMatchesReference:
             xs = sample_iid(theta, 60, rng_for_replication(106, rep))
             want += cvm_test(xs, 0.05, table).reject
         assert got == want
+
+
+def _cos(*coeffs):
+    return Spectrum(basis="cosine", coeffs=np.array(coeffs))
+
+
+def _cx(*coeffs):
+    return Spectrum(basis="complex-exponential", coeffs=np.array(coeffs, dtype=complex))
+
+
+# Rejection counts of one small run per family, pinned across commits: an
+# accidental change to a random stream or a statistic's rounding moves them.
+# A deliberate stream change bumps the CSV schema and re-pins these values.
+PINNED_REJECTIONS = {
+    "quadratic": (ExperimentConfig("quadratic", 500, 200, 201, theta=_cos(0.08, 0.05, 0.02),
+                                   params={"gamma": 2.0, "j_max": 64}), 40),
+    "minimax": (ExperimentConfig("minimax", 2000, 200, 202, params={
+        "s": 1.0, "p0": 1.0, "rho_n": 2e-3, "least_favorable": True}), 12),
+    "kernel": (ExperimentConfig("kernel", 800, 200, 203, theta=_cx(0.0, 0.02 + 0.01j),
+                                params={"kernel": "triangle", "h": 0.11, "j_max": 48}), 26),
+    "chisq": (ExperimentConfig("chisq", 300, 200, 204, theta=_cx(0.0, 0.1 + 0.05j),
+                               params={"k": 8}), 91),
+    "chisq_null": (ExperimentConfig("chisq", 300, 200, 205, params={"k": 8}), 10),
+    "cvm": (ExperimentConfig("cvm", 60, 200, 206, theta=_cos(0.25, -0.1),
+                             params={"calibration_reps": 400}), 85),
+}
+# sha256 of the CSV below; a CvM curve has no normal prediction, so every
+# cell is a count, an exact ratio, a square root or a hash
+PINNED_CURVE = {
+    "family": "cvm", "n": 60, "reps": 100, "seed": 8,
+    "theta": {"basis": "cosine", "coeffs": [0.25, -0.1]},
+    "params": {"calibration_reps": 400}, "scales": [0.0, 1.0, 1.5],
+}
+PINNED_CURVE_SHA256 = "270ce540b64355896f6a2fb1487b7a12d96f4a383584077e57779398c488ff53"
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("name", sorted(PINNED_REJECTIONS))
+    def test_rejection_count(self, name):
+        cfg, want = PINNED_REJECTIONS[name]
+        assert run_monte_carlo(cfg).rejections == want
+
+    def test_power_curve_bytes(self, tmp_path, capsys):
+        cfg = tmp_path / "curve.json"
+        cfg.write_text(json.dumps(PINNED_CURVE))
+        out = tmp_path / "curve.csv"
+        assert cli_main(["power-curve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CURVE_SHA256
 
 
 class TestScheduling:

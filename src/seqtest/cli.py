@@ -1,7 +1,9 @@
 """Command-line front end.
 
-All subcommands read a JSON config (``--config``), optionally overridden by
-``--seed``/``--reps``, and write CSV or JSON based on the ``--out`` extension.
+All subcommands read a JSON config (``--config``) and write CSV or JSON based
+on the ``--out`` extension; a config key the command does not know is an
+error.  ``--seed``/``--reps`` override the config's key of the same name and
+exist only on the subcommands whose config has it.
 Exit codes: 0 success, 2 invalid config or I/O failure, 3 infeasible design,
 4 numeric failure.  Outputs never include wall-clock times, so a run is
 byte-reproducible from (config, seed) at any thread count.
@@ -31,13 +33,18 @@ from .experiments import (
     write_csv,
     write_json,
 )
-from .montecarlo import DEFAULT_CALIBRATION_SEED, ExperimentConfig, as_number, run_monte_carlo
+from .montecarlo import DEFAULT_CALIBRATION_SEED, ExperimentConfig, check_empty, run_monte_carlo, take
 from .spectra import BesovBall, Spectrum, besov_seminorm, first_violated_tail, project_besov
 
 SUMMARY_FIELDS = ("experiment", "reps", "rejections", "rate", "std_err", "seed", "config_hash")
 
+# the integer flags that override a config key of the same name
+_OVERRIDES = {"seed": "override the config seed", "reps": "override the replication count"}
 
-def _load_config(path: str | None) -> dict:
+
+def _load_config(args) -> dict:
+    """The --config file as a dict, with the command's --seed/--reps applied."""
+    path = args.config
     if path is None:
         raise ConfigError("this subcommand needs --config <file.json>")
     try:
@@ -49,14 +56,9 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    return data
-
-
-def _apply_overrides(data: dict, args) -> dict:
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.reps is not None:
-        data["reps"] = args.reps
+    for key in _OVERRIDES:
+        if getattr(args, key, None) is not None:
+            data[key] = getattr(args, key)
     return data
 
 
@@ -70,41 +72,8 @@ def _write_rows(args, fieldnames, rows, label: str) -> None:
     print(f"wrote {len(rows)} rows to {args.out}")
 
 
-_REQUIRED = object()
-
-
-def _take(data: dict, key: str, kind: type = float, default=_REQUIRED, many: bool = False):
-    """Pop ``key`` from the config as a ``kind`` (a finite int or float, or
-    else an instance of ``kind``), or as a list of them when ``many``.  A key
-    that is missing or null falls back to ``default``."""
-    value = data.pop(key, None)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"config needs key {key!r}")
-        return default
-    if many:
-        if not isinstance(value, list):
-            raise ConfigError(f"{key!r} must be a list, got {value!r}")
-        return [_typed(v, key, kind) for v in value]
-    return _typed(value, key, kind)
-
-
-def _typed(value, key: str, kind: type):
-    if kind in (int, float):
-        return as_number(value, repr(key), kind)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{key!r} must be a {kind.__name__}, got {value!r}")
-    return value
-
-
-def _check_empty(data: dict, what: str) -> None:
-    if data:
-        raise ConfigError(f"unknown {what} config keys: {sorted(data)}")
-
-
 def _cmd_simulate(args) -> None:
-    data = _apply_overrides(_load_config(args.config), args)
-    config = ExperimentConfig.from_json_dict(data)
+    config = ExperimentConfig.from_json_dict(_load_config(args))
     summary = run_monte_carlo(config, threads=args.threads)
     row = dict(summary.to_json_dict(), config_hash=config.config_hash())
     print(
@@ -122,8 +91,8 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_power_curve(args) -> None:
-    data = _apply_overrides(_load_config(args.config), args)
-    scales = _take(data, "scales", many=True)
+    data = _load_config(args)
+    scales = take(data, "scales", many=True)
     config = ExperimentConfig.from_json_dict(data)
     rows = power_curve(config, scales, threads=args.threads)
     for row in rows:
@@ -133,24 +102,24 @@ def _cmd_power_curve(args) -> None:
 
 
 def _cmd_consistency(args) -> None:
-    data = _apply_overrides(_load_config(args.config), args)
+    data = _load_config(args)
     if "n" in data and "n_schedule" in data:
         raise ConfigError("consistency config has both 'n' and 'n_schedule'; give only one")
     rows = consistency_experiment(
-        family=_take(data, "family", str),
-        s=_take(data, "s"),
-        c_schedule=_take(data, "c_schedule", many=True),
+        family=take(data, "family", str),
+        s=take(data, "s"),
+        c_schedule=take(data, "c_schedule", many=True),
         n_schedule=(
-            _take(data, "n_schedule", int, many=True) if "n_schedule" in data else _take(data, "n", int)
+            take(data, "n_schedule", int, many=True) if "n_schedule" in data else take(data, "n", int)
         ),
-        reps=_take(data, "reps", int),
-        seed=_take(data, "seed", int),
-        alpha=_take(data, "alpha", default=0.05),
+        reps=take(data, "reps", int),
+        seed=take(data, "seed", int),
+        alpha=take(data, "alpha", default=0.05),
         threads=args.threads,
-        p0_ref=_take(data, "p0_ref", default=1.0),
-        norm_scale=_take(data, "norm_scale", default=math.sqrt(8.0)),
+        p0_ref=take(data, "p0_ref", default=1.0),
+        norm_scale=take(data, "norm_scale", default=math.sqrt(8.0)),
     )
-    _check_empty(data, "consistency")
+    check_empty(data, "consistency config")
     for row in rows:
         print(
             f"C={row['C']:g} m={row['m']} n={row['n']} power={row['power']:.4f} "
@@ -160,10 +129,10 @@ def _cmd_consistency(args) -> None:
 
 
 def _cmd_decomposition(args) -> None:
-    data = _apply_overrides(_load_config(args.config), args)
-    s = _take(data, "s")
-    gammas = _take(data, "gammas", many=True)
-    floor = _take(data, "density_floor", default=0.0)
+    data = _load_config(args)
+    s = take(data, "s")
+    gammas = take(data, "gammas", many=True)
+    floor = take(data, "density_floor", default=0.0)
     config = ExperimentConfig.from_json_dict(data)
     rows = maxiset_decomposition_experiment(config, s, gammas, threads=args.threads, density_floor=floor)
     for row in rows:
@@ -179,23 +148,23 @@ def _design_kwargs(data: dict) -> dict:
     """The direct-design arguments shared by ``minimax-design`` and
     ``experiment bayes-membership``, popped from the config."""
     return {
-        "s": _take(data, "s"),
-        "p0": _take(data, "p0"),
-        "rho_n": _take(data, "rho_n"),
-        "n": _take(data, "n", int),
-        "sigma": _take(data, "sigma", default=1.0),
-        "j_max": _take(data, "j_max", int, default=None),
+        "s": take(data, "s"),
+        "p0": take(data, "p0"),
+        "rho_n": take(data, "rho_n"),
+        "n": take(data, "n", int),
+        "sigma": take(data, "sigma", default=1.0),
+        "j_max": take(data, "j_max", int, default=None),
     }
 
 
 def _cmd_minimax_design(args) -> None:
-    data = _apply_overrides(_load_config(args.config), args)
+    data = _load_config(args)
     kwargs = _design_kwargs(data)
-    alpha = _take(data, "alpha", default=0.05)
-    lambdas = _take(data, "lambdas", default=None, many=True)
-    _check_empty(data, "design")
+    alpha = take(data, "alpha", default=0.05)
+    lambdas = take(data, "lambdas", np.ndarray, default=None)
+    check_empty(data, "design config")
     if lambdas is not None:
-        design = design_mod.solve_inverse_design(lambdas=np.asarray(lambdas, dtype=float), **kwargs)
+        design = design_mod.solve_inverse_design(lambdas=lambdas, **kwargs)
     else:
         design = design_mod.solve_design(**kwargs)
     predicted = design_mod.predicted_type2_minimax(design, alpha)
@@ -210,10 +179,10 @@ def _cmd_minimax_design(args) -> None:
 
 
 def _cmd_bayes_membership(args) -> None:
-    data = _apply_overrides(_load_config(args.config), args)
+    data = _load_config(args)
     kwargs = _design_kwargs(data)
-    delta, draws, seed = _take(data, "delta"), _take(data, "draws", int), _take(data, "seed", int)
-    _check_empty(data, "bayes-membership")
+    delta, draws, seed = take(data, "delta"), take(data, "draws", int), take(data, "seed", int)
+    check_empty(data, "bayes-membership config")
     design = design_mod.solve_design(**kwargs)
     row = bayes_membership_rate(design, delta, draws, seed)
     print(
@@ -224,11 +193,11 @@ def _cmd_bayes_membership(args) -> None:
 
 
 def _cmd_project_besov(args) -> None:
-    data = _apply_overrides(_load_config(args.config), args)
-    theta = Spectrum.from_json_dict(_take(data, "theta", dict))
-    s = _take(data, "s")
-    p0 = _take(data, "p0")
-    _check_empty(data, "projection")
+    data = _load_config(args)
+    theta = Spectrum.from_json_dict(take(data, "theta", dict))
+    s = take(data, "s")
+    p0 = take(data, "p0")
+    check_empty(data, "projection config")
     ball = BesovBall(s, p0)
     projected = project_besov(theta, ball)
     before = besov_seminorm(theta, s)
@@ -247,14 +216,14 @@ def _cmd_project_besov(args) -> None:
 
 
 def _cmd_calibrate_cvm(args) -> None:
-    data = _apply_overrides(_load_config(args.config), args)
+    data = _load_config(args)
     calibration = calibrate_cvm(
-        n=_take(data, "n", int),
-        reps=_take(data, "reps", int, default=20000),
-        seed=_take(data, "seed", int, default=DEFAULT_CALIBRATION_SEED),
-        cache_dir=_take(data, "cache_dir", str, default=None),
+        n=take(data, "n", int),
+        reps=take(data, "reps", int, default=20000),
+        seed=take(data, "seed", int, default=DEFAULT_CALIBRATION_SEED),
+        cache_dir=take(data, "cache_dir", str, default=None),
     )
-    _check_empty(data, "calibration")
+    check_empty(data, "calibration config")
     print(
         f"n={calibration.n} reps={calibration.reps} seed={calibration.seed} "
         f"q95={calibration.critical_value(0.05):.6f}"
@@ -267,30 +236,31 @@ def _cmd_calibrate_cvm(args) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--reps", type=int, default=None, help="override the replication count")
     common.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
     common.add_argument("--out", help="output path; .csv or .json picks the format")
 
+    def command(subparsers, name, handler, overrides=()):
+        cmd = subparsers.add_parser(name, parents=[common])
+        for key in overrides:
+            cmd.add_argument(f"--{key}", type=int, help=_OVERRIDES[key])
+        cmd.set_defaults(handler=handler)
+
+    both = ("seed", "reps")
     parser = argparse.ArgumentParser(prog="seqtest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    command(sub, "simulate", _cmd_simulate, both)
+    command(sub, "power-curve", _cmd_power_curve, both)
 
-    sub.add_parser("simulate", parents=[common]).set_defaults(handler=_cmd_simulate)
-    sub.add_parser("power-curve", parents=[common]).set_defaults(handler=_cmd_power_curve)
+    kinds = sub.add_parser("experiment").add_subparsers(dest="kind", required=True)
+    command(kinds, "consistency", _cmd_consistency, both)
+    command(kinds, "decomposition", _cmd_decomposition, both)
+    command(kinds, "bayes-membership", _cmd_bayes_membership, ("seed",))
 
-    experiment = sub.add_parser("experiment")
-    kinds = experiment.add_subparsers(dest="kind", required=True)
-    kinds.add_parser("consistency", parents=[common]).set_defaults(handler=_cmd_consistency)
-    kinds.add_parser("decomposition", parents=[common]).set_defaults(handler=_cmd_decomposition)
-    kinds.add_parser("bayes-membership", parents=[common]).set_defaults(handler=_cmd_bayes_membership)
+    command(sub, "minimax-design", _cmd_minimax_design)
+    command(sub, "project-besov", _cmd_project_besov)
 
-    sub.add_parser("minimax-design", parents=[common]).set_defaults(handler=_cmd_minimax_design)
-    sub.add_parser("project-besov", parents=[common]).set_defaults(handler=_cmd_project_besov)
-
-    calibrate = sub.add_parser("calibrate")
-    targets = calibrate.add_subparsers(dest="target", required=True)
-    targets.add_parser("cvm", parents=[common]).set_defaults(handler=_cmd_calibrate_cvm)
-
+    targets = sub.add_parser("calibrate").add_subparsers(dest="target", required=True)
+    command(targets, "cvm", _cmd_calibrate_cvm, both)
     return parser
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,6 +41,10 @@ from .spectra import BesovBall, Spectrum, besov_seminorm
 
 DEFAULT_MIN_TRUNCATION = 1024
 TRUNCATION_MULTIPLIER = 20
+# largest breakpoint the direct design accepts (beyond it k_n is not an exact float)
+MAX_BREAKPOINT = 2.0**53
+# slack on the rounding bound in the radius-residual check
+RESIDUAL_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,19 +117,6 @@ def _validate_common(s: float, p0: float, rho_n: float, n: int, sigma: float) ->
         raise ConfigError("n must be a positive integer")
 
 
-def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Root of a decreasing g on [lo, hi]; assumes g(lo) >= 0 >= g(hi)."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol * max(1.0, mid):
-            return mid
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _tail_profile(s: float, p0: float, j: np.ndarray) -> np.ndarray:
     return 2.0 * s * p0 * np.power(j, -(1.0 + 2.0 * s))
 
@@ -138,22 +128,18 @@ def solve_design(
     n: int,
     sigma: float = 1.0,
     j_max: int | None = None,
-    tol: float = 1e-9,
 ) -> DetectionDesign:
     _validate_common(s, p0, rho_n, n, sigma)
 
-    # radius equation with kappa^2 eliminated: (2s+1) P0 k^-2s = rho_n
-    def g(k: float) -> float:
-        return (2.0 * s + 1.0) * p0 * k ** (-2.0 * s) - rho_n
-
-    if g(1.0) < 0.0:
+    # radius equation with kappa^2 eliminated, (2s+1) P0 k^-2s = rho_n, solved for k
+    if (2.0 * s + 1.0) * p0 < rho_n:
         raise InfeasibleDesignError("rho_n exceeds (2s+1) P0: no breakpoint k >= 1")
-    hi = 2.0
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > 2.0**53:
-            raise InfeasibleDesignError("rho_n too small: breakpoint overflows")
-    k_real = _bisect_decreasing(g, hi / 2.0, hi, tol)
+    try:
+        k_real = ((2.0 * s + 1.0) * p0 / rho_n) ** (1.0 / (2.0 * s))
+    except OverflowError:
+        k_real = math.inf
+    if k_real > MAX_BREAKPOINT:
+        raise InfeasibleDesignError("rho_n too small: breakpoint overflows")
     k_n = max(1, int(round(k_real)))
     if j_max is None:
         j_max = max(TRUNCATION_MULTIPLIER * k_n, DEFAULT_MIN_TRUNCATION)
@@ -167,7 +153,7 @@ def solve_design(
     budget_res = abs(k_n ** (1.0 + 2.0 * s) * kappa_n2 / (2.0 * s) - p0) / p0
     radius_res = abs(k_n * kappa_n2 + p0 * k_n ** (-2.0 * s) - rho_n) / rho_n
     bound = (2.0 * s + 1.0) / k_n
-    if radius_res > bound + tol:
+    if radius_res > bound + RESIDUAL_SLACK:
         raise NumericError(f"radius residual {radius_res:.3e} exceeds the rounding bound {bound:.3e}")
 
     a_n = sigma**-4 * n**2 * float(np.sum(kappa_j2**2))
@@ -196,7 +182,6 @@ def solve_inverse_design(
     sigma: float,
     lambdas: np.ndarray,
     j_max: int | None = None,
-    tol: float = 1e-9,
 ) -> DetectionDesign:
     _validate_common(s, p0, rho_n, n, sigma)
     lam = np.asarray(lambdas, dtype=float)
@@ -207,8 +192,8 @@ def solve_inverse_design(
     lam = np.abs(lam)
     if j_max is None:
         j_max = lam.size
-    if j_max > lam.size:
-        raise ConfigError("truncation exceeds the provided eigenvalue sequence")
+    if not 1 <= j_max <= lam.size:
+        raise ConfigError("truncation must be positive and within the provided eigenvalue sequence")
     lam = lam[:j_max]
 
     j = np.arange(1, j_max + 1, dtype=float)
@@ -239,7 +224,7 @@ def solve_inverse_design(
     )
     radius_res = abs(radius_gap(k_n)) / rho_n
     bound = (2.0 * s + 1.0) / k_n
-    if radius_res > bound + tol:
+    if radius_res > bound + RESIDUAL_SLACK:
         raise NumericError(f"radius residual {radius_res:.3e} exceeds the rounding bound {bound:.3e}")
 
     a_n = sigma**-4 * n**2 * float(np.sum(kappa_j2**2))

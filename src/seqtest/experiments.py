@@ -114,12 +114,16 @@ def consistency_experiment(
     c_values = [float(c) for c in c_schedule]
     if len(c_values) < 2 or any(b <= a for a, b in zip(c_values, c_values[1:])):
         raise ConfigError("C schedule must be increasing with at least two points")
+    if c_values[0] <= 0 or p0_ref <= 0 or norm_scale <= 0:
+        raise ConfigError("C values, p0_ref and norm_scale must be positive")
     if isinstance(n_schedule, (int, np.integer)):
         n_values = [int(n_schedule)] * len(c_values)
     else:
         n_values = [int(v) for v in n_schedule]
         if len(n_values) != len(c_values):
             raise ConfigError("n schedule must be a scalar or match the C schedule length")
+    if min(n_values) < 1:
+        raise ConfigError("sample sizes n must be positive")
     rates = calibration_rates(s, family)
     basis = "cosine" if family == "quadratic" else "complex-exponential"
     rows = []

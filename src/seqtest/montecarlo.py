@@ -43,14 +43,6 @@ _KERNELS = {
     "epanechnikov": kernels_mod.epanechnikov_kernel,
 }
 
-_PARAM_KEYS = {
-    "quadratic": {"gamma", "j_max", "kappa_sq"},
-    "kernel": {"kernel", "h", "j_max"},
-    "chisq": {"k"},
-    "cvm": {"calibration_reps", "calibration_seed", "cache_dir"},
-    "minimax": {"s", "p0", "rho_n", "j_max", "lambdas", "least_favorable"},
-}
-
 _THETA_BASIS = {
     "quadratic": "cosine",
     "minimax": "cosine",
@@ -63,12 +55,44 @@ _THETA_BASIS = {
 DEFAULT_CALIBRATION_SEED = 1000003
 
 
-def as_number(value, key: str, kind: type = float):
-    """A config value as a finite ``kind`` (int or float), or a ConfigError
-    naming ``key``.  Only numbers qualify (not strings or booleans), and an
-    int must be integral: 2.0 reads as 2, 1.5 is an error."""
+_REQUIRED = object()
+
+
+def take(data: dict, key: str, kind: type = float, default=_REQUIRED, many: bool = False):
+    """Pop ``key`` from a config dict as a ``kind``, or as a list of them
+    when ``many``.  A key that is missing or null falls back to ``default``
+    (a ConfigError when there is none).
+
+    int and float mean a finite number (not a string or a boolean; an int
+    must be integral, so 2.0 reads as 2 and 1.5 is an error); ``np.ndarray``
+    means a list of finite numbers, read as a float array; any other kind is
+    an isinstance check.
+    """
+    value = data.pop(key, None)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"config needs key {key!r}")
+        return default
+    if many:
+        return [_typed(v, key, kind) for v in _listed(value, key)]
+    return _typed(value, key, kind)
+
+
+def _listed(value, key: str):
+    if not isinstance(value, (list, np.ndarray)):
+        raise ConfigError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def _typed(value, key: str, kind: type):
+    if kind is np.ndarray:
+        return np.array([_typed(v, key, float) for v in _listed(value, key)], dtype=float)
+    if kind not in (int, float):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{key!r} must be a {kind.__name__}, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        raise ConfigError(f"{key!r} must be a number, got {value!r}")
     if kind is int and isinstance(value, numbers.Integral):
         return int(value)
     try:
@@ -76,29 +100,39 @@ def as_number(value, key: str, kind: type = float):
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
+        raise ConfigError(f"{key!r} must be finite, got {value!r}")
     if kind is int:
         if not number.is_integer():
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
+            raise ConfigError(f"{key!r} must be an integer, got {value!r}")
         return int(number)
     return number
 
 
-def as_array(value, key: str) -> np.ndarray:
-    """A config list as a finite 1-d float array, or a ConfigError naming ``key``."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of numbers") from exc
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{key} must be a flat list of finite numbers")
-    return arr
+def check_empty(data: dict, what: str) -> None:
+    """Reject the keys left in ``data`` after every known one was taken."""
+    if data:
+        raise ConfigError(f"unknown {what} keys: {sorted(data)}")
 
 
-def _param(params: dict, key: str, default=None):
-    """params[key], with a missing or null entry read as ``default``."""
-    value = params.get(key)
-    return default if value is None else value
+# family -> param -> (kind, default); _REQUIRED marks a param without a default
+_PARAMS = {
+    "quadratic": {"gamma": (float, None), "j_max": (int, 4096), "kappa_sq": (np.ndarray, None)},
+    "kernel": {"kernel": (str, _REQUIRED), "h": (float, _REQUIRED), "j_max": (int, None)},
+    "chisq": {"k": (int, _REQUIRED)},
+    "cvm": {
+        "calibration_reps": (int, 20000),
+        "calibration_seed": (int, DEFAULT_CALIBRATION_SEED),
+        "cache_dir": (str, None),
+    },
+    "minimax": {
+        "s": (float, _REQUIRED),
+        "p0": (float, _REQUIRED),
+        "rho_n": (float, _REQUIRED),
+        "j_max": (int, None),
+        "lambdas": (np.ndarray, None),
+        "least_favorable": (bool, False),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -106,14 +140,9 @@ class ExperimentConfig:
     """One Monte Carlo run: a family, a truth, and replication bookkeeping.
 
     ``theta`` is the true signal/perturbation (None = the null).  Family
-    specifics ride in ``params``:
-
-    - quadratic: ``kappa_sq`` (explicit weights) or ``gamma`` (+ ``j_max``)
-    - kernel: ``kernel`` name, ``h``, optional ``j_max``
-    - chisq: ``k`` cells
-    - cvm: optional ``calibration_reps`` / ``calibration_seed`` / ``cache_dir``
-    - minimax: ``s``, ``p0``, ``rho_n``, optional ``j_max`` / ``lambdas`` /
-      ``least_favorable`` (run against the design's own worst case)
+    specifics ride in ``params``; ``_PARAMS`` lists each family's keys, their
+    types and defaults.  ``params`` is stored as given, so the config hash
+    sees exactly what the caller wrote.
     """
 
     family: str
@@ -125,7 +154,8 @@ class ExperimentConfig:
     theta: Spectrum | None = None
     params: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
+        """Check the run; return its params typed, with defaults filled in."""
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.n < 1 or self.reps < 1:
@@ -136,57 +166,33 @@ class ExperimentConfig:
             raise ConfigError("sigma must be positive and finite")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        unknown = set(self.params) - _PARAM_KEYS[self.family]
-        if unknown:
-            raise ConfigError(f"unknown params for family {self.family!r}: {sorted(unknown)}")
         if self.theta is not None and self.theta.basis != _THETA_BASIS[self.family]:
             raise ConfigError(
                 f"family {self.family!r} expects theta in the {_THETA_BASIS[self.family]!r} basis"
             )
-        p = self.params
-
-        def number(key: str, kind: type = float, required: bool = False):
-            """params[key] as a number; None when it is missing or null."""
-            if _param(p, key) is None:
-                if required:
-                    raise ConfigError(f"{self.family} family needs param {key!r}")
-                return None
-            return as_number(p[key], f"params.{key}", kind)
-
-        j_max = number("j_max", int)
-        if j_max is not None and j_max < 1:
+        raw = dict(self.params)
+        p = {key: take(raw, key, kind, default) for key, (kind, default) in _PARAMS[self.family].items()}
+        check_empty(raw, f"{self.family} param")
+        if p.get("j_max") is not None and p["j_max"] < 1:
             raise ConfigError("params.j_max must be a positive integer")
         if self.family == "quadratic":
-            if ("kappa_sq" in p) == ("gamma" in p):
+            kq = p["kappa_sq"]
+            if (kq is None) == (p["gamma"] is None):
                 raise ConfigError("quadratic family needs exactly one of 'kappa_sq' or 'gamma'")
-            if "kappa_sq" in p:
-                kq = as_array(p["kappa_sq"], "params.kappa_sq")
-                if kq.size == 0 or np.any(kq < 0):
-                    raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
-            else:
-                number("gamma", required=True)
+            if kq is not None and (kq.size == 0 or np.any(kq < 0)):
+                raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
         elif self.family == "kernel":
-            if not isinstance(p.get("kernel"), str) or p["kernel"] not in _KERNELS:
+            if p["kernel"] not in _KERNELS:
                 raise ConfigError(f"kernel must be one of {sorted(_KERNELS)}")
-            if not 0.0 < number("h", required=True) < 1.0:
+            if not 0.0 < p["h"] < 1.0:
                 raise ConfigError("kernel family needs a bandwidth h in (0, 1)")
         elif self.family == "chisq":
-            if number("k", int, required=True) < 2:
+            if p["k"] < 2:
                 raise ConfigError("chisq family needs k >= 2 cells")
-        elif self.family == "cvm":
-            number("calibration_reps", int)
-            number("calibration_seed", int)
-            if not isinstance(_param(p, "cache_dir", ""), str):
-                raise ConfigError("params.cache_dir must be a path string")
         elif self.family == "minimax":
-            for key in ("s", "p0", "rho_n"):
-                number(key, required=True)
-            if _param(p, "lambdas") is not None:
-                as_array(p["lambdas"], "params.lambdas")
-            if not isinstance(_param(p, "least_favorable", False), bool):
-                raise ConfigError("params.least_favorable must be true or false")
-            if p.get("least_favorable") and self.theta is not None:
+            if p["least_favorable"] and self.theta is not None:
                 raise ConfigError("give either an explicit theta or least_favorable, not both")
+        return p
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,20 +208,21 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
-        try:
-            theta = data.get("theta")
-            return ExperimentConfig(
-                family=data["family"],
-                n=as_number(data["n"], "n", int),
-                reps=as_number(data["reps"], "reps", int),
-                seed=as_number(data["seed"], "seed", int),
-                alpha=as_number(data.get("alpha", 0.05), "alpha"),
-                sigma=as_number(data.get("sigma", 1.0), "sigma"),
-                theta=None if theta is None else Spectrum.from_json_dict(theta),
-                params=dict(data.get("params", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed experiment config: {exc}") from exc
+        """Read every key through ``take``; a key left over is a ConfigError."""
+        data = dict(data)
+        theta = take(data, "theta", dict, default=None)
+        config = ExperimentConfig(
+            family=take(data, "family", str),
+            n=take(data, "n", int),
+            reps=take(data, "reps", int),
+            seed=take(data, "seed", int),
+            alpha=take(data, "alpha", default=0.05),
+            sigma=take(data, "sigma", default=1.0),
+            theta=None if theta is None else Spectrum.from_json_dict(theta),
+            params=take(data, "params", dict, default={}),
+        )
+        check_empty(data, "experiment config")
+        return config
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -297,12 +304,10 @@ def _iid_draw(theta: Spectrum | None, n: int):
     return lambda rng: sample(rng, n)
 
 
-def _plan_quadratic(cfg: ExperimentConfig) -> MonteCarloPlan:
-    p = cfg.params
-    if "kappa_sq" in p:
-        kq = np.asarray(p["kappa_sq"], dtype=float)
-    else:
-        kq = quad_mod.example_coefficients(cfg.n, float(p["gamma"]), int(_param(p, "j_max", 4096)))
+def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+    kq = p["kappa_sq"]
+    if kq is None:
+        kq = quad_mod.example_coefficients(cfg.n, p["gamma"], p["j_max"])
     th = _padded(cfg.theta, kq.size, "cosine")
     n, sigma, alpha = cfg.n, cfg.sigma, cfg.alpha
     center = quad_mod.null_center(kq, n, sigma)
@@ -318,21 +323,13 @@ def _plan_quadratic(cfg: ExperimentConfig) -> MonteCarloPlan:
     return MonteCarloPlan(count, predicted, {"j_max": kq.size, "drift": drift})
 
 
-def _plan_minimax(cfg: ExperimentConfig) -> MonteCarloPlan:
-    p = cfg.params
-    lambdas = _param(p, "lambdas")
-    j_max = None if _param(p, "j_max") is None else int(p["j_max"])
-    if lambdas is not None:
-        dsg = design_mod.solve_inverse_design(
-            float(p["s"]), float(p["p0"]), float(p["rho_n"]), cfg.n, cfg.sigma,
-            np.asarray(lambdas, dtype=float), j_max=j_max,
-        )
+def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+    design_args = (p["s"], p["p0"], p["rho_n"], cfg.n, cfg.sigma)
+    if p["lambdas"] is not None:
+        dsg = design_mod.solve_inverse_design(*design_args, p["lambdas"], j_max=p["j_max"])
     else:
-        dsg = design_mod.solve_design(
-            float(p["s"]), float(p["p0"]), float(p["rho_n"]), cfg.n, cfg.sigma,
-            j_max=j_max,
-        )
-    if p.get("least_favorable"):
+        dsg = design_mod.solve_design(*design_args, j_max=p["j_max"])
+    if p["least_favorable"]:
         th = design_mod.least_favorable(dsg).coeffs
         predicted = design_mod.predicted_type2_minimax(dsg, cfg.alpha)
         drift = math.sqrt(dsg.a_n / 2.0)
@@ -353,12 +350,11 @@ def _plan_minimax(cfg: ExperimentConfig) -> MonteCarloPlan:
     return MonteCarloPlan(count, predicted, details)
 
 
-def _plan_kernel(cfg: ExperimentConfig) -> MonteCarloPlan:
-    p = cfg.params
+def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     kernel = _KERNELS[p["kernel"]]()
-    h = float(p["h"])
+    h = p["h"]
     theta_support = 0 if cfg.theta is None else cfg.theta.coeffs.size - 1
-    j_max = int(_param(p, "j_max", max(1024, theta_support)))
+    j_max = max(1024, theta_support) if p["j_max"] is None else p["j_max"]
     if theta_support > j_max:
         raise ConfigError(f"signal support {theta_support} exceeds the run's truncation {j_max}")
     consts = kernels_mod.kernel_constants(kernel)
@@ -380,8 +376,8 @@ def _plan_kernel(cfg: ExperimentConfig) -> MonteCarloPlan:
     return MonteCarloPlan(count, predicted, {"j_max": j_max, "h": h, "drift": drift, "t1n": t1n})
 
 
-def _plan_chisq(cfg: ExperimentConfig) -> MonteCarloPlan:
-    k = int(cfg.params["k"])
+def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+    k = p["k"]
     n, alpha = cfg.n, cfg.alpha
     x_alpha = upper_quantile(alpha)
     count = _counter(
@@ -399,13 +395,9 @@ def _plan_chisq(cfg: ExperimentConfig) -> MonteCarloPlan:
     return MonteCarloPlan(count, predicted, {"k": k, "drift": t_f / math.sqrt(2.0 * k)})
 
 
-def _plan_cvm(cfg: ExperimentConfig) -> MonteCarloPlan:
-    p = cfg.params
+def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     calibration = cvm_mod.calibrate_cvm(
-        cfg.n,
-        reps=int(_param(p, "calibration_reps", 20000)),
-        seed=int(_param(p, "calibration_seed", DEFAULT_CALIBRATION_SEED)),
-        cache_dir=_param(p, "cache_dir"),
+        cfg.n, reps=p["calibration_reps"], seed=p["calibration_seed"], cache_dir=p["cache_dir"]
     )
     critical = calibration.critical_value(cfg.alpha)
     n = cfg.n
@@ -431,8 +423,8 @@ _PLANNERS = {
 
 
 def build_plan(config: ExperimentConfig) -> MonteCarloPlan:
-    config.validate()
-    return _PLANNERS[config.family](config)
+    params = config.validate()
+    return _PLANNERS[config.family](config, params)
 
 
 def run_monte_carlo(

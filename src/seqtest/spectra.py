@@ -112,7 +112,7 @@ class Spectrum:
                 arr = np.array([complex(re, im) for re, im in raw])
             else:
                 arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("coeffs must be numbers ([re, im] pairs in the complex basis)") from exc
         return Spectrum(basis=basis, coeffs=arr)
 
@@ -220,11 +220,14 @@ def project_besov(spec: Spectrum, ball: BesovBall) -> Spectrum:
     arithmetic; the scale is set to exactly 1.0 there so that rounding on a
     tight constraint cannot move them.
     """
+    with np.errstate(over="ignore"):
+        energies = spec.frequency_energies()
+    if not math.isfinite(float(np.sum(energies))):
+        raise ConfigError("coefficient energies overflow; the projection needs a finite norm")
     k_violated = first_violated_tail(spec, ball)
     if k_violated is None:
         return spec
 
-    energies = spec.frequency_energies()
     budgets = ball.tail_budget(np.arange(1, energies.size + 1))
     scale = _tail_minorant_scale(energies, budgets)
     scale[: k_violated - 1] = 1.0  # exact head, see docstring

@@ -5,11 +5,19 @@ counts; the statistical content of what the commands compute is covered by
 the per-module tests.
 """
 
+import contextlib
+import copy
+import io
 import json
+import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtest.cli import SUMMARY_FIELDS, main
 from seqtest.design import solve_design
@@ -297,6 +305,18 @@ BAD_CONFIGS = {
         {**_DESIGN, "delta": 0.2, "draws": "x", "seed": 1},
     ),
     "calibration reps": (["calibrate", "cvm"], {"n": 40, "reps": "x"}),
+    "negative c_schedule": (["experiment", "consistency"], {**_CONSISTENCY, "c_schedule": [-4, -1]}),
+    "negative p0_ref": (["experiment", "consistency"], {**_CONSISTENCY, "p0_ref": -1}),
+    "zero norm_scale": (["experiment", "consistency"], {**_CONSISTENCY, "norm_scale": 0}),
+    "simulate unknown key": (["simulate"], _simulate_payload(sigam=2.0)),
+    "power-curve unknown key": (
+        ["power-curve"], {**_simulate_payload(reps=10), "scales": [1.0], "sigam": 2.0},
+    ),
+    "decomposition unknown key": (["experiment", "decomposition"], {**_DECOMPOSITION, "sigam": 2.0}),
+    "projection overflow": (
+        ["project-besov"],
+        {"theta": {"basis": "cosine", "coeffs": [1e200, 1.0]}, "s": 1.0, "p0": 0.5},
+    ),
 }
 
 
@@ -359,3 +379,165 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestOverrideFlags:
+    """--seed/--reps exist only where the command's config has that key."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["minimax-design"], "--reps"),
+        (["minimax-design"], "--seed"),
+        (["project-besov"], "--reps"),
+        (["project-besov"], "--seed"),
+        (["experiment", "bayes-membership"], "--reps"),
+    ])
+    def test_absent_flag_is_a_usage_error(self, argv, flag, tmp_path, capsys):
+        cfg = _config(tmp_path, "cfg.json", _DESIGN)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--config", cfg, flag, "5"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_bayes_membership_seed_override(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "bayes.json", {**_DESIGN, "delta": 0.2, "draws": 10, "seed": 1})
+        out = tmp_path / "bayes.csv"
+        argv = ["experiment", "bayes-membership", "--config", cfg, "--seed", "77001", "--out", str(out)]
+        assert main(argv) == 0
+        _, row = _rows(out)
+        assert dict(zip(MEMBERSHIP_FIELDS, row.split(",")))["seed"] == "77001"
+
+
+# every subcommand with a small valid config; the fuzz below breaks them
+_FUZZ_THETA = {"basis": "cosine", "coeffs": [0.05, 0.02]}
+_FUZZ_SIMULATE = {"n": 200, "reps": 10, "seed": 1, "alpha": 0.05, "sigma": 1.0}
+_FUZZ_DESIGN = {"s": 1.0, "p0": 1.0, "rho_n": 2e-3, "n": 200, "sigma": 1.0, "j_max": 256}
+_FUZZ_BASES = {
+    "simulate quadratic": (["simulate"], {
+        **_FUZZ_SIMULATE, "family": "quadratic", "theta": _FUZZ_THETA, "params": {"gamma": 2.0, "j_max": 64},
+    }),
+    "simulate kernel": (["simulate"], {
+        **_FUZZ_SIMULATE, "family": "kernel",
+        "theta": {"basis": "complex-exponential", "coeffs": [[0.0, 0.0], [0.05, 0.0]]},
+        "params": {"kernel": "box", "h": 0.1, "j_max": 64},
+    }),
+    "simulate chisq": (["simulate"], {
+        **_FUZZ_SIMULATE, "family": "chisq",
+        "theta": {"basis": "complex-exponential", "coeffs": [[0.0, 0.0], [0.1, 0.0]]}, "params": {"k": 8},
+    }),
+    "simulate cvm": (["simulate"], {
+        **_FUZZ_SIMULATE, "family": "cvm", "theta": _FUZZ_THETA,
+        "params": {"calibration_reps": 100, "calibration_seed": 1, "cache_dir": "cache"},
+    }),
+    "simulate minimax": (["simulate"], {
+        **_FUZZ_SIMULATE, "family": "minimax",
+        "params": {"s": 1.0, "p0": 1.0, "rho_n": 2e-3, "j_max": 256, "least_favorable": True},
+    }),
+    "power-curve": (["power-curve"], {
+        **_FUZZ_SIMULATE, "family": "quadratic", "theta": _FUZZ_THETA,
+        "params": {"kappa_sq": [1e-4, 1e-4, 5e-5]}, "scales": [0.0, 1.0],
+    }),
+    "consistency": (["experiment", "consistency"], {
+        "family": "quadratic", "s": 1.0, "c_schedule": [1.0, 4.0], "n": 200, "reps": 10, "seed": 1,
+        "alpha": 0.05, "p0_ref": 1.0, "norm_scale": 2.0,
+    }),
+    "decomposition": (["experiment", "decomposition"], {
+        **_FUZZ_SIMULATE, "family": "quadratic", "theta": _FUZZ_THETA,
+        "params": {"gamma": 2.0, "j_max": 64}, "s": 1.0, "gammas": [0.5, 1.0], "density_floor": 0.0,
+    }),
+    "bayes-membership": (["experiment", "bayes-membership"], {
+        **_FUZZ_DESIGN, "delta": 0.2, "draws": 10, "seed": 1,
+    }),
+    "minimax-design": (["minimax-design"], {**_FUZZ_DESIGN, "alpha": 0.05}),
+    "inverse design": (["minimax-design"], {**_FUZZ_DESIGN, "rho_n": 0.1, "lambdas": [1.0, 0.5, 0.25, 0.125]}),
+    "project-besov": (["project-besov"], {
+        "theta": {"basis": "cosine", "coeffs": [1.0, 1.0, 1.0]}, "s": 1.0, "p0": 0.5,
+    }),
+    "calibrate cvm": (["calibrate", "cvm"], {"n": 40, "reps": 100, "seed": 1, "cache_dir": "cache"}),
+}
+# wrong types, non-finite numbers and other lists; no value here, and none
+# that _damaged derives, asks for a large allocation
+_BAD_VALUES = ["x", True, [], {}, ["a"], [[1.0]], math.nan, math.inf, -math.inf, -1, 0]
+_BAD_THETAS = [
+    {"basis": "haar", "coeffs": [0.05, 0.02]},
+    {"basis": "bogus", "coeffs": [0.05]},
+    {"basis": "complex-exponential", "coeffs": [[0.0, 0.0], [0.05]]},
+    {"basis": "cosine", "coeffs": [[0.05, 0.0]]},
+    {"basis": "cosine", "coeffs": []},
+    {"basis": "cosine"},
+    {"basis": "cosine", "coeffs": [1e200, 1.0]},
+    {"basis": "cosine", "coeffs": [10**400]},
+]
+# a cache file cut short, for the (n, reps, seed) the cvm configs above calibrate
+_TORN_CACHE = '{{"n": {n}, "reps": 100, "seed": 1, "values": [0.01, 0.'
+
+
+def _damaged(value) -> list:
+    """Negative, zero and fractional stand-ins for a number or a list of
+    numbers; a negated schedule is reversed so that it still increases."""
+    if isinstance(value, bool):
+        return []
+    if isinstance(value, (int, float)):
+        return [-value, 0, value + 0.5]
+    if isinstance(value, list) and value and all(isinstance(v, (int, float)) for v in value):
+        return [[-v for v in reversed(value)], [0] * len(value), [v + 0.5 for v in value]]
+    return []
+
+
+def _mutate(draw, payload: dict) -> bool:
+    """Apply one random damage to ``payload``; True asks for torn cache files."""
+    kind = draw(st.sampled_from(["value", "param", "drop", "unknown", "theta", "cache"]))
+    params = payload.get("params")
+    target = params if kind == "param" and isinstance(params, dict) and params else payload
+    if kind in ("value", "param") and target:
+        key = draw(st.sampled_from(sorted(target)))
+        target[key] = draw(st.sampled_from(_damaged(target[key]) + _BAD_VALUES))
+    elif kind == "drop" and payload:
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif kind == "unknown":
+        target = params if isinstance(params, dict) and draw(st.booleans()) else payload
+        target["sigam"] = 2.0
+    elif kind == "theta":
+        payload["theta"] = draw(st.sampled_from(_BAD_THETAS))
+    return kind == "cache"
+
+
+@st.composite
+def _fuzz_cases(draw, name: str):
+    argv, base = _FUZZ_BASES[name]
+    payload = copy.deepcopy(base)
+    torn = False
+    for _ in range(draw(st.integers(1, 2))):
+        torn |= _mutate(draw, payload)
+    return argv, payload, torn, draw(st.sampled_from(["csv", "json"]))
+
+
+class TestConfigFuzz:
+    """Damaged configs for every subcommand end in exit 0, 2, 3 or 4, never
+    in an exception out of ``main``."""
+
+    @pytest.mark.parametrize("name", sorted(_FUZZ_BASES))
+    def test_every_config_exits_cleanly(self, name):
+        @settings(max_examples=40, derandomize=True, deadline=None)
+        @given(_fuzz_cases(name))
+        def run(case):
+            argv, payload, torn, ext = case
+            err = io.StringIO()
+            home = os.getcwd()
+            with tempfile.TemporaryDirectory() as workdir:
+                os.chdir(workdir)  # relative cache_dir and any stray string path stay in here
+                try:
+                    if torn:
+                        os.mkdir("cache")
+                        for n in (40, 200):
+                            with open(f"cache/cvm_null_n{n}_reps100_seed1.json", "w") as fh:
+                                fh.write(_TORN_CACHE.format(n=n))
+                    with open("cfg.json", "w") as fh:
+                        json.dump(payload, fh)
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                        code = main(argv + ["--config", "cfg.json", "--threads", "1", "--out", f"out.{ext}"])
+                finally:
+                    os.chdir(home)
+            assert code in (0, 2, 3, 4), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+
+        run()

@@ -24,12 +24,14 @@ integral is authoritative here; the test suite evaluates the kernel form by
 quadrature so the remainder identity is checked explicitly.
 
 Critical values come from a seeded Monte Carlo table of n T^2 under the
-null, cached as JSON keyed by (n, reps, seed).  The classical asymptotic
-0.95 quantile of omega^2 is kept only as a cross-check constant.
+null, keyed by (n, reps, seed), kept in process and optionally cached as
+JSON.  The classical asymptotic 0.95 quantile of omega^2 is kept only as a
+cross-check constant.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -41,11 +43,15 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import TestReport
-from .sampling import density_grid, iid_sampler, rng_for_replication
+from .sampling import density_grid, rng_for_replication
 from .spectra import Spectrum
 
 # limiting distribution of omega^2 = n T^2: classical upper 5% point
 ASYMPTOTIC_Q95 = 0.46136
+
+# null tables kept in process: a power curve asks for the same table once per
+# scale, and a run rarely needs more than a few (n, reps, seed)
+MEMO_TABLES = 8
 
 
 def _validate_sample(sample: np.ndarray) -> np.ndarray:
@@ -74,26 +80,12 @@ def cvm_statistic(sample: np.ndarray) -> float:
     return omega_sq(x, order_grid(x.size)) / x.size
 
 
-def _require_cosine(theta: Spectrum) -> Spectrum:
-    if theta.basis != "cosine":
-        raise ConfigError("the population functional is defined for the cosine basis")
-    return theta
-
-
 def cvm_population(theta: Spectrum) -> float:
     """T^2(F - F_0) = sum_j theta_j^2 / (pi^2 j^2) for the cosine basis."""
-    _require_cosine(theta)
+    if theta.basis != "cosine":
+        raise ConfigError("the population functional is defined for the cosine basis")
     j = np.arange(1, theta.coeffs.size + 1, dtype=float)
     return float(np.sum(np.asarray(theta.coeffs, dtype=float) ** 2 / (math.pi**2 * j**2)))
-
-
-def primitive_mean(theta: Spectrum) -> float:
-    """int_0^1 U(x) dx = 2 sqrt(2) sum_{odd j} theta_j / (pi^2 j^2)."""
-    _require_cosine(theta)
-    coeffs = np.asarray(theta.coeffs, dtype=float)
-    j = np.arange(1, coeffs.size + 1)
-    odd = j % 2 == 1
-    return float(2.0 * math.sqrt(2.0) * np.sum(coeffs[odd] / (math.pi**2 * j[odd] ** 2)))
 
 
 @dataclass(frozen=True)
@@ -164,16 +156,33 @@ def _write_cache(path: Path, table: CvmCalibration) -> None:
         raise
 
 
+@functools.lru_cache(maxsize=MEMO_TABLES)
+def _simulate(n: int, reps: int, seed: int) -> CvmCalibration:
+    """The null table of n T^2 from reps seeded replications, read-only,
+    since every later call with the same (n, reps, seed) shares it."""
+    grid = order_grid(n)
+    values = np.empty(reps)
+    for rep in range(reps):
+        values[rep] = omega_sq(np.sort(rng_for_replication(seed, rep).random(n)), grid)
+    values.sort()
+    values.setflags(write=False)
+    return CvmCalibration(n=n, reps=reps, seed=seed, values=values)
+
+
 def calibrate_cvm(
     n: int,
     reps: int = 20000,
     seed: int = 0,
     cache_dir: str | Path | None = None,
 ) -> CvmCalibration:
-    """Simulate the null table of n T^2, reading/writing the JSON cache if set.
+    """The null table of n T^2 for (n, reps, seed).
 
-    A cache file that does not hold a valid table for (n, reps, seed) counts
-    as a miss: the table is recomputed and the file rewritten.
+    Looked up in the JSON cache under ``cache_dir`` when it is set, then in
+    the in-process memo of recent tables, and simulated only when both miss;
+    a table not read from disk is then written there.  A cache file that does
+    not hold a valid table for (n, reps, seed) counts as a miss and is
+    rewritten.  The disk file stays the source of truth: a table read from it
+    never enters the memo.
     """
     if n < 1 or reps < 100:
         raise ConfigError("need n >= 1 and reps >= 100 for calibration")
@@ -182,13 +191,7 @@ def calibrate_cvm(
         cached = _read_cache(path, n, reps, seed)
         if cached is not None:
             return cached
-    grid = order_grid(n)
-    draw = iid_sampler(None)
-    values = np.empty(reps)
-    for rep in range(reps):
-        values[rep] = omega_sq(np.sort(draw(rng_for_replication(seed, rep), n)), grid)
-    values.sort()
-    table = CvmCalibration(n=n, reps=reps, seed=seed, values=values)
+    table = _simulate(n, reps, seed)
     if path is not None:
         _write_cache(path, table)
     return table

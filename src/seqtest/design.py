@@ -130,6 +130,8 @@ def solve_design(
     j_max: int | None = None,
 ) -> DetectionDesign:
     _validate_common(s, p0, rho_n, n, sigma)
+    if j_max is not None and j_max < 1:
+        raise ConfigError("truncation j_max must be positive")
 
     # radius equation with kappa^2 eliminated, (2s+1) P0 k^-2s = rho_n, solved for k
     if (2.0 * s + 1.0) * p0 < rho_n:

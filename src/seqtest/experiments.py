@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import design as design_mod
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .montecarlo import ExperimentConfig, MonteCarloPlan, build_plan, run_monte_carlo
 from .sampling import min_density
 from .spectra import BesovBall, Spectrum, calibration_rates, make_tail_alternative, project_besov
@@ -254,8 +254,13 @@ def write_csv(path, fieldnames, rows) -> None:
 
 
 def write_json(path, payload) -> None:
+    """Write ``payload`` under the schema tag; a NaN or infinity in it, which
+    JSON cannot hold, is a NumericError and leaves ``path`` untouched."""
     body = {"schema": "v1"}
     body.update(payload)
+    try:
+        text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"output for {path} holds a non-finite number: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -300,8 +300,17 @@ def _sequence_draw(th: np.ndarray, n: int, sigma: float):
 
 
 def _iid_draw(theta: Spectrum | None, n: int):
-    sample = iid_sampler(theta)
-    return lambda rng: sample(rng, n)
+    """The values of ``sample_iid(theta, n, rng)``, in an order that neither
+    i.i.d. statistic reads (cell counts; CvM sorts).  Under an alternative the
+    uniforms are sorted first: the inverse-CDF map is nondecreasing, so the
+    values come out the same and sorted (to within an ulp where ``np.interp``
+    rounds across a grid node), and on sorted input ``np.interp`` walks its
+    grid instead of bisecting.  Uniform null draws have no inverse to speed up
+    and stay unsorted."""
+    if theta is None:
+        return lambda rng: rng.random(n)
+    inverse = iid_sampler(theta)
+    return lambda rng: inverse(np.sort(rng.random(n)))
 
 
 def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:

@@ -149,23 +149,27 @@ def cdf_grid(spec: Spectrum, points: int = 8193) -> tuple[np.ndarray, np.ndarray
     return x, cdf
 
 
-def iid_sampler(spec: Spectrum | None, grid_points: int = 8193):
-    """``draw(rng, size)``: i.i.d. points from the density 1 + f (uniform for None).
+def iid_sampler(spec: Spectrum, grid_points: int = 8193):
+    """The inverse-CDF map ``u -> x`` that turns uniforms on [0, 1) into
+    i.i.d. points from the density 1 + f.
 
     The CDF is exact on the grid; between nodes the inverse is linear, so the
     sampled density is a fine piecewise-constant approximation whose cell
     masses on any interval wider than the grid step match the target to
-    O(step^2).  The density floor and the grid are settled here, once.
+    O(step^2).  The density floor and the grid are settled here, once.  The
+    grid must increase strictly, so the map is nondecreasing: inverting
+    sorted uniforms gives the sorted sample, and on sorted input
+    ``np.interp`` walks the grid instead of bisecting it.
     """
-    if spec is None:
-        return lambda rng, size: rng.random(size)
     floor = min_density(spec, points=2 * grid_points - 1)
     if floor < MIN_DENSITY:
         raise ConfigError(
             f"1 + f is not bounded away from zero (min {floor:.3e}); not a usable density"
         )
     x, cdf = cdf_grid(spec, grid_points)
-    return lambda rng, size: np.interp(rng.random(size), cdf, x)
+    if not np.all(np.diff(cdf) > 0):
+        raise ConfigError("the CDF of 1 + f does not increase strictly on the sampling grid")
+    return lambda u: np.interp(u, cdf, x)
 
 
 def sample_iid(
@@ -177,4 +181,4 @@ def sample_iid(
     """Draw i.i.d. points from the density 1 + f by inverse-CDF lookup."""
     if size < 0:
         raise ConfigError("sample size must be non-negative")
-    return iid_sampler(spec, grid_points)(rng, size)
+    return iid_sampler(spec, grid_points)(rng.random(size))

@@ -132,9 +132,24 @@ def besov_seminorm(spec: Spectrum, s: float) -> float:
     """
     if s <= 0:
         raise ConfigError("smoothness index s must be positive")
+    seminorm = float(np.max(_weighted_tails(spec, s), initial=0.0))
+    if not math.isfinite(seminorm):
+        raise ConfigError(f"the s={s:g} seminorm of this input overflows a float")
+    return seminorm
+
+
+def _weighted_tails(spec: Spectrum, s: float) -> np.ndarray:
+    """k^{2s} tail(k) for the k = 1..m whose tail is nonzero.
+
+    Tails only fall, so the zero ones are those past m; each would add 0 to
+    the seminorm, and leaving them out keeps a k^{2s} that overflows to inf
+    (large s) from turning them into NaN.  A nonzero tail there gives inf.
+    """
     tails = tail_energy_profile(spec)
-    k = np.arange(1, tails.size + 1, dtype=float)
-    return float(np.max(k ** (2.0 * s) * tails))
+    m = int(np.count_nonzero(tails))
+    k = np.arange(1, m + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        return k ** (2.0 * s) * tails[:m]
 
 
 @dataclass(frozen=True)
@@ -161,9 +176,7 @@ class BesovBall:
 
 def first_violated_tail(spec: Spectrum, ball: BesovBall) -> int | None:
     """Smallest k whose tail constraint k^{2s} tail(k) <= p0 fails, or None."""
-    tails = tail_energy_profile(spec)
-    k = np.arange(1, tails.size + 1, dtype=float)
-    bad = k ** (2.0 * ball.s) * tails > ball.p0 * (1.0 + 1e-15)
+    bad = _weighted_tails(spec, ball.s) > ball.p0 * (1.0 + 1e-15)
     idx = np.flatnonzero(bad)
     return int(idx[0]) + 1 if idx.size else None
 

@@ -300,6 +300,9 @@ BAD_CONFIGS = {
     "scalar c_schedule": (["experiment", "consistency"], {**_CONSISTENCY, "c_schedule": 5}),
     "text gammas": (["experiment", "decomposition"], {**_DECOMPOSITION, "gammas": "ab"}),
     "design j_max": (["minimax-design"], {**_DESIGN, "j_max": "x"}),
+    "design negative j_max": (
+        ["minimax-design"], {"s": 1, "p0": 1, "rho_n": 2e-3, "n": 200, "j_max": -256},
+    ),
     "membership draws": (
         ["experiment", "bayes-membership"],
         {**_DESIGN, "delta": 0.2, "draws": "x", "seed": 1},
@@ -316,6 +319,10 @@ BAD_CONFIGS = {
     "projection overflow": (
         ["project-besov"],
         {"theta": {"basis": "cosine", "coeffs": [1e200, 1.0]}, "s": 1.0, "p0": 0.5},
+    ),
+    "seminorm overflow": (
+        ["project-besov"],
+        {"theta": {"basis": "cosine", "coeffs": [1, 1, 1]}, "s": 400, "p0": 0.5},
     ),
 }
 

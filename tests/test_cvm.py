@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bridge_kernel_quadrature, cvm_population_quadrature, cvm_statistic_quadrature
+from helpers import (
+    bridge_kernel_quadrature,
+    cvm_population_quadrature,
+    cvm_statistic_quadrature,
+    primitive_mean,
+)
+from seqtest import cvm
 from seqtest.cvm import (
     ASYMPTOTIC_Q95,
     CvmCalibration,
@@ -21,7 +27,6 @@ from seqtest.cvm import (
     cvm_population,
     cvm_statistic,
     cvm_test,
-    primitive_mean,
 )
 from seqtest.cli import main
 from seqtest.errors import ConfigError
@@ -191,6 +196,39 @@ class TestCalibration:
         finally:
             sys.setswitchinterval(old_interval)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
+
+    def test_memo_draws_each_table_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(seed, rep):
+            calls.append(rep)
+            return rng_for_replication(seed, rep)
+
+        monkeypatch.setattr(cvm, "rng_for_replication", counted)
+        cvm._simulate.cache_clear()
+        first = calibrate_cvm(35, reps=130, seed=77)
+        assert len(calls) == 130
+        again = calibrate_cvm(35, reps=130, seed=77)
+        assert len(calls) == 130
+        np.testing.assert_array_equal(again.values, first.values)
+        # a disk miss is served by the memo and written out
+        on_disk = calibrate_cvm(35, reps=130, seed=77, cache_dir=tmp_path)
+        assert len(calls) == 130
+        np.testing.assert_array_equal(on_disk.values, first.values)
+        # a table read from disk does not enter the memo
+        path = tmp_path / "cvm_null_n35_reps130_seed77.json"
+        payload = json.loads(path.read_text())
+        payload["values"][0] = -1.0
+        path.write_text(json.dumps(payload))
+        assert calibrate_cvm(35, reps=130, seed=77, cache_dir=tmp_path).values[0] == -1.0
+        assert calibrate_cvm(35, reps=130, seed=77).values[0] == first.values[0] > 0.0
+        assert len(calls) == 130
+
+    def test_memo_tables_are_read_only(self):
+        table = calibrate_cvm(35, reps=130, seed=78)
+        assert not table.values.flags.writeable
+        with pytest.raises(ValueError):
+            table.values[0] = 0.0
 
     def test_no_cache_dir_means_no_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

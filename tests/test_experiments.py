@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from seqtest.design import sample_bayes_prior, solve_design
-from seqtest.errors import ConfigError
+from seqtest.errors import ConfigError, NumericError
 from seqtest.experiments import (
     CONSISTENCY_FIELDS,
     DECOMPOSITION_FIELDS,
@@ -244,6 +244,13 @@ class TestWriters:
         write_csv(tmp_path / "two.csv", ("x", "y"), rows)
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
         assert "0.30000000000000004,3" in (tmp_path / "one.csv").read_text()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_json_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "out.json"
+        with pytest.raises(NumericError):
+            write_json(path, {"seminorm": bad})
+        assert not path.exists()
 
     def test_json_envelope(self, tmp_path):
         path = tmp_path / "out.json"

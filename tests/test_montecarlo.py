@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqtest.chisq import chisq_test
 from seqtest.cli import main as cli_main
@@ -17,6 +19,7 @@ from seqtest.montecarlo import (
     DEFAULT_CALIBRATION_SEED,
     ExperimentConfig,
     MonteCarloSummary,
+    _iid_draw,
     build_plan,
     run_monte_carlo,
 )
@@ -226,6 +229,28 @@ class TestEngineMatchesReference:
             xs = sample_iid(theta, 60, rng_for_replication(106, rep))
             want += cvm_test(xs, 0.05, table).reject
         assert got == want
+
+
+# densities 1 + f with |f| <= 0.85: up to six cosines with |coeff| <= 0.1, four
+# complex frequencies with parts of at most 0.05, or three Haar levels
+_small = st.floats(min_value=-0.1, max_value=0.1, allow_nan=False)
+_valid_spectra = st.one_of(
+    st.lists(_small, min_size=1, max_size=6).map(lambda c: Spectrum("cosine", np.array(c))),
+    st.lists(st.tuples(_small, _small), min_size=1, max_size=4).map(
+        lambda c: Spectrum("complex-exponential", np.array([0j] + [complex(re / 2, im / 2) for re, im in c]))
+    ),
+    st.lists(_small, min_size=1, max_size=7).map(lambda c: Spectrum("haar", np.array(c))),
+)
+
+
+class TestIidDraw:
+    """The engine inverts sorted uniforms; that must give sample_iid's values."""
+
+    @given(spec=_valid_spectra, n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    def test_sorted_values_of_sample_iid(self, spec, n, seed):
+        want = np.sort(sample_iid(spec, n, rng_for_replication(seed, 3)))
+        got = _iid_draw(spec, n)(rng_for_replication(seed, 3))
+        np.testing.assert_array_equal(got, want)
 
 
 def _cos(*coeffs):

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import check_regularity, half_mass_index
 from seqtest.errors import ConfigError
 from seqtest.quadratic import (
     a_n_value,
-    check_regularity,
     drift,
     example_coefficients,
-    half_mass_index,
     noncentrality,
     null_sd,
     predicted_type2_quadratic,

@@ -1,5 +1,6 @@
 """Observation models: replication streams, sequence draws, density sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from seqtest.sampling import (
     density_grid,
     draw_sequence_observation,
     evaluate_perturbation,
+    iid_sampler,
     min_density,
     rng_for_replication,
     sample_iid,
@@ -144,6 +146,23 @@ class TestDensitySampling:
         spec = Spectrum(basis="cosine", coeffs=np.array([0.0]))
         xs = sample_iid(spec, 256, rng_for_replication(5, 0))
         np.testing.assert_allclose(xs, rng_for_replication(5, 0).random(256), atol=IDENTITY_ATOL)
+
+    def test_draw_order_is_pinned(self):
+        """sample_iid returns the points in the order of its uniforms, unsorted."""
+        spec = Spectrum(basis="cosine", coeffs=np.array([0.3, -0.1, 0.05]))
+        xs = sample_iid(spec, 1000, rng_for_replication(7, 0))
+        assert np.any(np.diff(xs) < 0)
+        assert hashlib.sha256(xs.tobytes()).hexdigest() == (
+            "8241b9f16484300331d203e7f9d9ed3ec73689ee0f1c789f18226282044725a6"
+        )
+
+    def test_cdf_grid_must_increase(self):
+        # frequency 7 aliases to frequency 1 on the 5-point floor grid, so f
+        # vanishes at every node there, yet F(1/2) > F(1) on the 3-point CDF grid
+        spec = Spectrum(basis="cosine", coeffs=np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]))
+        assert min_density(spec, points=5) == pytest.approx(1.0)
+        with pytest.raises(ConfigError, match="increase"):
+            iid_sampler(spec, grid_points=3)
 
     def test_sample_matches_target_cdf(self):
         spec = Spectrum(basis="cosine", coeffs=np.array([0.35, -0.15, 0.1]))

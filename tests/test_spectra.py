@@ -118,6 +118,18 @@ class TestSeminorm:
         with pytest.raises(ConfigError):
             besov_seminorm(power_law(j=4), 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_s_zero_tail_and_overflow(self):
+        # at s = 400, k^{2s} is inf from k = 3 on: a zero tail there adds 0,
+        # and a nonzero one makes the seminorm overflow, an invalid config
+        head = Spectrum(basis="cosine", coeffs=np.array([1.0, 1e-100, 0.0, 0.0]))
+        assert besov_seminorm(head, 400.0) == 2.0**800 * 1e-200
+        assert first_violated_tail(head, BesovBall(s=400.0, p0=0.5)) == 1
+        wide = Spectrum(basis="cosine", coeffs=np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ConfigError, match="overflows"):
+            besov_seminorm(wide, 400.0)
+        assert first_violated_tail(wide, BesovBall(s=400.0, p0=5.0)) == 2
+
     @given(
         coeffs=st.lists(finite_coeff, min_size=1, max_size=24),
         scale=st.floats(min_value=0.01, max_value=50.0),

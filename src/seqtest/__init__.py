@@ -17,7 +17,6 @@ from .chisq import (
 from .cvm import (
     CvmCalibration,
     calibrate_cvm,
-    consistency_margin,
     cvm_population,
     cvm_statistic,
     cvm_test,
@@ -51,7 +50,6 @@ from .kernels import (
     kernel_constants,
     kernel_statistic,
     kernel_test,
-    kernel_transform,
     predicted_type2_kernel,
     transform_values,
     triangle_kernel,

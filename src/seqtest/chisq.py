@@ -5,16 +5,18 @@ null mean k - 1; the test rejects when (T_n - k + 1) / sqrt(2 k) exceeds
 x_alpha.  The population counterpart T_n(F) = n k sum_l (int_cell f)^2
 drives the normal type II approximation Phi(x_alpha - T_n(F) / sqrt(2 k)).
 
-Two evaluation paths are provided for T_n(F): direct cell integrals of the
-perturbation, and the frequency-domain aliasing sum
+T_n(F) is evaluated one way, from the cell integrals of the perturbation,
+each a finite sum of closed-form exponential integrals.  Expanding the same
+sum in frequency gives the aliasing sum
 
     J1 = k^2 sum_m sum_{j != 0, j != m k} theta_j conj(theta_{j - m k})
          (2 - 2 cos(2 pi j / k)) / (4 pi^2 j (j - m k)),
 
-with T_n(F) = n J1.  The companion cross-frequency sum (pairs whose index
-difference is not a multiple of k) vanishes identically because the cell
-phases average to zero; the test suite assembles it explicitly so the
-cancellation is checked rather than assumed.
+with T_n(F) = n J1: the cross-frequency pairs (index difference not a
+multiple of k) vanish identically because the cell phases average to zero.
+The test suite evaluates both the aliasing sum and the cross-frequency sum
+on its own and compares them with the cell path, so the identity and the
+cancellation are checked rather than assumed.
 
 When k = 2^l the statistic coincides with the quadratic form of empirical
 Haar coefficients through level l - 1:
@@ -144,41 +146,16 @@ def cell_integrals(theta: Spectrum, k: int) -> np.ndarray:
     return p
 
 
-def _aliasing_sum(theta: Spectrum, k: int) -> float:
-    js, vals = theta.signed_pairs()
-    if abs(vals[js == 0][0]) > 1e-12:
-        raise ConfigError("the aliasing path requires a mean-zero perturbation (zero frequency-0 coefficient)")
-    j_max = int(js.max())
-    m_max = (2 * j_max) // k + 1  # index differences reach 2 j_max
-    coeff = dict(zip(js.tolist(), vals.tolist()))
-    total = 0.0
-    for m in range(-m_max, m_max + 1):
-        for j in range(-j_max, j_max + 1):
-            if j == 0 or j == m * k:
-                continue
-            other = coeff.get(j - m * k)
-            first = coeff.get(j)
-            if other is None or first is None or first == 0 or other == 0:
-                continue
-            weight = (2.0 - 2.0 * math.cos(2.0 * math.pi * j / k)) / (4.0 * math.pi**2 * j * (j - m * k))
-            total += float(np.real(first * np.conj(other))) * weight
-    return k * k * total
-
-
-def population_chisq_functional(theta: Spectrum, k: int, n: int, method: str = "cells") -> float:
-    """T_n(F) = n k sum_l (int_cell f)^2, by cell quadrature or the aliasing sum."""
+def population_chisq_functional(theta: Spectrum, k: int, n: int) -> float:
+    """T_n(F) = n k sum_l (int_cell f)^2 from the cell integrals."""
     if n < 1:
         raise ConfigError("n must be positive")
-    if method == "cells":
-        p = cell_integrals(theta, k)
-        return float(n * k * np.sum(p**2))
-    if method == "aliased":
-        return float(n * _aliasing_sum(theta, k))
-    raise ConfigError(f"unknown method {method!r} (expected 'cells' or 'aliased')")
+    p = cell_integrals(theta, k)
+    return float(n * k * np.sum(p**2))
 
 
-def predicted_type2_chisq(theta: Spectrum, k: int, n: int, alpha: float, method: str = "cells") -> float:
-    t_f = population_chisq_functional(theta, k, n, method)
+def predicted_type2_chisq(theta: Spectrum, k: int, n: int, alpha: float) -> float:
+    t_f = population_chisq_functional(theta, k, n)
     drift = t_f / math.sqrt(2.0 * k)
     lo, hi = DRIFT_WINDOW
     if not lo * math.sqrt(k) <= t_f <= hi * math.sqrt(k):

@@ -1,12 +1,15 @@
 """Command-line front end.
 
-All subcommands read a JSON config (``--config``) and write CSV or JSON based
-on the ``--out`` extension; a config key the command does not know is an
-error.  ``--seed``/``--reps`` override the config's key of the same name and
-exist only on the subcommands whose config has it.
-Exit codes: 0 success, 2 invalid config or I/O failure, 3 infeasible design,
-4 numeric failure.  Outputs never include wall-clock times, so a run is
-byte-reproducible from (config, seed) at any thread count.
+All subcommands read a JSON config (``--config``); a config key the command
+does not know is an error.  ``--out`` writes JSON when the path ends in
+``.json`` and CSV otherwise; ``minimax-design``, ``project-besov`` and
+``calibrate cvm`` write JSON only and refuse any other path.
+``--seed``/``--reps`` override the config's key of the same name and exist
+only on the subcommands whose config has it; ``--threads`` is at least 1.
+Exit codes: 0 success, 2 invalid config or arguments, I/O failure or an
+allocation that fails, 3 infeasible design, 4 numeric failure.  Outputs
+never include wall-clock times, so a run is byte-reproducible from (config,
+seed) at any thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 import numpy as np
 
 from . import design as design_mod
-from .cvm import calibrate_cvm
+from .cvm import DEFAULT_CALIBRATION_REPS, DEFAULT_CALIBRATION_SEED, calibrate_cvm
 from .errors import ConfigError, InfeasibleDesignError, NumericError
 from .experiments import (
     CONSISTENCY_FIELDS,
@@ -33,7 +36,7 @@ from .experiments import (
     write_csv,
     write_json,
 )
-from .montecarlo import DEFAULT_CALIBRATION_SEED, ExperimentConfig, check_empty, run_monte_carlo, take
+from .montecarlo import ExperimentConfig, check_empty, run_monte_carlo, take
 from .spectra import BesovBall, Spectrum, besov_seminorm, first_violated_tail, project_besov
 
 SUMMARY_FIELDS = ("experiment", "reps", "rejections", "rate", "std_err", "seed", "config_hash")
@@ -62,14 +65,16 @@ def _load_config(args) -> dict:
     return data
 
 
-def _write_rows(args, fieldnames, rows, label: str) -> None:
+def _write_out(args, payload: dict, fieldnames=(), rows=()) -> None:
+    """Write --out, if given: ``payload`` as JSON when the path ends in
+    .json, else ``rows`` as CSV (``main`` keeps JSON-only commands off CSV)."""
     if args.out is None:
         return
     if args.out.endswith(".json"):
-        write_json(args.out, {label: rows})
+        write_json(args.out, payload)
     else:
         write_csv(args.out, fieldnames, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {args.out}")
 
 
 def _cmd_simulate(args) -> None:
@@ -81,13 +86,7 @@ def _cmd_simulate(args) -> None:
         f"({summary.rejections}/{summary.reps}), std_err={summary.std_err:.6f}, "
         f"hash={config.config_hash()}"
     )
-    if args.out is None:
-        return
-    if args.out.endswith(".csv"):
-        write_csv(args.out, SUMMARY_FIELDS, [row])
-    else:
-        write_json(args.out, {"summary": row, "config": config.to_json_dict()})
-    print(f"wrote {args.out}")
+    _write_out(args, {"summary": row, "config": config.to_json_dict()}, SUMMARY_FIELDS, [row])
 
 
 def _cmd_power_curve(args) -> None:
@@ -98,7 +97,7 @@ def _cmd_power_curve(args) -> None:
     for row in rows:
         gap = "n/a" if row["gap"] is None else f"{row['gap']:.4f}"
         print(f"scale={row['scale']:g} power={row['power']:.4f} gap={gap}")
-    _write_rows(args, POWER_CURVE_FIELDS, rows, "power_curve")
+    _write_out(args, {"power_curve": rows}, POWER_CURVE_FIELDS, rows)
 
 
 def _cmd_consistency(args) -> None:
@@ -125,7 +124,7 @@ def _cmd_consistency(args) -> None:
             f"C={row['C']:g} m={row['m']} n={row['n']} power={row['power']:.4f} "
             f"drift={row['predicted_drift']:.3f}"
         )
-    _write_rows(args, CONSISTENCY_FIELDS, rows, "consistency")
+    _write_out(args, {"consistency": rows}, CONSISTENCY_FIELDS, rows)
 
 
 def _cmd_decomposition(args) -> None:
@@ -141,7 +140,7 @@ def _cmd_decomposition(args) -> None:
             f"power_projected={row['power_projected']:.4f} "
             f"power_residual={row['power_residual']:.4f} gap={row['gap']:.4f}"
         )
-    _write_rows(args, DECOMPOSITION_FIELDS, rows, "decomposition")
+    _write_out(args, {"decomposition": rows}, DECOMPOSITION_FIELDS, rows)
 
 
 def _design_kwargs(data: dict) -> dict:
@@ -172,10 +171,7 @@ def _cmd_minimax_design(args) -> None:
         f"k_n={design.k_n} a_n={design.a_n:.6g} c_n={design.c_n:.6g} "
         f"predicted_type2(alpha={alpha:g})={predicted:.4f}"
     )
-    if args.out is not None:
-        payload = dict(design.to_json_dict(), alpha=alpha, predicted_type2=predicted)
-        write_json(args.out, {"design": payload})
-        print(f"wrote {args.out}")
+    _write_out(args, {"design": dict(design.to_json_dict(), alpha=alpha, predicted_type2=predicted)})
 
 
 def _cmd_bayes_membership(args) -> None:
@@ -189,7 +185,7 @@ def _cmd_bayes_membership(args) -> None:
         f"k_n={design.k_n}: {row['members']}/{row['draws']} draws in the "
         f"alternative set (rate {row['rate']:.4f}, std_err {row['std_err']:.4f})"
     )
-    _write_rows(args, MEMBERSHIP_FIELDS, [row], "bayes_membership")
+    _write_out(args, {"bayes_membership": [row]}, MEMBERSHIP_FIELDS, [row])
 
 
 def _cmd_project_besov(args) -> None:
@@ -204,7 +200,7 @@ def _cmd_project_besov(args) -> None:
     after = besov_seminorm(projected, s)
     print(f"seminorm {before:.6g} -> {after:.6g} (budget {p0:.6g})")
     if args.out is not None:
-        write_json(args.out, {
+        _write_out(args, {
             "projected": projected.to_json_dict(),
             "seminorm_before": before,
             "seminorm_after": after,
@@ -212,14 +208,13 @@ def _cmd_project_besov(args) -> None:
             "s": s,
             "p0": p0,
         })
-        print(f"wrote {args.out}")
 
 
 def _cmd_calibrate_cvm(args) -> None:
     data = _load_config(args)
     calibration = calibrate_cvm(
         n=take(data, "n", int),
-        reps=take(data, "reps", int, default=20000),
+        reps=take(data, "reps", int, default=DEFAULT_CALIBRATION_REPS),
         seed=take(data, "seed", int, default=DEFAULT_CALIBRATION_SEED),
         cache_dir=take(data, "cache_dir", str, default=None),
     )
@@ -228,22 +223,20 @@ def _cmd_calibrate_cvm(args) -> None:
         f"n={calibration.n} reps={calibration.reps} seed={calibration.seed} "
         f"q95={calibration.critical_value(0.05):.6f}"
     )
-    if args.out is not None:
-        write_json(args.out, {"calibration": calibration.to_json_dict()})
-        print(f"wrote {args.out}")
+    _write_out(args, {"calibration": calibration.to_json_dict()})
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
-    common.add_argument("--out", help="output path; .csv or .json picks the format")
+    common.add_argument("--threads", type=int, default=1, help="worker threads, >= 1 (results identical)")
+    common.add_argument("--out", help="output path; JSON if it ends in .json, else CSV")
 
-    def command(subparsers, name, handler, overrides=()):
+    def command(subparsers, name, handler, overrides=(), json_only=False):
         cmd = subparsers.add_parser(name, parents=[common])
         for key in overrides:
             cmd.add_argument(f"--{key}", type=int, help=_OVERRIDES[key])
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=handler, json_only=json_only)
 
     both = ("seed", "reps")
     parser = argparse.ArgumentParser(prog="seqtest", description=__doc__)
@@ -256,16 +249,21 @@ def _build_parser() -> argparse.ArgumentParser:
     command(kinds, "decomposition", _cmd_decomposition, both)
     command(kinds, "bayes-membership", _cmd_bayes_membership, ("seed",))
 
-    command(sub, "minimax-design", _cmd_minimax_design)
-    command(sub, "project-besov", _cmd_project_besov)
+    command(sub, "minimax-design", _cmd_minimax_design, json_only=True)
+    command(sub, "project-besov", _cmd_project_besov, json_only=True)
 
     targets = sub.add_parser("calibrate").add_subparsers(dest="target", required=True)
-    command(targets, "cvm", _cmd_calibrate_cvm, both)
+    command(targets, "cvm", _cmd_calibrate_cvm, both, json_only=True)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
+    if args.json_only and args.out is not None and not args.out.endswith(".json"):
+        parser.error(f"--out {args.out}: this command writes JSON only; give a path ending in .json")
     try:
         args.handler(args)
     except ConfigError as exc:
@@ -279,6 +277,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"invalid config: the sizes it asks for cannot be allocated ({exc})", file=sys.stderr)
         return 2
     return 0
 

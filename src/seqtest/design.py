@@ -85,10 +85,6 @@ class DetectionDesign:
     def null_sd(self) -> float:
         return math.sqrt(2.0 * self.a_n)
 
-    def tail_truncation_error(self) -> float:
-        """Upper bound on the weight mass dropped beyond j_max."""
-        return self.p0 * (self.k_n / self.j_max) ** (2.0 * self.s)
-
     def to_json_dict(self) -> dict:
         out = {
             "s": self.s,

@@ -1,7 +1,8 @@
 """Exception taxonomy shared by the library and the CLI.
 
 The CLI maps these onto its exit codes: ConfigError -> 2,
-InfeasibleDesignError -> 3, NumericError -> 4.
+InfeasibleDesignError -> 3, NumericError -> 4; it also maps a MemoryError
+(an array size no machine can allocate) -> 2.
 """
 
 

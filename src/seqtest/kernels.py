@@ -18,17 +18,22 @@ hold exactly, so T_n has mean 0 and variance 1 under the null up to the
 truncation of the stored frequencies.  The type II error against theta is
 Phi(x_alpha - kappa^{-1} sigma^{-2} n h^{1/2} T1n(theta)) with
 T1n(theta) = sum_j |Khat(j h) theta_j|^2.
+
+Every function here has one path: the transform table Khat(j h) is built
+from the kernel's closed-form ``transform`` at the length of the spectrum it
+weights, and ||K||^2 and kappa^2 come from ``kernel_constants``, which
+computes them once per kernel by Gauss-Legendre quadrature and keeps them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
 
 from .errors import ConfigError
 from .report import TestReport, normal_cdf, upper_quantile
@@ -37,6 +42,9 @@ from .spectra import Spectrum
 
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
+# how far the quadrature mass of a kernel may sit from 1
+MASS_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -44,14 +52,14 @@ class Kernel:
 
     ``kinks`` lists points where K or its derivative jumps; quadrature is
     split there so that polynomial pieces integrate exactly.  ``transform``
-    is an optional closed form for Khat(omega).
+    is the closed form of Khat(omega).
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
+    transform: Callable[[np.ndarray], np.ndarray]
     halfwidth: float = 1.0
     kinks: tuple[float, ...] = (0.0,)
-    transform: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _box(t: np.ndarray) -> np.ndarray:
@@ -92,15 +100,15 @@ def _epanechnikov_transform(w: np.ndarray) -> np.ndarray:
 
 
 def box_kernel() -> Kernel:
-    return Kernel("box", _box, 1.0, (0.0,), _box_transform)
+    return Kernel("box", _box, _box_transform)
 
 
 def triangle_kernel() -> Kernel:
-    return Kernel("triangle", _triangle, 1.0, (0.0,), _triangle_transform)
+    return Kernel("triangle", _triangle, _triangle_transform)
 
 
 def epanechnikov_kernel() -> Kernel:
-    return Kernel("epanechnikov", _epanechnikov, 1.0, (0.0,), _epanechnikov_transform)
+    return Kernel("epanechnikov", _epanechnikov, _epanechnikov_transform)
 
 
 def _piecewise_gl(fn: Callable[[np.ndarray], np.ndarray], breaks: np.ndarray) -> float:
@@ -120,11 +128,15 @@ class KernelConstants:
     kappa_sq: float  # 2 int (K * K)^2
 
 
-def kernel_constants(kernel: Kernel, mass_tol: float = 1e-8) -> KernelConstants:
+@functools.lru_cache(maxsize=None)
+def kernel_constants(kernel: Kernel) -> KernelConstants:
+    """||K||^2 and kappa^2 of ``kernel``, computed once per kernel (a
+    ``Kernel`` is frozen and hashable); a ConfigError is raised anew on
+    every call, since lru_cache keeps only results."""
     b = kernel.halfwidth
     inner_breaks = np.unique(np.concatenate([[-b, b], np.asarray(kernel.kinks, dtype=float)]))
     mass = _piecewise_gl(kernel.fn, inner_breaks)
-    if abs(mass - 1.0) > mass_tol:
+    if abs(mass - 1.0) > MASS_TOL:
         raise ConfigError(f"kernel {kernel.name!r} does not integrate to 1 (got {mass!r})")
     l2 = _piecewise_gl(lambda t: kernel.fn(t) ** 2, inner_breaks)
 
@@ -153,20 +165,6 @@ def kernel_constants(kernel: Kernel, mass_tol: float = 1e-8) -> KernelConstants:
     return KernelConstants(l2_norm_sq=l2, kappa_sq=kappa_sq)
 
 
-def kernel_transform(kernel: Kernel, omega: np.ndarray) -> np.ndarray:
-    """Khat at the given frequencies; closed form if available, else quadrature."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if kernel.transform is not None:
-        return kernel.transform(omega)
-    out = np.empty_like(omega)
-    b = kernel.halfwidth
-    for i, w in enumerate(omega):
-        # symmetric kernel: Khat(w) = 2 int_0^b K(t) cos(2 pi w t) dt
-        val, _ = integrate.quad(kernel.fn, 0.0, b, weight="cos", wvar=2.0 * math.pi * abs(w), limit=200)
-        out[i] = 2.0 * val
-    return out
-
-
 def _require_complex(spec: Spectrum) -> Spectrum:
     if spec.basis != "complex-exponential":
         raise ConfigError("kernel tests operate on complex-exponential spectra")
@@ -175,7 +173,7 @@ def _require_complex(spec: Spectrum) -> Spectrum:
 
 def transform_values(kernel: Kernel, h: float, j_max: int) -> np.ndarray:
     """Khat(j h) for j = 0..j_max; precompute once per (kernel, h) in loops."""
-    return kernel_transform(kernel, np.arange(j_max + 1, dtype=float) * h)
+    return kernel.transform(np.arange(j_max + 1, dtype=float) * h)
 
 
 def weighted_energy(y: np.ndarray, w: np.ndarray) -> float:
@@ -196,33 +194,22 @@ def studentize(energy: float, scale: float, center: float) -> float:
     return float(scale * (energy - center))
 
 
-def _squared_transform(spec: Spectrum, kernel: Kernel, h: float, kh: np.ndarray | None) -> np.ndarray:
+def _squared_transform(spec: Spectrum, kernel: Kernel, h: float) -> np.ndarray:
     """|Khat(j h)|^2 for the stored frequencies of ``spec``."""
     _require_complex(spec)
-    if kh is None:
-        kh = transform_values(kernel, h, spec.coeffs.size - 1)
-    elif kh.size < spec.coeffs.size:
-        raise ConfigError("precomputed transform table shorter than the spectrum")
-    return kh[: spec.coeffs.size] ** 2
+    return transform_values(kernel, h, spec.coeffs.size - 1) ** 2
 
 
-def bias_functional(theta: Spectrum, kernel: Kernel, h: float, kh: np.ndarray | None = None) -> float:
+def bias_functional(theta: Spectrum, kernel: Kernel, h: float) -> float:
     """T1n(theta) = sum_j |Khat(j h) theta_j|^2 over the stored frequencies."""
-    return weighted_energy(theta.coeffs, _squared_transform(theta, kernel, h, kh))
+    return weighted_energy(theta.coeffs, _squared_transform(theta, kernel, h))
 
 
-def kernel_statistic(
-    obs: SequenceObservation,
-    kernel: Kernel,
-    h: float,
-    constants: KernelConstants | None = None,
-    kh: np.ndarray | None = None,
-) -> float:
+def kernel_statistic(obs: SequenceObservation, kernel: Kernel, h: float) -> float:
     if not 0.0 < h < 1.0:
         raise ConfigError("bandwidth h must lie in (0, 1)")
-    consts = constants if constants is not None else kernel_constants(kernel)
-    energy = weighted_energy(obs.y.coeffs, _squared_transform(obs.y, kernel, h, kh))
-    return studentize(energy, *studentization(obs.n, h, obs.sigma, consts))
+    energy = weighted_energy(obs.y.coeffs, _squared_transform(obs.y, kernel, h))
+    return studentize(energy, *studentization(obs.n, h, obs.sigma, kernel_constants(kernel)))
 
 
 def predicted_type2_kernel(
@@ -232,12 +219,9 @@ def predicted_type2_kernel(
     n: int,
     sigma: float,
     alpha: float,
-    constants: KernelConstants | None = None,
-    kh: np.ndarray | None = None,
 ) -> float:
-    consts = constants if constants is not None else kernel_constants(kernel)
-    scale, _ = studentization(n, h, sigma, consts)
-    return normal_cdf(upper_quantile(alpha) - scale * bias_functional(theta, kernel, h, kh))
+    scale, _ = studentization(n, h, sigma, kernel_constants(kernel))
+    return normal_cdf(upper_quantile(alpha) - scale * bias_functional(theta, kernel, h))
 
 
 def kernel_test(
@@ -246,15 +230,12 @@ def kernel_test(
     h: float,
     alpha: float,
     theta: Spectrum | None = None,
-    constants: KernelConstants | None = None,
-    kh: np.ndarray | None = None,
 ) -> TestReport:
-    consts = constants if constants is not None else kernel_constants(kernel)
-    t_n = kernel_statistic(obs, kernel, h, consts, kh)
+    t_n = kernel_statistic(obs, kernel, h)
     x_alpha = upper_quantile(alpha)
     beta = None
     if theta is not None:
-        beta = predicted_type2_kernel(theta, kernel, h, obs.n, obs.sigma, alpha, consts, kh)
+        beta = predicted_type2_kernel(theta, kernel, h, obs.n, obs.sigma, alpha)
     return TestReport(
         family="kernel",
         statistic=t_n,
@@ -265,4 +246,3 @@ def kernel_test(
         n=obs.n,
         predicted_type2=beta,
     )
-

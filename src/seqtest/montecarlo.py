@@ -30,6 +30,7 @@ from . import cvm as cvm_mod
 from . import design as design_mod
 from . import kernels as kernels_mod
 from . import quadratic as quad_mod
+from .cvm import DEFAULT_CALIBRATION_REPS, DEFAULT_CALIBRATION_SEED
 from .errors import ConfigError
 from .report import normal_cdf, upper_quantile
 from .sampling import iid_sampler, rng_for_replication, sequence_noise
@@ -50,10 +51,6 @@ _THETA_BASIS = {
     "kernel": "complex-exponential",
     "chisq": "complex-exponential",
 }
-
-# calibration tables must not share streams with test replications
-DEFAULT_CALIBRATION_SEED = 1000003
-
 
 _REQUIRED = object()
 
@@ -120,7 +117,7 @@ _PARAMS = {
     "kernel": {"kernel": (str, _REQUIRED), "h": (float, _REQUIRED), "j_max": (int, None)},
     "chisq": {"k": (int, _REQUIRED)},
     "cvm": {
-        "calibration_reps": (int, 20000),
+        "calibration_reps": (int, DEFAULT_CALIBRATION_REPS),
         "calibration_seed": (int, DEFAULT_CALIBRATION_SEED),
         "cache_dir": (str, None),
     },
@@ -179,6 +176,8 @@ class ExperimentConfig:
             kq = p["kappa_sq"]
             if (kq is None) == (p["gamma"] is None):
                 raise ConfigError("quadratic family needs exactly one of 'kappa_sq' or 'gamma'")
+            if kq is not None and self.params.get("j_max") is not None:
+                raise ConfigError("quadratic params.j_max applies only with 'gamma'; 'kappa_sq' sets its own length")
             if kq is not None and (kq.size == 0 or np.any(kq < 0)):
                 raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
         elif self.family == "kernel":
@@ -366,12 +365,10 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     j_max = max(1024, theta_support) if p["j_max"] is None else p["j_max"]
     if theta_support > j_max:
         raise ConfigError(f"signal support {theta_support} exceeds the run's truncation {j_max}")
-    consts = kernels_mod.kernel_constants(kernel)
-    kh = kernels_mod.transform_values(kernel, h, j_max)
-    w = kh**2
+    w = kernels_mod.transform_values(kernel, h, j_max) ** 2
     th = _padded(cfg.theta, j_max, "complex-exponential")
     n, sigma, alpha = cfg.n, cfg.sigma, cfg.alpha
-    scale, center = kernels_mod.studentization(n, h, sigma, consts)
+    scale, center = kernels_mod.studentization(n, h, sigma, kernels_mod.kernel_constants(kernel))
     x_alpha = upper_quantile(alpha)
     count = _counter(
         cfg.seed,
@@ -379,8 +376,8 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
         lambda y: kernels_mod.studentize(kernels_mod.weighted_energy(y, w), scale, center) > x_alpha,
     )
     theta_spec = cfg.theta if cfg.theta is not None else Spectrum("complex-exponential", np.zeros(1, dtype=complex))
-    predicted = kernels_mod.predicted_type2_kernel(theta_spec, kernel, h, n, sigma, alpha, consts, kh)
-    t1n = kernels_mod.bias_functional(theta_spec, kernel, h, kh)
+    predicted = kernels_mod.predicted_type2_kernel(theta_spec, kernel, h, n, sigma, alpha)
+    t1n = kernels_mod.bias_functional(theta_spec, kernel, h)
     drift = scale * t1n
     return MonteCarloPlan(count, predicted, {"j_max": j_max, "h": h, "drift": drift, "t1n": t1n})
 

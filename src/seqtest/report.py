@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from scipy.special import ndtr, ndtri
 
@@ -40,12 +39,3 @@ class TestReport:
     n: int
     predicted_type2: float | None = None
     details: dict | None = None
-
-    def to_json(self) -> str:
-        payload = asdict(self)
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "TestReport":
-        data = json.loads(text)
-        return TestReport(**data)

@@ -2,8 +2,9 @@
 
 Everything here recomputes a quantity from its defining formula with tools
 outside the package (scipy optimizers, direct summation), so agreement is
-evidence and not circularity.  The weight-profile regularity report and the
-primitive mean are diagnostics that only the tests read.
+evidence and not circularity.  The weight-profile regularity report, the
+primitive mean and the CvM consistency margin are diagnostics that only the
+tests read.
 """
 
 import math
@@ -14,7 +15,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.optimize import minimize
 
+from seqtest.cvm import cvm_population
 from seqtest.errors import ConfigError
+from seqtest.sampling import density_grid
 
 # Regularity thresholds: neighbor-step bound a3 <= A3_STEP_OVER_KN / k_n in the
 # resolution window, window mass fractions for a5 below A5_MASS_FRACTION.
@@ -115,6 +118,27 @@ def primitive_mean(theta) -> float:
     return float(2.0 * math.sqrt(2.0) * np.sum(coeffs[odd] / (math.pi**2 * j[odd] ** 2)))
 
 
+@dataclass(frozen=True)
+class MarginReport:
+    """n T^2(F - F_0) together with the density-floor check 1 + f > delta."""
+
+    margin: float
+    min_density: float
+    delta: float
+
+    @property
+    def b1_ok(self) -> bool:
+        return self.min_density > self.delta
+
+
+def consistency_margin(theta, n: int, delta: float = 0.0, grid: int = 4096) -> MarginReport:
+    if n < 1:
+        raise ConfigError("n must be positive")
+    margin = n * cvm_population(theta)
+    _, dens = density_grid(theta, grid + 1)
+    return MarginReport(margin=float(margin), min_density=float(dens.min()), delta=delta)
+
+
 def cvm_statistic_quadrature(sample: np.ndarray) -> float:
     """int_0^1 (Fhat_n(x) - x)^2 dx summed segment by segment.
 
@@ -174,6 +198,41 @@ def space_domain_energy(y, kernel, h: float, grid: int = 2048) -> float:
             wrapped[sel] += kernel.fn((d[sel] + shift) / h) / h
     smoothed = wrapped @ field / grid
     return float(np.mean(smoothed**2))
+
+
+def kernel_transform_quadrature(kernel, omega: np.ndarray) -> np.ndarray:
+    """Khat(omega) = 2 int_0^b K(t) cos(2 pi omega t) dt of a symmetric kernel,
+    by scipy's oscillatory quadrature, ignoring its closed-form transform."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    out = np.empty_like(omega)
+    for i, w in enumerate(omega):
+        val, _ = integrate.quad(kernel.fn, 0.0, kernel.halfwidth, weight="cos", wvar=2.0 * math.pi * abs(w), limit=200)
+        out[i] = 2.0 * val
+    return out
+
+
+def aliasing_sum(theta, k: int) -> float:
+    """J1 = k^2 sum_m sum_{j != 0, j != m k} theta_j conj(theta_{j - m k})
+    (2 - 2 cos(2 pi j / k)) / (4 pi^2 j (j - m k)), term by term; n J1 is the
+    chi-square population functional of a mean-zero perturbation."""
+    js, vals = theta.signed_pairs()
+    if abs(vals[js == 0][0]) > 1e-12:
+        raise ConfigError("the aliasing sum requires a mean-zero perturbation (zero frequency-0 coefficient)")
+    j_max = int(js.max())
+    m_max = (2 * j_max) // k + 1  # index differences reach 2 j_max
+    coeff = dict(zip(js.tolist(), vals.tolist()))
+    total = 0.0
+    for m in range(-m_max, m_max + 1):
+        for j in range(-j_max, j_max + 1):
+            if j == 0 or j == m * k:
+                continue
+            other = coeff.get(j - m * k)
+            first = coeff.get(j)
+            if other is None or first is None or first == 0 or other == 0:
+                continue
+            weight = (2.0 - 2.0 * math.cos(2.0 * math.pi * j / k)) / (4.0 * math.pi**2 * j * (j - m * k))
+            total += float(np.real(first * np.conj(other))) * weight
+    return k * k * total
 
 
 def cross_frequency_sum(theta, k: int) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from helpers import cross_frequency_sum
+from helpers import aliasing_sum, cross_frequency_sum
 from seqtest.chisq import (
     cell_counts,
     cell_integrals,
@@ -119,19 +119,14 @@ class TestAliasing:
         rng = rng_for_replication(23, 0)
         for k in (3, 4, 8):
             theta = _random_complex_spectrum(rng, j_max=9)
-            cells = population_chisq_functional(theta, k, 1000, method="cells")
-            aliased = population_chisq_functional(theta, k, 1000, method="aliased")
+            cells = population_chisq_functional(theta, k, 1000)
+            aliased = 1000 * aliasing_sum(theta, k)
             assert aliased == pytest.approx(cells, abs=ALIASING_ATOL)
 
     def test_aliased_requires_mean_zero(self):
         theta = Spectrum(basis="complex-exponential", coeffs=np.array([0.2, 0.1 + 0.1j]))
         with pytest.raises(ConfigError):
-            population_chisq_functional(theta, 4, 100, method="aliased")
-
-    def test_unknown_method(self):
-        theta = _random_complex_spectrum(rng_for_replication(24, 0))
-        with pytest.raises(ConfigError):
-            population_chisq_functional(theta, 4, 100, method="exact")
+            aliasing_sum(theta, 4)
 
     def test_cross_frequency_terms_cancel(self):
         """The discarded off-lattice pairs sum to zero by phase averaging."""

@@ -324,6 +324,12 @@ BAD_CONFIGS = {
         ["project-besov"],
         {"theta": {"basis": "cosine", "coeffs": [1, 1, 1]}, "s": 400, "p0": 0.5},
     ),
+    "quadratic j_max with kappa_sq": (["simulate"], _params("quadratic", kappa_sq=[1, 0.5, 0.25], j_max=7)),
+    # petabyte-scale arrays, refused before anything is allocated; a size
+    # between about 1e8 and 1e13 elements might really be allocated
+    "quadratic petabyte j_max": (["simulate"], _params("quadratic", j_max=10**15)),
+    "kernel petabyte j_max": (["simulate"], _params("kernel", j_max=10**15)),
+    "design petabyte truncation": (["minimax-design"], {"s": 0.1, "p0": 1, "rho_n": 2e-3, "n": 200}),
 }
 
 
@@ -342,6 +348,38 @@ class TestBadConfigValues:
     def test_integral_float_counts_still_read(self, tmp_path):
         cfg = _config(tmp_path, "sim.json", _simulate_payload(n=400.0, reps=20.0, seed=7.0))
         assert main(["simulate", "--config", cfg]) == 0
+
+
+class TestOutRule:
+    """--out writes JSON when the path ends in .json and CSV otherwise; the
+    JSON-only commands refuse any other path."""
+
+    @pytest.mark.parametrize("argv,payload,fields", [
+        (["simulate"], _simulate_payload(reps=10), SUMMARY_FIELDS),
+        (["power-curve"], {**_simulate_payload(reps=10), "scales": [0.0, 1.0]}, POWER_CURVE_FIELDS),
+    ])
+    def test_other_suffix_writes_csv(self, argv, payload, fields, tmp_path):
+        cfg = _config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+        header, *_ = _rows(out)
+        assert header == ",".join(fields)
+
+    @pytest.mark.parametrize("argv,payload", [
+        (["minimax-design"], _DESIGN),
+        (["project-besov"], {"theta": {"basis": "cosine", "coeffs": [1.0, 1.0]}, "s": 1.0, "p0": 0.5}),
+        (["calibrate", "cvm"], {"n": 40, "reps": 100, "seed": 1}),
+    ])
+    def test_json_only_commands_refuse_other_paths(self, argv, payload, tmp_path, capsys):
+        cfg = _config(tmp_path, "cfg.json", payload)
+        for name in ("d.csv", "d.txt", "d"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--config", cfg, "--out", str(tmp_path / name)])
+            assert excinfo.value.code == 2
+            assert "--out" in capsys.readouterr().err
+            assert not (tmp_path / name).exists()
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "d.json")]) == 0
+        json.loads((tmp_path / "d.json").read_text())
 
 
 class TestExitCodes:
@@ -386,6 +424,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, threads, tmp_path, capsys):
+        cfg = _config(tmp_path, "sim.json", _simulate_payload(reps=10))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--config", cfg, "--threads", threads])
+        assert excinfo.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestOverrideFlags:
@@ -461,9 +507,15 @@ _FUZZ_BASES = {
     }),
     "calibrate cvm": (["calibrate", "cvm"], {"n": 40, "reps": 100, "seed": 1, "cache_dir": "cache"}),
 }
+# the commands that write JSON only; the others get .csv or .json at random
+_JSON_ONLY = ("minimax-design", "project-besov", "calibrate cvm")
 # wrong types, non-finite numbers and other lists; no value here, and none
 # that _damaged derives, asks for a large allocation
 _BAD_VALUES = ["x", True, [], {}, ["a"], [[1.0]], math.nan, math.inf, -math.inf, -1, 0]
+# huge smoothness values, which overflow k^(2s); only s gets these, since a
+# huge p0 or rho_n moves the breakpoint k_n, and p0 ~ 1e12 alone asks for a
+# multi-GB truncation
+_HUGE_S = [400, 1e3]
 _BAD_THETAS = [
     {"basis": "haar", "coeffs": [0.05, 0.02]},
     {"basis": "bogus", "coeffs": [0.05]},
@@ -472,6 +524,9 @@ _BAD_THETAS = [
     {"basis": "cosine", "coeffs": []},
     {"basis": "cosine"},
     {"basis": "cosine", "coeffs": [1e200, 1.0]},
+    {"basis": "cosine", "coeffs": [1e300, -1e300]},
+    {"basis": "cosine", "coeffs": [0.05, 1e300]},
+    {"basis": "complex-exponential", "coeffs": [[0.0, 0.0], [1e200, -1e300]]},
     {"basis": "cosine", "coeffs": [10**400]},
 ]
 # a cache file cut short, for the (n, reps, seed) the cvm configs above calibrate
@@ -497,7 +552,8 @@ def _mutate(draw, payload: dict) -> bool:
     target = params if kind == "param" and isinstance(params, dict) and params else payload
     if kind in ("value", "param") and target:
         key = draw(st.sampled_from(sorted(target)))
-        target[key] = draw(st.sampled_from(_damaged(target[key]) + _BAD_VALUES))
+        huge = _HUGE_S if key == "s" else []
+        target[key] = draw(st.sampled_from(_damaged(target[key]) + _BAD_VALUES + huge))
     elif kind == "drop" and payload:
         del payload[draw(st.sampled_from(sorted(payload)))]
     elif kind == "unknown":
@@ -515,12 +571,22 @@ def _fuzz_cases(draw, name: str):
     torn = False
     for _ in range(draw(st.integers(1, 2))):
         torn |= _mutate(draw, payload)
-    return argv, payload, torn, draw(st.sampled_from(["csv", "json"]))
+    ext = "json" if " ".join(argv) in _JSON_ONLY else draw(st.sampled_from(["csv", "json"]))
+    return argv, payload, torn, ext
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestConfigFuzz:
     """Damaged configs for every subcommand end in exit 0, 2, 3 or 4, never
-    in an exception out of ``main``."""
+    in an exception out of ``main``, and every JSON file written is strict
+    JSON."""
 
     @pytest.mark.parametrize("name", sorted(_FUZZ_BASES))
     def test_every_config_exits_cleanly(self, name):
@@ -542,6 +608,9 @@ class TestConfigFuzz:
                         json.dump(payload, fh)
                     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                         code = main(argv + ["--config", "cfg.json", "--threads", "1", "--out", f"out.{ext}"])
+                    if ext == "json" and os.path.exists("out.json"):
+                        with open("out.json") as fh:
+                            _strict_json(fh.read())
                 finally:
                     os.chdir(home)
             assert code in (0, 2, 3, 4), err.getvalue()

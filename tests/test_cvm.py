@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     bridge_kernel_quadrature,
     cvm_population_quadrature,
+    consistency_margin,
     cvm_statistic_quadrature,
     primitive_mean,
 )
@@ -23,7 +24,6 @@ from seqtest.cvm import (
     CvmCalibration,
     _write_cache,
     calibrate_cvm,
-    consistency_margin,
     cvm_population,
     cvm_statistic,
     cvm_test,

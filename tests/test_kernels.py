@@ -1,12 +1,16 @@
 """Fourier-domain kernel L2 tests: constants, transforms, Poisson identities."""
 
-import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import space_domain_energy
+from helpers import kernel_transform_quadrature, space_domain_energy
+import seqtest
 from seqtest.errors import ConfigError
 from seqtest.kernels import (
     Kernel,
@@ -16,7 +20,6 @@ from seqtest.kernels import (
     kernel_constants,
     kernel_statistic,
     kernel_test,
-    kernel_transform,
     predicted_type2_kernel,
     transform_values,
     triangle_kernel,
@@ -52,33 +55,42 @@ class TestConstants:
         assert consts.kappa_sq == pytest.approx(kappa_ref, abs=CONSTANTS_ATOL)
 
     def test_mass_validation(self):
-        lopsided = Kernel("double-box", lambda t: np.where(np.abs(t) <= 1.0, 1.0, 0.0))
+        lopsided = Kernel(
+            "double-box",
+            lambda t: np.where(np.abs(t) <= 1.0, 1.0, 0.0),
+            lambda w: 2.0 * box_kernel().transform(w),
+        )
         with pytest.raises(ConfigError):
             kernel_constants(lopsided)
+        with pytest.raises(ConfigError):  # a failure is not remembered as a result
+            kernel_constants(lopsided)
+
+    def test_computed_once_per_kernel(self):
+        # equal frozen kernels share one entry, so a plan and a *_test call
+        # reuse the quadrature
+        assert kernel_constants(triangle_kernel()) is kernel_constants(triangle_kernel())
 
 
 class TestTransforms:
     @pytest.mark.parametrize("kern", _stock(), ids=lambda k: k.name)
     def test_closed_form_matches_quadrature(self, kern):
-        bare = dataclasses.replace(kern, transform=None)
         omega = np.array([0.0, 0.07, 0.31, 0.5, 1.0, 2.25, 7.5])
         np.testing.assert_allclose(
-            kernel_transform(kern, omega),
-            kernel_transform(bare, omega),
+            kern.transform(omega),
+            kernel_transform_quadrature(kern, omega),
             atol=TRANSFORM_AGREEMENT_ATOL,
         )
 
     @pytest.mark.parametrize("kern", _stock(), ids=lambda k: k.name)
     def test_unit_mass_at_zero(self, kern):
-        assert kernel_transform(kern, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
+        assert kern.transform(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kern", _stock(), ids=lambda k: k.name)
     def test_small_angle_branch_is_continuous(self, kern):
         # values just inside and outside the series cutoff must agree
         omega = np.array([1e-9, 2e-8, 1e-5, 2e-4])
-        bare = dataclasses.replace(kern, transform=None)
         np.testing.assert_allclose(
-            kernel_transform(kern, omega), kernel_transform(bare, omega), atol=1e-10
+            kern.transform(omega), kernel_transform_quadrature(kern, omega), atol=1e-10
         )
 
     @pytest.mark.parametrize(
@@ -96,7 +108,7 @@ class TestTransforms:
         # identities need h < 1/4, not just the h < 1/2 the squared sum needs
         h = 0.2
         consts = kernel_constants(kern)
-        kh = kernel_transform(kern, np.arange(j_sum + 1, dtype=float) * h)
+        kh = transform_values(kern, h, j_sum)
         sum_sq = kh[0] ** 2 + 2.0 * np.sum(kh[1:] ** 2)
         sum_quad = kh[0] ** 4 + 2.0 * np.sum(kh[1:] ** 4)
         assert sum_sq == pytest.approx(consts.l2_norm_sq / h, rel=rtol)
@@ -108,10 +120,9 @@ class TestStatistic:
         # single frequency j = 1 at h = 1/4: Khat(1/4) = sin(pi/2) / (pi/2)
         y = Spectrum(basis="complex-exponential", coeffs=np.array([0.0, 1.0 + 0.0j]))
         obs = SequenceObservation(y=y, n=100, sigma=1.0)
-        consts = kernel_constants(box_kernel())
         energy = 2.0 * (2.0 / math.pi) ** 2
         want = 100.0 * 0.5 / math.sqrt(2.0 / 3.0) * (energy - 0.5 / (100.0 * 0.25))
-        assert kernel_statistic(obs, box_kernel(), 0.25, consts) == pytest.approx(want, rel=1e-12)
+        assert kernel_statistic(obs, box_kernel(), 0.25) == pytest.approx(want, rel=1e-12)
 
     def test_bandwidth_bounds(self):
         y = Spectrum(basis="complex-exponential", coeffs=np.array([0.0, 0.1 + 0j]))
@@ -124,13 +135,6 @@ class TestStatistic:
         obs = SequenceObservation(y=Spectrum(basis="cosine", coeffs=np.ones(4)), n=10, sigma=1.0)
         with pytest.raises(ConfigError):
             kernel_statistic(obs, box_kernel(), 0.25)
-
-    def test_short_transform_table_rejected(self):
-        y = Spectrum(basis="complex-exponential", coeffs=np.zeros(8, dtype=complex))
-        obs = SequenceObservation(y=y, n=10, sigma=1.0)
-        kh = transform_values(box_kernel(), 0.25, 3)
-        with pytest.raises(ConfigError):
-            kernel_statistic(obs, box_kernel(), 0.25, kh=kh)
 
     def test_spectral_energy_matches_space_domain(self):
         rng = np.random.default_rng(12)
@@ -157,3 +161,13 @@ class TestPrediction:
         assert rep.threshold == pytest.approx(upper_quantile(0.05))
         assert rep.standardized == rep.statistic  # already studentized
         assert rep.reject  # strong deterministic signal, no noise here
+
+
+def test_import_leaves_scipy_integrate_out():
+    """The library evaluates every kernel transform in closed form, so
+    importing it does not load scipy's quadrature package."""
+    src = str(Path(seqtest.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, seqtest; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

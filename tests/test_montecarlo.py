@@ -14,7 +14,7 @@ from seqtest.cli import main as cli_main
 from seqtest.cvm import calibrate_cvm, cvm_test
 from seqtest.design import least_favorable, minimax_test, solve_design
 from seqtest.errors import ConfigError
-from seqtest.kernels import box_kernel, kernel_constants, kernel_test, transform_values, triangle_kernel
+from seqtest.kernels import box_kernel, kernel_test, triangle_kernel
 from seqtest.montecarlo import (
     DEFAULT_CALIBRATION_SEED,
     ExperimentConfig,
@@ -187,13 +187,11 @@ class TestEngineMatchesReference:
         )
         got = run_monte_carlo(cfg).rejections
         kern = triangle_kernel()
-        consts = kernel_constants(kern)
-        kh = transform_values(kern, 0.11, 48)
         padded = _pad_complex(theta, 48)
         want = 0
         for rep in range(EQUIVALENCE_REPS):
             obs = draw_sequence_observation(padded, 800, 1.0, rng_for_replication(103, rep))
-            want += kernel_test(obs, kern, 0.11, 0.05, constants=consts, kh=kh).reject
+            want += kernel_test(obs, kern, 0.11, 0.05).reject
         assert got == want
 
     def test_chisq_null_and_alternative(self):

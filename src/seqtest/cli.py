@@ -115,7 +115,6 @@ def _cmd_consistency(args) -> None:
         seed=take(data, "seed", int),
         alpha=take(data, "alpha", default=0.05),
         threads=args.threads,
-        p0_ref=take(data, "p0_ref", default=1.0),
         norm_scale=take(data, "norm_scale", default=math.sqrt(8.0)),
     )
     check_empty(data, "consistency config")
@@ -131,9 +130,8 @@ def _cmd_decomposition(args) -> None:
     data = _load_config(args)
     s = take(data, "s")
     gammas = take(data, "gammas", many=True)
-    floor = take(data, "density_floor", default=0.0)
     config = ExperimentConfig.from_json_dict(data)
-    rows = maxiset_decomposition_experiment(config, s, gammas, threads=args.threads, density_floor=floor)
+    rows = maxiset_decomposition_experiment(config, s, gammas, threads=args.threads)
     for row in rows:
         print(
             f"gamma={row['gamma']:g} power_f={row['power_f']:.4f} "

@@ -46,9 +46,6 @@ from .report import TestReport
 from .sampling import rng_for_replication
 from .spectra import Spectrum
 
-# limiting distribution of omega^2 = n T^2: classical upper 5% point
-ASYMPTOTIC_Q95 = 0.46136
-
 # calibration tables must not share streams with test replications: a table
 # calibrated at seed s draws exactly the uniforms of a CvM null run at seed s
 DEFAULT_CALIBRATION_SEED = 1000003

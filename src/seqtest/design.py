@@ -150,26 +150,7 @@ def solve_design(
 
     budget_res = abs(k_n ** (1.0 + 2.0 * s) * kappa_n2 / (2.0 * s) - p0) / p0
     radius_res = abs(k_n * kappa_n2 + p0 * k_n ** (-2.0 * s) - rho_n) / rho_n
-    bound = (2.0 * s + 1.0) / k_n
-    if radius_res > bound + RESIDUAL_SLACK:
-        raise NumericError(f"radius residual {radius_res:.3e} exceeds the rounding bound {bound:.3e}")
-
-    a_n = sigma**-4 * n**2 * float(np.sum(kappa_j2**2))
-    return DetectionDesign(
-        s=s,
-        p0=p0,
-        rho_n=rho_n,
-        n=n,
-        sigma=sigma,
-        k_n=k_n,
-        kappa_n2=kappa_n2,
-        kappa_j2=kappa_j2,
-        a_n=a_n,
-        c_n=n * rho_n / sigma**2,
-        j_max=j_max,
-        eq_budget_residual=budget_res,
-        eq_radius_residual=radius_res,
-    )
+    return _build(s, p0, rho_n, n, sigma, k_n, kappa_j2, n * rho_n / sigma**2, budget_res, radius_res)
 
 
 def solve_inverse_design(
@@ -215,34 +196,31 @@ def solve_inverse_design(
 
     a = a_of(k_n)
     kappa_j2 = np.where(j <= k_n, a * lam**-2, _tail_profile(s, p0, j) * lam**2)
-    kappa_n2 = float(kappa_j2[k_n - 1])
 
     budget_res = abs(a * lam[k_n - 1] ** -4 - 2.0 * s * p0 * k_n ** (-(1.0 + 2.0 * s))) / (
         2.0 * s * p0 * k_n ** (-(1.0 + 2.0 * s))
     )
     radius_res = abs(radius_gap(k_n)) / rho_n
-    bound = (2.0 * s + 1.0) / k_n
+    c_n = float(n / sigma**2 * np.sum(kappa_j2))  # exact null mean; see module docstring
+    return _build(s, p0, rho_n, n, sigma, k_n, kappa_j2, c_n, budget_res, radius_res, lambdas=lam)
+
+
+def _build(
+    s: float, p0: float, rho_n: float, n: int, sigma: float, k_n: int, kappa_j2: np.ndarray,
+    c_n: float, budget_res: float, radius_res: float, lambdas: np.ndarray | None = None,
+) -> DetectionDesign:
+    """The design both solvers return, once its radius residual passes the
+    rounding bound; A_n, the plateau and the truncation follow from the
+    weights."""
+    design = DetectionDesign(
+        s=s, p0=p0, rho_n=rho_n, n=n, sigma=sigma, k_n=k_n, kappa_n2=float(kappa_j2[k_n - 1]),
+        kappa_j2=kappa_j2, a_n=sigma**-4 * n**2 * float(np.sum(kappa_j2**2)), c_n=c_n,
+        j_max=kappa_j2.size, eq_budget_residual=budget_res, eq_radius_residual=radius_res, lambdas=lambdas,
+    )
+    bound = design.residual_bound
     if radius_res > bound + RESIDUAL_SLACK:
         raise NumericError(f"radius residual {radius_res:.3e} exceeds the rounding bound {bound:.3e}")
-
-    a_n = sigma**-4 * n**2 * float(np.sum(kappa_j2**2))
-    c_n = float(n / sigma**2 * np.sum(kappa_j2))  # exact null mean; see module docstring
-    return DetectionDesign(
-        s=s,
-        p0=p0,
-        rho_n=rho_n,
-        n=n,
-        sigma=sigma,
-        k_n=k_n,
-        kappa_n2=kappa_n2,
-        kappa_j2=kappa_j2,
-        a_n=a_n,
-        c_n=c_n,
-        j_max=j_max,
-        eq_budget_residual=budget_res,
-        eq_radius_residual=radius_res,
-        lambdas=lam,
-    )
+    return design
 
 
 def _check_observation(obs: SequenceObservation, design: DetectionDesign) -> np.ndarray:
@@ -296,24 +274,10 @@ def least_favorable(design: DetectionDesign) -> Spectrum:
 def _resolve_delta(design: DetectionDesign, delta: float) -> DetectionDesign:
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
+    shifted = (design.s, design.p0 * (1.0 - delta), design.rho_n * (1.0 + delta), design.n, design.sigma)
     if design.lambdas is not None:
-        return solve_inverse_design(
-            design.s,
-            design.p0 * (1.0 - delta),
-            design.rho_n * (1.0 + delta),
-            design.n,
-            design.sigma,
-            design.lambdas,
-            j_max=design.j_max,
-        )
-    return solve_design(
-        design.s,
-        design.p0 * (1.0 - delta),
-        design.rho_n * (1.0 + delta),
-        design.n,
-        design.sigma,
-        j_max=design.j_max,
-    )
+        return solve_inverse_design(*shifted, design.lambdas, j_max=design.j_max)
+    return solve_design(*shifted, j_max=design.j_max)
 
 
 def prior_profile(design: DetectionDesign, delta: float) -> np.ndarray:

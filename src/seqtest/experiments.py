@@ -18,9 +18,11 @@ import numpy as np
 
 from . import design as design_mod
 from .errors import ConfigError, NumericError
-from .montecarlo import ExperimentConfig, MonteCarloPlan, build_plan, run_monte_carlo
-from .sampling import min_density
-from .spectra import BesovBall, Spectrum, calibration_rates, make_tail_alternative, project_besov
+from .montecarlo import THETA_BASIS, ExperimentConfig, MonteCarloPlan, build_plan, run_monte_carlo
+from .spectra import (
+    FAMILIES_QUADRATIC_RATE, BesovBall, CalibrationRates, Spectrum,
+    calibration_rates, make_tail_alternative, project_besov,
+)
 
 POWER_CURVE_FIELDS = (
     "scale", "power", "empirical_type2", "predicted_type2", "gap",
@@ -75,15 +77,11 @@ def power_curve(config: ExperimentConfig, scales, threads: int = 1) -> list[dict
     return rows
 
 
-_CONSISTENCY_FAMILIES = ("quadratic", "kernel", "chisq")
-
-
-def _consistency_params(family: str, s: float, n: int, j_max: int) -> dict:
-    rates = calibration_rates(s, family)
+def _consistency_params(rates: CalibrationRates, n: int, j_max: int) -> dict:
     e = rates.tuning_exponent
-    if family == "quadratic":
-        return {"gamma": (1.0 + 4.0 * s) / 2.0, "j_max": j_max}
-    if family == "kernel":
+    if rates.family == "quadratic":
+        return {"gamma": (1.0 + 4.0 * rates.s) / 2.0, "j_max": j_max}
+    if rates.family == "kernel":
         return {"kernel": "box", "h": float(n**-e), "j_max": j_max}
     return {"k": max(2, round(n**e))}
 
@@ -97,25 +95,24 @@ def consistency_experiment(
     seed: int,
     alpha: float = 0.05,
     threads: int = 1,
-    p0_ref: float = 1.0,
     norm_scale: float = math.sqrt(8.0),
 ) -> list[dict]:
     """Power along a schedule of ball radii C with the signal norm pinned.
 
     Each point places a tail block at frequencies m..2m with m^{2s} * energy
-    = C * p0_ref and total energy (norm_scale * n^{-r})^2, so m grows like
+    = C and total energy (norm_scale * n^{-r})^2, so m grows like
     C^{1/(2s)}: a larger radius pushes the same amount of signal to higher
     frequencies, where the test's weights no longer see it.
     """
-    if family not in _CONSISTENCY_FAMILIES:
+    if family not in FAMILIES_QUADRATIC_RATE:
         raise ConfigError(
             "the consistency boundary experiment covers the quadratic, kernel, and chisq families"
         )
     c_values = [float(c) for c in c_schedule]
     if len(c_values) < 2 or any(b <= a for a, b in zip(c_values, c_values[1:])):
         raise ConfigError("C schedule must be increasing with at least two points")
-    if c_values[0] <= 0 or p0_ref <= 0 or norm_scale <= 0:
-        raise ConfigError("C values, p0_ref and norm_scale must be positive")
+    if c_values[0] <= 0 or norm_scale <= 0:
+        raise ConfigError("C values and norm_scale must be positive")
     if isinstance(n_schedule, (int, np.integer)):
         n_values = [int(n_schedule)] * len(c_values)
     else:
@@ -125,19 +122,18 @@ def consistency_experiment(
     if min(n_values) < 1:
         raise ConfigError("sample sizes n must be positive")
     rates = calibration_rates(s, family)
-    basis = "cosine" if family == "quadratic" else "complex-exponential"
+    basis = THETA_BASIS[family]
     rows = []
     for c_val, n in zip(c_values, n_values):
         energy = (norm_scale * n**-rates.r) ** 2
-        budget = c_val * p0_ref
-        m = round((budget / energy) ** (1.0 / (2.0 * s)))
+        m = round((c_val / energy) ** (1.0 / (2.0 * s)))
         if m < 1:
             raise ConfigError(f"schedule infeasible: C={c_val} needs block start m >= 1")
-        theta = make_tail_alternative(m, budget, s, basis=basis)
+        theta = make_tail_alternative(m, c_val, s, basis=basis)
         j_max = max(1024, 2 * m + 8)
         cfg = ExperimentConfig(
             family=family, n=n, reps=reps, seed=seed, alpha=alpha,
-            theta=theta, params=_consistency_params(family, s, n, j_max),
+            theta=theta, params=_consistency_params(rates, n, j_max),
         )
         plan, rate, std_err = _run(cfg, threads)
         rows.append({
@@ -159,13 +155,13 @@ def maxiset_decomposition_experiment(
     s: float,
     gammas,
     threads: int = 1,
-    density_floor: float = 0.0,
 ) -> list[dict]:
     """Rejection rates of f, its ball projection, and the residual, per gamma.
 
     The gamma-ball is the smoothness body with radius budget gamma^2.  For the
-    density families all three perturbations must keep 1 + f above
-    ``density_floor``; violations are configuration errors, not numerics.
+    density families each of the three perturbations is checked when its
+    plan is built: the sampler refuses a 1 + f that is not bounded away from
+    zero, a configuration error, not a numeric one.
     """
     if config.theta is None:
         raise ConfigError("decomposition needs the signal f to project")
@@ -173,19 +169,11 @@ def maxiset_decomposition_experiment(
     if len(g_values) < 2 or any(b <= a for a, b in zip(g_values, g_values[1:])):
         raise ConfigError("gamma schedule must be increasing with at least two points")
     f_n = config.theta
-    density_family = config.family in ("chisq", "cvm")
     rows = []
     for gamma in g_values:
         ball = BesovBall(s, gamma**2)
         f_proj = project_besov(f_n, ball)
         residual = Spectrum(f_n.basis, np.asarray(f_n.coeffs) - np.asarray(f_proj.coeffs))
-        if density_family:
-            for label, spec in (("f", f_n), ("projection", f_proj), ("residual", residual)):
-                floor = min_density(spec)
-                if floor <= density_floor:
-                    raise ConfigError(
-                        f"gamma={gamma}: 1 + {label} has minimum {floor:.4f} <= {density_floor}"
-                    )
         triple = {}
         for label, spec in (("f", f_n), ("projected", f_proj), ("residual", residual)):
             cfg = ExperimentConfig(

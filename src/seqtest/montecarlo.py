@@ -44,7 +44,7 @@ _KERNELS = {
     "epanechnikov": kernels_mod.epanechnikov_kernel,
 }
 
-_THETA_BASIS = {
+THETA_BASIS = {
     "quadratic": "cosine",
     "minimax": "cosine",
     "cvm": "cosine",
@@ -163,9 +163,9 @@ class ExperimentConfig:
             raise ConfigError("sigma must be positive and finite")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if self.theta is not None and self.theta.basis != _THETA_BASIS[self.family]:
+        if self.theta is not None and self.theta.basis != THETA_BASIS[self.family]:
             raise ConfigError(
-                f"family {self.family!r} expects theta in the {_THETA_BASIS[self.family]!r} basis"
+                f"family {self.family!r} expects theta in the {THETA_BASIS[self.family]!r} basis"
             )
         raw = dict(self.params)
         p = {key: take(raw, key, kind, default) for key, (kind, default) in _PARAMS[self.family].items()}
@@ -180,6 +180,9 @@ class ExperimentConfig:
                 raise ConfigError("quadratic params.j_max applies only with 'gamma'; 'kappa_sq' sets its own length")
             if kq is not None and (kq.size == 0 or np.any(kq < 0)):
                 raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
+            with np.errstate(over="ignore"):
+                if kq is not None and not math.isfinite(float(np.sum(kq**2))):
+                    raise ConfigError("kappa_sq is too large: the null variance sum(kappa_sq**2) overflows")
         elif self.family == "kernel":
             if p["kernel"] not in _KERNELS:
                 raise ConfigError(f"kernel must be one of {sorted(_KERNELS)}")

@@ -55,10 +55,13 @@ class Spectrum:
         arr = np.asarray(self.coeffs, dtype=complex if want_complex else float)
         if arr.ndim != 1 or arr.size == 0:
             raise ConfigError("coeffs must be a non-empty 1-d array")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ConfigError("coeffs must be finite")
         if want_complex and abs(arr[0].imag) > 0:
             raise ConfigError("complex-exponential coeffs[0] (the j=0 term) must be real")
+        # the energy norm_sq() sums; a NaN or infinite coefficient makes it non-finite too
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = 2.0 * np.vdot(arr[1:], arr[1:]).real + arr[0].real ** 2 if want_complex else np.dot(arr, arr)
+        if not math.isfinite(energy):
+            raise ConfigError("coeffs must be finite and their energy sum |theta_j|^2 must not overflow")
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -233,14 +236,11 @@ def project_besov(spec: Spectrum, ball: BesovBall) -> Spectrum:
     arithmetic; the scale is set to exactly 1.0 there so that rounding on a
     tight constraint cannot move them.
     """
-    with np.errstate(over="ignore"):
-        energies = spec.frequency_energies()
-    if not math.isfinite(float(np.sum(energies))):
-        raise ConfigError("coefficient energies overflow; the projection needs a finite norm")
     k_violated = first_violated_tail(spec, ball)
     if k_violated is None:
         return spec
 
+    energies = spec.frequency_energies()
     budgets = ball.tail_budget(np.arange(1, energies.size + 1))
     scale = _tail_minorant_scale(energies, budgets)
     scale[: k_violated - 1] = 1.0  # exact head, see docstring
@@ -253,13 +253,7 @@ def project_besov(spec: Spectrum, ball: BesovBall) -> Spectrum:
     return Spectrum(basis=spec.basis, coeffs=coeffs)
 
 
-def make_tail_alternative(
-    m: int,
-    c: float,
-    s: float,
-    basis: str = "cosine",
-    j_max: int | None = None,
-) -> Spectrum:
+def make_tail_alternative(m: int, c: float, s: float, basis: str = "cosine") -> Spectrum:
     """Equal-magnitude block on frequencies m..2m with m^{2s} * energy = c exactly.
 
     The block has m + 1 frequencies, each carrying energy c * m^{-2s} / (m+1),
@@ -273,15 +267,12 @@ def make_tail_alternative(
     if c <= 0 or s <= 0:
         raise ConfigError("tail alternative needs c > 0 and s > 0")
     top = 2 * m
-    j = j_max if j_max is not None else top
-    if j < top:
-        raise ConfigError(f"j_max={j} cannot hold the block ending at {top}")
     per_freq = c * float(m) ** (-2.0 * s) / (m + 1)
     if basis == "cosine":
-        coeffs = np.zeros(j)
+        coeffs = np.zeros(top)
         coeffs[m - 1 : top] = math.sqrt(per_freq)
     elif basis == "complex-exponential":
-        coeffs = np.zeros(j + 1, dtype=complex)
+        coeffs = np.zeros(top + 1, dtype=complex)
         coeffs[m : top + 1] = math.sqrt(per_freq / 2.0)  # the mirrored half carries the rest
     else:
         raise ConfigError(f"tail alternatives are not defined for basis {basis!r}")

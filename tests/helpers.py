@@ -24,6 +24,9 @@ from seqtest.sampling import density_grid
 A3_STEP_OVER_KN = 8.0
 A5_MASS_FRACTION = 0.5
 
+# limiting distribution of omega^2 = n T^2: classical upper 5% point
+ASYMPTOTIC_Q95 = 0.46136
+
 
 def direct_seminorm(energies: np.ndarray, s: float) -> float:
     """max_k k^{2s} sum_{j>=k} e_j, straight off the definition."""

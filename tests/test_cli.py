@@ -316,6 +316,7 @@ BAD_CONFIGS = {
         ["power-curve"], {**_simulate_payload(reps=10), "scales": [1.0], "sigam": 2.0},
     ),
     "decomposition unknown key": (["experiment", "decomposition"], {**_DECOMPOSITION, "sigam": 2.0}),
+    "decomposition density_floor": (["experiment", "decomposition"], {**_DECOMPOSITION, "density_floor": 0.0}),
     "projection overflow": (
         ["project-besov"],
         {"theta": {"basis": "cosine", "coeffs": [1e200, 1.0]}, "s": 1.0, "p0": 0.5},
@@ -330,6 +331,19 @@ BAD_CONFIGS = {
     "quadratic petabyte j_max": (["simulate"], _params("quadratic", j_max=10**15)),
     "kernel petabyte j_max": (["simulate"], _params("kernel", j_max=10**15)),
     "design petabyte truncation": (["minimax-design"], {"s": 0.1, "p0": 1, "rho_n": 2e-3, "n": 200}),
+    # coefficients whose energy overflows a float
+    "quadratic overflowing theta": (
+        ["simulate"], {**_params("quadratic"), "theta": {"basis": "cosine", "coeffs": [1e200, 1.0]}},
+    ),
+    "kernel overflowing theta": (
+        ["simulate"],
+        {**_params("kernel"), "theta": {"basis": "complex-exponential", "coeffs": [[0.0, 0.0], [1e200, 0.0]]}},
+    ),
+    "minimax overflowing theta": (
+        ["simulate"],
+        {**_params("minimax", least_favorable=False), "theta": {"basis": "cosine", "coeffs": [1e200, 1.0]}},
+    ),
+    "quadratic overflowing kappa_sq": (["simulate"], _params("quadratic", kappa_sq=[1e300, 1.0])),
 }
 
 
@@ -491,17 +505,19 @@ _FUZZ_BASES = {
     }),
     "consistency": (["experiment", "consistency"], {
         "family": "quadratic", "s": 1.0, "c_schedule": [1.0, 4.0], "n": 200, "reps": 10, "seed": 1,
-        "alpha": 0.05, "p0_ref": 1.0, "norm_scale": 2.0,
+        "alpha": 0.05, "norm_scale": 2.0,
     }),
     "decomposition": (["experiment", "decomposition"], {
         **_FUZZ_SIMULATE, "family": "quadratic", "theta": _FUZZ_THETA,
-        "params": {"gamma": 2.0, "j_max": 64}, "s": 1.0, "gammas": [0.5, 1.0], "density_floor": 0.0,
+        "params": {"gamma": 2.0, "j_max": 64}, "s": 1.0, "gammas": [0.5, 1.0],
     }),
     "bayes-membership": (["experiment", "bayes-membership"], {
         **_FUZZ_DESIGN, "delta": 0.2, "draws": 10, "seed": 1,
     }),
     "minimax-design": (["minimax-design"], {**_FUZZ_DESIGN, "alpha": 0.05}),
-    "inverse design": (["minimax-design"], {**_FUZZ_DESIGN, "rho_n": 0.1, "lambdas": [1.0, 0.5, 0.25, 0.125]}),
+    "inverse design": (["minimax-design"], {
+        **_FUZZ_DESIGN, "rho_n": 0.1, "j_max": 4, "lambdas": [1.0, 0.5, 0.25, 0.125],
+    }),
     "project-besov": (["project-besov"], {
         "theta": {"basis": "cosine", "coeffs": [1.0, 1.0, 1.0]}, "s": 1.0, "p0": 0.5,
     }),
@@ -587,6 +603,15 @@ class TestConfigFuzz:
     """Damaged configs for every subcommand end in exit 0, 2, 3 or 4, never
     in an exception out of ``main``, and every JSON file written is strict
     JSON."""
+
+    @pytest.mark.parametrize("name", sorted(_FUZZ_BASES))
+    def test_base_config_is_valid(self, name, tmp_path, monkeypatch, capsys):
+        # a base that already exits 2 would make its damaged variants vacuous
+        argv, base = _FUZZ_BASES[name]
+        monkeypatch.chdir(tmp_path)  # the relative cache_dir stays in here
+        ext = "json" if " ".join(argv) in _JSON_ONLY else "csv"
+        code = main(argv + ["--config", _config(tmp_path, "cfg.json", base), "--out", f"out.{ext}"])
+        assert code == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(_FUZZ_BASES))
     def test_every_config_exits_cleanly(self, name):

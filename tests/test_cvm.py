@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    ASYMPTOTIC_Q95,
     bridge_kernel_quadrature,
     cvm_population_quadrature,
     consistency_margin,
@@ -20,7 +21,6 @@ from helpers import (
 )
 from seqtest import cvm
 from seqtest.cvm import (
-    ASYMPTOTIC_Q95,
     CvmCalibration,
     _write_cache,
     calibrate_cvm,

@@ -182,18 +182,17 @@ class TestDecompositionExperiment:
             maxiset_decomposition_experiment(config, s=1.0, gammas=[1.0, 2.0])
 
     def test_density_floor_guards_the_sampling_families(self):
+        # 1 + 1.2 cos(2 pi x) drops to -0.2: the sampler refuses it at plan time
         config = ExperimentConfig(
             family="chisq",
             n=200,
             reps=10,
             seed=2,
-            theta=Spectrum("complex-exponential", np.array([0.0, 0.2 + 0.1j])),
+            theta=Spectrum("complex-exponential", np.array([0.0, 0.6])),
             params={"k": 8},
         )
-        with pytest.raises(ConfigError, match="minimum"):
-            maxiset_decomposition_experiment(
-                config, s=1.0, gammas=[1.0, 2.0], density_floor=0.99
-            )
+        with pytest.raises(ConfigError, match="bounded away from zero"):
+            maxiset_decomposition_experiment(config, s=1.0, gammas=[1.0, 2.0])
 
 
 class TestBayesMembershipRate:

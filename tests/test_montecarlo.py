@@ -299,6 +299,31 @@ class TestPinnedStreams:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CURVE_SHA256
 
 
+# sha256 of `minimax-design --out design.json` for one direct and one inverse
+# design: every field of the solved design, written as JSON
+PINNED_DESIGNS = {
+    "direct": (
+        {"s": 1.0, "p0": 1.0, "rho_n": 10_000.0**-0.8, "n": 10_000},
+        "87431b88eba8f6b99e720603cddff20680fd99ef873284d49bb7d412226a58e7",
+    ),
+    "inverse": (
+        {"s": 1.0, "p0": 1.0, "rho_n": 0.1, "n": 200, "sigma": 1.0, "j_max": 4, "lambdas": [1.0, 0.5, 0.25, 0.125]},
+        "0309625ad7dfadcd97971599633d7f6eecb89d560a98d6da53b6153ce1b3a92e",
+    ),
+}
+
+
+class TestPinnedDesigns:
+    @pytest.mark.parametrize("name", sorted(PINNED_DESIGNS))
+    def test_design_bytes(self, name, tmp_path):
+        payload, want = PINNED_DESIGNS[name]
+        cfg = tmp_path / "design-config.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "design.json"
+        assert cli_main(["minimax-design", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 class TestScheduling:
     def test_thread_count_does_not_change_counts(self):
         cfg = ExperimentConfig(

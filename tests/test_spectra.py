@@ -338,8 +338,6 @@ class TestTailAlternative:
 
     def test_truncation_must_hold_block(self):
         with pytest.raises(ConfigError):
-            make_tail_alternative(8, 1.0, 1.0, j_max=15)
-        with pytest.raises(ConfigError):
             make_tail_alternative(0, 1.0, 1.0)
 
 

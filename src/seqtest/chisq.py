@@ -39,7 +39,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError
-from .report import TestReport, normal_cdf, upper_quantile
+from .report import TestReport, normal_type2, upper_quantile
 from .spectra import Spectrum
 
 # validity window for the normal type II approximation, as multiples of sqrt(k)
@@ -81,19 +81,11 @@ def standardized_chisq(t_n: float, k: int) -> float:
     return (t_n - (k - 1)) / math.sqrt(2.0 * k)
 
 
-def chisq_test(
-    sample: np.ndarray,
-    k: int,
-    alpha: float,
-    theta: Spectrum | None = None,
-) -> TestReport:
+def chisq_test(sample: np.ndarray, k: int, alpha: float) -> TestReport:
     t_n = chisq_statistic(sample, k)
     z = standardized_chisq(t_n, k)
     x_alpha = upper_quantile(alpha)
     n = int(np.asarray(sample).size)
-    beta = None
-    if theta is not None:
-        beta = predicted_type2_chisq(theta, k, n, alpha)
     return TestReport(
         family="chisq",
         statistic=t_n,
@@ -102,7 +94,6 @@ def chisq_test(
         alpha=alpha,
         reject=bool(z > x_alpha),
         n=n,
-        predicted_type2=beta,
     )
 
 
@@ -154,14 +145,19 @@ def population_chisq_functional(theta: Spectrum, k: int, n: int) -> float:
     return float(n * k * np.sum(p**2))
 
 
-def predicted_type2_chisq(theta: Spectrum, k: int, n: int, alpha: float) -> float:
+def chisq_drift(theta: Spectrum, k: int, n: int) -> float:
+    """Standardized mean shift T_n(F) / sqrt(2 k); warns when T_n(F) leaves
+    the window where the normal type II approximation holds."""
     t_f = population_chisq_functional(theta, k, n)
-    drift = t_f / math.sqrt(2.0 * k)
     lo, hi = DRIFT_WINDOW
     if not lo * math.sqrt(k) <= t_f <= hi * math.sqrt(k):
         warnings.warn(
             f"population functional {t_f:.4g} outside [{lo}*sqrt(k), {hi}*sqrt(k)]; "
             "the normal type II approximation may be unreliable",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return normal_cdf(upper_quantile(alpha) - drift)
+    return t_f / math.sqrt(2.0 * k)
+
+
+def predicted_type2_chisq(theta: Spectrum, k: int, n: int, alpha: float) -> float:
+    return normal_type2(chisq_drift(theta, k, n), alpha)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleDesignError, NumericError
-from .report import TestReport, normal_cdf, upper_quantile
+from .report import TestReport, normal_type2, upper_quantile
 from .sampling import SequenceObservation, rng_for_replication
 from .spectra import BesovBall, Spectrum, besov_seminorm
 
@@ -245,8 +245,13 @@ def minimax_statistic(obs: SequenceObservation, design: DetectionDesign) -> floa
     return energy_statistic(y, design.kappa_j2, design.sigma**-4 * design.n**2)
 
 
+def minimax_drift(design: DetectionDesign) -> float:
+    """sqrt(A_n / 2), the standardized mean shift of the least favorable signal."""
+    return math.sqrt(design.a_n / 2.0)
+
+
 def predicted_type2_minimax(design: DetectionDesign, alpha: float) -> float:
-    return normal_cdf(upper_quantile(alpha) - math.sqrt(design.a_n / 2.0))
+    return normal_type2(minimax_drift(design), alpha)
 
 
 def minimax_test(obs: SequenceObservation, design: DetectionDesign, alpha: float) -> TestReport:

@@ -19,4 +19,6 @@ class InfeasibleDesignError(SeqtestError):
 
 
 class NumericError(SeqtestError):
-    """An iterative routine failed to reach its tolerance."""
+    """A computed result fails a numeric check: a design's radius residual
+    exceeds its rounding bound, or an output holds a number (inf, NaN) that
+    JSON cannot represent.  No iterative routine is left in the library."""

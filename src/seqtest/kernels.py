@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError
-from .report import TestReport, normal_cdf, upper_quantile
+from .report import TestReport, normal_type2, upper_quantile
 from .sampling import SequenceObservation
 from .spectra import Spectrum
 
@@ -68,9 +68,8 @@ def _box(t: np.ndarray) -> np.ndarray:
 
 
 def _box_transform(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    a = 2.0 * math.pi * w
-    return np.where(np.abs(a) < 1e-8, 1.0 - a**2 / 6.0, np.sin(np.where(a == 0, 1.0, a)) / np.where(a == 0, 1.0, a))
+    """sin(2 pi w) / (2 pi w), with np.sinc(x) = sin(pi x) / (pi x)."""
+    return np.sinc(2.0 * np.asarray(w, dtype=float))
 
 
 def _triangle(t: np.ndarray) -> np.ndarray:
@@ -79,10 +78,8 @@ def _triangle(t: np.ndarray) -> np.ndarray:
 
 
 def _triangle_transform(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    a = math.pi * w
-    core = np.where(np.abs(a) < 1e-8, 1.0 - a**2 / 6.0, np.sin(np.where(a == 0, 1.0, a)) / np.where(a == 0, 1.0, a))
-    return core**2
+    """(sin(pi w) / (pi w))^2."""
+    return np.sinc(np.asarray(w, dtype=float)) ** 2
 
 
 def _epanechnikov(t: np.ndarray) -> np.ndarray:
@@ -221,21 +218,12 @@ def predicted_type2_kernel(
     alpha: float,
 ) -> float:
     scale, _ = studentization(n, h, sigma, kernel_constants(kernel))
-    return normal_cdf(upper_quantile(alpha) - scale * bias_functional(theta, kernel, h))
+    return normal_type2(scale * bias_functional(theta, kernel, h), alpha)
 
 
-def kernel_test(
-    obs: SequenceObservation,
-    kernel: Kernel,
-    h: float,
-    alpha: float,
-    theta: Spectrum | None = None,
-) -> TestReport:
+def kernel_test(obs: SequenceObservation, kernel: Kernel, h: float, alpha: float) -> TestReport:
     t_n = kernel_statistic(obs, kernel, h)
     x_alpha = upper_quantile(alpha)
-    beta = None
-    if theta is not None:
-        beta = predicted_type2_kernel(theta, kernel, h, obs.n, obs.sigma, alpha)
     return TestReport(
         family="kernel",
         statistic=t_n,
@@ -244,5 +232,4 @@ def kernel_test(
         alpha=alpha,
         reject=bool(t_n > x_alpha),
         n=obs.n,
-        predicted_type2=beta,
     )

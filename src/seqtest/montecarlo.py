@@ -32,7 +32,7 @@ from . import kernels as kernels_mod
 from . import quadratic as quad_mod
 from .cvm import DEFAULT_CALIBRATION_REPS, DEFAULT_CALIBRATION_SEED
 from .errors import ConfigError
-from .report import normal_cdf, upper_quantile
+from .report import normal_type2, upper_quantile
 from .sampling import iid_sampler, rng_for_replication, sequence_noise
 from .spectra import Spectrum
 
@@ -315,6 +315,15 @@ def _iid_draw(theta: Spectrum | None, n: int):
     return lambda rng: inverse(np.sort(rng.random(n)))
 
 
+def _require_finite(family: str, **values: float) -> None:
+    """Refuse a sequence plan whose drift or statistic scale overflows a
+    float: its statistic would be infinite in every replication, and each
+    would count as a rejection."""
+    bad = [f"{name}={value}" for name, value in values.items() if not math.isfinite(value)]
+    if bad:
+        raise ConfigError(f"{family} plan: {', '.join(bad)}; theta, n or 1/sigma is too large for a float")
+
+
 def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     kq = p["kappa_sq"]
     if kq is None:
@@ -329,9 +338,10 @@ def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
         _sequence_draw(th, n, sigma),
         lambda y: quad_mod.centered_energy(y, kq, center) / sd0 > x_alpha,
     )
-    drift = quad_mod.drift(th, kq, n, sigma)
-    predicted = quad_mod.predicted_type2_quadratic(th, kq, n, sigma, alpha)
-    return MonteCarloPlan(count, predicted, {"j_max": kq.size, "drift": drift})
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = quad_mod.drift(th, kq, n, sigma)
+    _require_finite("quadratic", drift=drift, null_sd=sd0)
+    return MonteCarloPlan(count, normal_type2(drift, alpha), {"j_max": kq.size, "drift": drift})
 
 
 def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -340,25 +350,24 @@ def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
         dsg = design_mod.solve_inverse_design(*design_args, p["lambdas"], j_max=p["j_max"])
     else:
         dsg = design_mod.solve_design(*design_args, j_max=p["j_max"])
+    kq, c_n, sd = dsg.kappa_j2, dsg.c_n, dsg.null_sd()
     if p["least_favorable"]:
         th = design_mod.least_favorable(dsg).coeffs
-        predicted = design_mod.predicted_type2_minimax(dsg, cfg.alpha)
-        drift = math.sqrt(dsg.a_n / 2.0)
+        drift = design_mod.minimax_drift(dsg)
     else:
         th = _padded(cfg.theta, dsg.j_max, "cosine")
-        mean_shift = dsg.null_mean() - dsg.c_n + quad_mod.noncentrality(th, dsg.kappa_j2, cfg.n, cfg.sigma)
-        drift = mean_shift / dsg.null_sd()
-        predicted = float(normal_cdf(upper_quantile(cfg.alpha) - drift))
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = (dsg.null_mean() - c_n + quad_mod.noncentrality(th, kq, cfg.n, cfg.sigma)) / sd
+    _require_finite("minimax", drift=drift, null_sd=sd)
     x_alpha = upper_quantile(cfg.alpha)
     prefactor = cfg.sigma**-4 * cfg.n**2
-    kq, c_n, sd = dsg.kappa_j2, dsg.c_n, dsg.null_sd()
     count = _counter(
         cfg.seed,
         _sequence_draw(th, cfg.n, cfg.sigma),
         lambda y: (design_mod.energy_statistic(y, kq, prefactor) - c_n) / sd > x_alpha,
     )
     details = {"k_n": dsg.k_n, "a_n": dsg.a_n, "c_n": dsg.c_n, "j_max": dsg.j_max, "drift": drift}
-    return MonteCarloPlan(count, predicted, details)
+    return MonteCarloPlan(count, normal_type2(drift, cfg.alpha), details)
 
 
 def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -379,10 +388,12 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
         lambda y: kernels_mod.studentize(kernels_mod.weighted_energy(y, w), scale, center) > x_alpha,
     )
     theta_spec = cfg.theta if cfg.theta is not None else Spectrum("complex-exponential", np.zeros(1, dtype=complex))
-    predicted = kernels_mod.predicted_type2_kernel(theta_spec, kernel, h, n, sigma, alpha)
     t1n = kernels_mod.bias_functional(theta_spec, kernel, h)
-    drift = scale * t1n
-    return MonteCarloPlan(count, predicted, {"j_max": j_max, "h": h, "drift": drift, "t1n": t1n})
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = scale * t1n
+    _require_finite("kernel", drift=drift, scale=scale)
+    details = {"j_max": j_max, "h": h, "drift": drift, "t1n": t1n}
+    return MonteCarloPlan(count, normal_type2(drift, alpha), details)
 
 
 def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -396,12 +407,8 @@ def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
             chisq_mod.statistic_from_counts(chisq_mod.binned(xs, k), n, k), k
         ) > x_alpha,
     )
-    if cfg.theta is not None:
-        t_f = chisq_mod.population_chisq_functional(cfg.theta, k, n)
-        predicted = chisq_mod.predicted_type2_chisq(cfg.theta, k, n, alpha)
-    else:
-        t_f, predicted = 0.0, 1.0 - alpha
-    return MonteCarloPlan(count, predicted, {"k": k, "drift": t_f / math.sqrt(2.0 * k)})
+    drift = 0.0 if cfg.theta is None else chisq_mod.chisq_drift(cfg.theta, k, n)
+    return MonteCarloPlan(count, normal_type2(drift, alpha), {"k": k, "drift": drift})
 
 
 def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:

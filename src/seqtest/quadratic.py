@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .report import TestReport, normal_cdf, upper_quantile
+from .report import TestReport, normal_type2, upper_quantile
 from .spectra import Spectrum
 
 
@@ -97,7 +97,7 @@ def drift(theta, kappa_sq: np.ndarray, n: int, sigma: float) -> float:
 
 
 def predicted_type2_quadratic(theta, kappa_sq, n: int, sigma: float, alpha: float) -> float:
-    return normal_cdf(upper_quantile(alpha) - drift(theta, kappa_sq, n, sigma))
+    return normal_type2(drift(theta, kappa_sq, n, sigma), alpha)
 
 
 def scale_to_drift(shape, kappa_sq, n: int, sigma: float, target: float) -> Spectrum:
@@ -110,23 +110,13 @@ def scale_to_drift(shape, kappa_sq, n: int, sigma: float, target: float) -> Spec
     return Spectrum("cosine", arr)
 
 
-def quadratic_test(
-    y,
-    kappa_sq: np.ndarray,
-    n: int,
-    sigma: float,
-    alpha: float,
-    theta=None,
-) -> TestReport:
+def quadratic_test(y, kappa_sq: np.ndarray, n: int, sigma: float, alpha: float) -> TestReport:
     t_n = quadratic_statistic(y, kappa_sq, n, sigma)
     sd0 = null_sd(kappa_sq, n, sigma)
     if sd0 <= 0:
         raise ConfigError("null standard deviation is zero; weights are degenerate")
     standardized = t_n / sd0
     x_alpha = upper_quantile(alpha)
-    beta = None
-    if theta is not None:
-        beta = predicted_type2_quadratic(theta, kappa_sq, n, sigma, alpha)
     return TestReport(
         family="quadratic",
         statistic=t_n,
@@ -135,5 +125,4 @@ def quadratic_test(
         alpha=alpha,
         reject=bool(standardized > x_alpha),
         n=n,
-        predicted_type2=beta,
     )

@@ -344,6 +344,21 @@ BAD_CONFIGS = {
         {**_params("minimax", least_favorable=False), "theta": {"basis": "cosine", "coeffs": [1e200, 1.0]}},
     ),
     "quadratic overflowing kappa_sq": (["simulate"], _params("quadratic", kappa_sq=[1e300, 1.0])),
+    # coefficients whose energy is finite, but whose drift overflows in the plan's n^2 arithmetic
+    "quadratic overflowing drift": (
+        ["simulate"], {**_params("quadratic"), "theta": {"basis": "cosine", "coeffs": [1e154, 1.0]}},
+    ),
+    "minimax overflowing drift": (
+        ["simulate"],
+        {
+            **_params("minimax", least_favorable=False, rho_n=0.01),
+            "theta": {"basis": "cosine", "coeffs": [1e154, 1.0]},
+        },
+    ),
+    "kernel overflowing drift": (
+        ["simulate"],
+        {**_params("kernel"), "theta": {"basis": "complex-exponential", "coeffs": [[0.0, 0.0], [5e153, 0.0]]}},
+    ),
 }
 
 

@@ -304,7 +304,7 @@ class TestPinnedStreams:
 PINNED_DESIGNS = {
     "direct": (
         {"s": 1.0, "p0": 1.0, "rho_n": 10_000.0**-0.8, "n": 10_000},
-        "87431b88eba8f6b99e720603cddff20680fd99ef873284d49bb7d412226a58e7",
+        "0309a8e74135b7381996d988c8e182e04e6cd2e864f769c2bc2dd449b742eca0",
     ),
     "inverse": (
         {"s": 1.0, "p0": 1.0, "rho_n": 0.1, "n": 200, "sigma": 1.0, "j_max": 4, "lambdas": [1.0, 0.5, 0.25, 0.125]},

@@ -68,6 +68,7 @@ from .sampling import (
     density_grid,
     draw_sequence_observation,
     min_density,
+    replication_rngs,
     rng_for_replication,
     sample_iid,
 )

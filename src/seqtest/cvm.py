@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import TestReport
-from .sampling import rng_for_replication
+from .sampling import replication_rngs
 from .spectra import Spectrum
 
 # calibration tables must not share streams with test replications: a table
@@ -164,8 +164,8 @@ def _simulate(n: int, reps: int, seed: int) -> CvmCalibration:
     since every later call with the same (n, reps, seed) shares it."""
     grid = order_grid(n)
     values = np.empty(reps)
-    for rep in range(reps):
-        values[rep] = omega_sq(np.sort(rng_for_replication(seed, rep).random(n)), grid)
+    for rep, rng in enumerate(replication_rngs(seed, 0, reps)):
+        values[rep] = omega_sq(np.sort(rng.random(n)), grid)
     values.sort()
     values.setflags(write=False)
     return CvmCalibration(n=n, reps=reps, seed=seed, values=values)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleDesignError, NumericError
 from .report import TestReport, normal_type2, upper_quantile
-from .sampling import SequenceObservation, rng_for_replication
+from .sampling import SequenceObservation, check_noise_level, rng_for_replication
 from .spectra import BesovBall, Spectrum, besov_seminorm
 
 DEFAULT_MIN_TRUNCATION = 1024
@@ -111,6 +111,7 @@ def _validate_common(s: float, p0: float, rho_n: float, n: int, sigma: float) ->
         raise ConfigError("s, P0, rho_n, sigma must all be positive")
     if n < 1:
         raise ConfigError("n must be a positive integer")
+    check_noise_level(n, sigma)
 
 
 def _tail_profile(s: float, p0: float, j: np.ndarray) -> np.ndarray:
@@ -211,10 +212,15 @@ def _build(
 ) -> DetectionDesign:
     """The design both solvers return, once its radius residual passes the
     rounding bound; A_n, the plateau and the truncation follow from the
-    weights."""
+    weights.  An A_n that overflows or underflows a float is an invalid
+    config: the test's null variance 2 A_n would be infinite or zero."""
+    with np.errstate(over="ignore"):
+        a_n = sigma**-4 * n**2 * float(np.sum(kappa_j2**2))
+    if not 0.0 < a_n < math.inf:
+        raise ConfigError(f"A_n = {a_n!r} is not a positive finite float; the weights are too large or too small")
     design = DetectionDesign(
         s=s, p0=p0, rho_n=rho_n, n=n, sigma=sigma, k_n=k_n, kappa_n2=float(kappa_j2[k_n - 1]),
-        kappa_j2=kappa_j2, a_n=sigma**-4 * n**2 * float(np.sum(kappa_j2**2)), c_n=c_n,
+        kappa_j2=kappa_j2, a_n=a_n, c_n=c_n,
         j_max=kappa_j2.size, eq_budget_residual=budget_res, eq_radius_residual=radius_res, lambdas=lambdas,
     )
     bound = design.residual_bound
@@ -309,12 +315,12 @@ def sample_bayes_prior(design: DetectionDesign, delta: float, seed: int, rep: in
     The noise vector is drawn first and then scaled, so for a fixed seed the
     draw is continuous in delta (and in the design parameters).
     """
-    return _draw_prior(design, prior_profile(design, delta), seed, rep)
+    return _draw_prior(design, prior_profile(design, delta), rng_for_replication(seed, rep))
 
 
-def _draw_prior(design: DetectionDesign, profile: np.ndarray, seed: int, rep: int) -> PriorDraw:
+def _draw_prior(design: DetectionDesign, profile: np.ndarray, rng: np.random.Generator) -> PriorDraw:
     """One draw from the prior with variances ``profile`` (see ``prior_profile``)."""
-    z = rng_for_replication(seed, rep).standard_normal(profile.size)
+    z = rng.standard_normal(profile.size)
     eta = Spectrum(basis="cosine", coeffs=np.sqrt(profile) * z)
     norm_sq = eta.norm_sq()
     seminorm = besov_seminorm(eta, design.s)

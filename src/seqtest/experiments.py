@@ -19,6 +19,7 @@ import numpy as np
 from . import design as design_mod
 from .errors import ConfigError, NumericError
 from .montecarlo import THETA_BASIS, ExperimentConfig, MonteCarloPlan, build_plan, run_monte_carlo
+from .sampling import replication_rngs
 from .spectra import (
     FAMILIES_QUADRATIC_RATE, BesovBall, CalibrationRates, Spectrum,
     calibration_rates, make_tail_alternative, project_besov,
@@ -208,7 +209,8 @@ def bayes_membership_rate(
     if draws < 1:
         raise ConfigError("need at least one prior draw")
     profile = design_mod.prior_profile(design, delta)  # one shifted-design solve for every draw
-    members = sum(design_mod._draw_prior(design, profile, seed, rep).in_alternative for rep in range(draws))
+    rngs = replication_rngs(seed, 0, draws)
+    members = sum(design_mod._draw_prior(design, profile, rng).in_alternative for rng in rngs)
     rate = members / draws
     return {
         "draws": draws,

@@ -3,8 +3,10 @@
 Every replication ``rep`` of a run draws from ``rng_for_replication(seed,
 rep)``, so the stream a replication sees is a pure function of (seed, rep):
 rejection counts are identical no matter how replications are sliced across
-workers, and partial counts add associatively.  Wall time is measured but
-kept out of every serialized output for byte-reproducibility.
+workers, and partial counts add associatively.  The loop takes those
+generators from ``replication_rngs``, which seeds a block of replications at
+once and yields the same streams as that scalar reference.  Wall time is
+measured but kept out of every serialized output for byte-reproducibility.
 
 Each family's plan supplies only how a replication draws its data and how
 the data is tested; both call the same sampling functions and statistic
@@ -33,7 +35,7 @@ from . import quadratic as quad_mod
 from .cvm import DEFAULT_CALIBRATION_REPS, DEFAULT_CALIBRATION_SEED
 from .errors import ConfigError
 from .report import normal_type2, upper_quantile
-from .sampling import iid_sampler, rng_for_replication, sequence_noise
+from .sampling import check_noise_level, iid_sampler, replication_rngs, sequence_noise
 from .spectra import Spectrum
 
 FAMILIES = ("quadratic", "kernel", "chisq", "cvm", "minimax")
@@ -159,8 +161,7 @@ class ExperimentConfig:
             raise ConfigError("n and reps must be positive integers")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        if not 0.0 < self.sigma < math.inf:
-            raise ConfigError("sigma must be positive and finite")
+        check_noise_level(self.n, self.sigma)
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.theta is not None and self.theta.basis != THETA_BASIS[self.family]:
@@ -191,6 +192,9 @@ class ExperimentConfig:
         elif self.family == "chisq":
             if p["k"] < 2:
                 raise ConfigError("chisq family needs k >= 2 cells")
+        elif self.family == "cvm":
+            if p["calibration_seed"] < 0:
+                raise ConfigError("params.calibration_seed must be a non-negative integer")
         elif self.family == "minimax":
             if p["least_favorable"] and self.theta is not None:
                 raise ConfigError("give either an explicit theta or least_favorable, not both")
@@ -287,8 +291,8 @@ def _counter(seed: int, draw, rejects) -> Callable[[int, int], int]:
 
     def count(lo: int, hi: int) -> int:
         c = 0
-        for rep in range(lo, hi):
-            c += rejects(draw(rng_for_replication(seed, rep)))
+        for rng in replication_rngs(seed, lo, hi):
+            c += rejects(draw(rng))
         return c
 
     return count

@@ -11,11 +11,15 @@ Two data-generating mechanisms share the Spectrum conventions:
 
 All randomness flows through numpy Generators.  ``rng_for_replication``
 derives one generator per (seed, replication) pair with a splittable mix, so
-a replication's data does not depend on scheduling or worker count.
+a replication's data does not depend on scheduling or worker count.  It is
+the scalar reference; every loop over replications takes its generators from
+``replication_rngs``, which computes the same SeedSequence hash for a block
+of replications at once and yields bit-identical streams.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +42,106 @@ def rng_for_replication(seed: int, replication: int = 0) -> np.random.Generator:
     if seed < 0 or replication < 0:
         raise ConfigError("seed and replication index must be non-negative")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(replication)])))
+
+
+# numpy's SeedSequence hash (bit_generator.pyx), for an entropy of two 32-bit
+# words (seed, replication) and a pool of four words.  Each hashmix call
+# multiplies its running constant once, so the constants of every call are
+# fixed ahead of time: call i XORs with HASH_A[i] and multiplies by
+# HASH_A[i + 1] (HASH_B likewise for the output words).  They are computed in
+# Python ints masked to 32 bits and stored as uint32 columns.
+_POOL_SIZE = 4
+_STATE_WORDS = 8  # PCG64 asks for four uint64 words
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    return np.array([[init * pow(mult, i, 2**32) % 2**32] for i in range(calls + 1)], dtype=np.uint32)
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE**2)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, _STATE_WORDS)
+# replications seeded per block: enough to amortize the hash, small enough
+# that memory stays flat for any replication count
+_BLOCK = 256
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Hashmix, one call per row of ``value``: row i XORs with ``consts[i]``
+    and multiplies by ``consts[i + 1]``."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _seed_states(seed: int, reps: np.ndarray) -> np.ndarray:
+    """Row r is ``SeedSequence([seed, reps[r]]).generate_state(4, np.uint64)``,
+    for a seed and uint32 replication indices below 2**32."""
+    with np.errstate(over="ignore"):
+        pool = np.zeros((_POOL_SIZE, reps.size), dtype=np.uint32)
+        pool[0], pool[1] = seed, reps
+        pool = _hashmix(pool, _HASH_A[: _POOL_SIZE + 1])
+        # mix every word into the three others; word src stays fixed meanwhile
+        for src in range(_POOL_SIZE):
+            dst = [d for d in range(_POOL_SIZE) if d != src]
+            first = _POOL_SIZE + 3 * src
+            hashed = _hashmix(pool[src], _HASH_A[first : first + 4])
+            mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+            pool[dst] = mixed ^ (mixed >> 16)
+        words = _hashmix(np.tile(pool, (_STATE_WORDS // _POOL_SIZE, 1)), _HASH_B)
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    """A seed sequence whose PCG64 state words are already computed; defined
+    on first use, since subclassing ``ISeedSequence`` imports numpy.random,
+    which importing seqtest otherwise does not."""
+
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint64):
+            return self.state
+
+    return SeedState
+
+
+def replication_rngs(seed: int, lo: int, hi: int):
+    """The generators of replications lo..hi-1, each bit-identical to
+    ``rng_for_replication(seed, rep)``, built a block at a time.
+
+    A seed or replication index of 2**32 or more takes more than one entropy
+    word, which the block hash does not cover; those replications fall back
+    to ``rng_for_replication``.
+    """
+    if seed < 0 or lo < 0:
+        raise ConfigError("seed and replication index must be non-negative")
+    return _replication_rngs(int(seed), int(lo), int(hi))
+
+
+def _replication_rngs(seed: int, lo: int, hi: int):
+    seed_state = _seed_state_type()
+    hashed_hi = lo if seed >= 2**32 else min(hi, 2**32)
+    for start in range(lo, hashed_hi, _BLOCK):
+        reps = np.arange(start, min(start + _BLOCK, hashed_hi), dtype=np.uint32)
+        for state in _seed_states(seed, reps):
+            yield np.random.Generator(np.random.PCG64(seed_state(state)))
+    for rep in range(max(lo, hashed_hi), hi):
+        yield rng_for_replication(seed, rep)
+
+
+def check_noise_level(n: int, sigma: float) -> None:
+    """Refuse a sigma whose sigma^4, sigma^-4 or n^2 sigma^-4 is not a finite
+    float: the sequence-model statistics and designs scale by these powers."""
+    if not 0.0 < sigma < math.inf:
+        raise ConfigError("sigma must be positive and finite")
+    try:
+        finite = math.isfinite(sigma**4) and math.isfinite(n**2 * sigma**-4)
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"sigma={sigma!r} is too far from 1: sigma^4 or n^2 sigma^-4 overflows a float (n={n})")
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,19 @@ BAD_CONFIGS = {
         ["simulate"],
         {**_params("kernel"), "theta": {"basis": "complex-exponential", "coeffs": [[0.0, 0.0], [5e153, 0.0]]}},
     ),
+    # a sigma whose sigma^4 or n^2 sigma^-4 overflows: the plans and designs scale by both
+    "quadratic huge sigma": (["simulate"], {**_params("quadratic"), "sigma": 1e200}),
+    "quadratic tiny sigma": (["simulate"], {**_params("quadratic"), "sigma": 1e-200}),
+    "kernel huge sigma": (["simulate"], {**_params("kernel"), "sigma": 1e200}),
+    "minimax huge sigma": (["simulate"], {**_params("minimax"), "sigma": 1e200}),
+    "design tiny sigma": (["minimax-design"], {**_DESIGN, "n": 300, "sigma": 1e-200}),
+    # A_n = sigma^-4 n^2 sum kappa_j^4 overflows in the design's square
+    "design overflowing A_n": (["minimax-design"], {"s": 1, "p0": 1e160, "rho_n": 1e160, "n": 300}),
+    # ... or underflows to zero, which leaves the test a null sd of 0
+    "minimax vanishing A_n": (["simulate"], _params("minimax", p0=1e-300, rho_n=1e-300)),
+    "cvm negative calibration_seed": (
+        ["simulate"], _params("cvm", calibration_reps=100, calibration_seed=-1, cache_dir="cache"),
+    ),
 }
 
 

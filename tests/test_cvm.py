@@ -30,7 +30,7 @@ from seqtest.cvm import (
 )
 from seqtest.cli import main
 from seqtest.errors import ConfigError
-from seqtest.sampling import rng_for_replication
+from seqtest.sampling import replication_rngs, rng_for_replication
 from seqtest.spectra import Spectrum
 
 PI = math.pi
@@ -200,11 +200,12 @@ class TestCalibration:
     def test_memo_draws_each_table_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(seed, rep):
-            calls.append(rep)
-            return rng_for_replication(seed, rep)
+        def counted(seed, lo, hi):
+            for rng in replication_rngs(seed, lo, hi):
+                calls.append(rng)
+                yield rng
 
-        monkeypatch.setattr(cvm, "rng_for_replication", counted)
+        monkeypatch.setattr(cvm, "replication_rngs", counted)
         cvm._simulate.cache_clear()
         first = calibrate_cvm(35, reps=130, seed=77)
         assert len(calls) == 130

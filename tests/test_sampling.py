@@ -1,10 +1,13 @@
 """Observation models: replication streams, sequence draws, density sampling."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from seqtest.errors import ConfigError
@@ -16,6 +19,7 @@ from seqtest.sampling import (
     evaluate_perturbation,
     iid_sampler,
     min_density,
+    replication_rngs,
     rng_for_replication,
     sample_iid,
 )
@@ -47,6 +51,52 @@ class TestReplicationStreams:
             rng_for_replication(-1, 0)
         with pytest.raises(ConfigError):
             rng_for_replication(0, -3)
+
+
+class TestReplicationBlocks:
+    """``replication_rngs`` yields the generators of ``rng_for_replication``,
+    word for word, inside a block, across block edges and past 2**32."""
+
+    @staticmethod
+    def _assert_same(seed, lo, rngs):
+        for rep, rng in zip(itertools.count(lo), rngs):
+            want = np.random.SeedSequence([seed, rep]).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), want)
+            np.testing.assert_array_equal(
+                rng.standard_normal(16), rng_for_replication(seed, rep).standard_normal(16)
+            )
+
+    @given(
+        seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**34)),
+        lo=st.one_of(st.integers(0, 5000), st.integers(2**32 - 300, 2**32 + 3)),
+        span=st.sampled_from([1, 255, 256, 257]),
+    )
+    @example(seed=0, lo=3, span=255)
+    @example(seed=0, lo=100, span=257)
+    @example(seed=2**32 - 1, lo=511, span=256)
+    @example(seed=2**32 - 1, lo=1, span=1)
+    @example(seed=2**32, lo=5, span=257)
+    @example(seed=7, lo=2**32 - 200, span=257)
+    def test_block_matches_scalar_reference(self, seed, lo, span):
+        rngs = list(replication_rngs(seed, lo, lo + span))
+        assert len(rngs) == span
+        self._assert_same(seed, lo, rngs)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32])
+    def test_past_two_to_the_32_is_lazy(self, seed):
+        # a range reaching far past 2**32 builds only the generators taken
+        lo = 2**32 - 2
+        self._assert_same(seed, lo, itertools.islice(replication_rngs(seed, lo, 2**40), 5))
+
+    def test_empty_range(self):
+        assert list(replication_rngs(3, 10, 10)) == []
+        assert list(replication_rngs(3, 10, 4)) == []
+
+    def test_negative_inputs_rejected_at_the_call(self):
+        with pytest.raises(ConfigError):
+            replication_rngs(-1, 0, 5)
+        with pytest.raises(ConfigError):
+            replication_rngs(0, -3, 5)
 
 
 class TestSequenceModel:

@@ -55,10 +55,47 @@ def _validate_sample(sample: np.ndarray) -> np.ndarray:
     return x
 
 
+def cell_index(x: np.ndarray, k: int) -> np.ndarray:
+    """The equal cell of [0, 1] that each point falls in, 0..k-1, unchecked."""
+    return np.minimum((x * k).astype(np.int64), k - 1)  # guard x*k rounding up to k
+
+
 def binned(x: np.ndarray, k: int) -> np.ndarray:
     """Counts of the points of [0, 1) in k equal cells, unchecked."""
-    idx = np.minimum((x * k).astype(np.int64), k - 1)  # guard x*k rounding up to k
-    return np.bincount(idx, minlength=k)
+    return np.bincount(cell_index(x, k), minlength=k)
+
+
+def cell_thresholds(inverse, k: int) -> np.ndarray:
+    """t_0 = 0, t_k = 1 and, for i = 1..k-1, t_i = the least double u in
+    [0, 1] whose point ``inverse(u)`` lies in cell i or above, for a
+    nondecreasing map ``inverse`` of [0, 1] into [0, 1].  A uniform u in
+    [0, 1) then falls in cell i of ``binned(inverse(u), k)`` exactly when
+    t_i <= u < t_{i+1}, so ``np.diff(np.searchsorted(np.sort(u), t))`` gives
+    the cell counts.
+    """
+    # Bisection over the bit patterns of the doubles in [0, 1], which order
+    # them as their values do; lo never reaches a target cell, hi does (1.0
+    # stands in for any cell left unreached, since uniforms stay below 1).
+    #
+    # This is exact for ``sampling.iid_sampler``'s map only if the composite
+    # u -> cell_index(inverse(u), k) is nondecreasing.  ``np.interp`` is
+    # monotone within a grid segment, since each of its float operations is;
+    # it can step back, by a few ulps, only where u reaches a CDF grid node
+    # m/8192 (the default grid) and the value snaps to the node exactly.  A
+    # cell boundary i/k either equals such a node (then the values on both
+    # sides of the step lie in cell i or above) or lies at least 1/(8192 k)
+    # away from every node, far beyond those ulps for any k whose counts fit
+    # in memory.  So no boundary falls inside a step, and the cell never
+    # steps back.
+    targets = np.arange(1, k)
+    lo = np.zeros(k - 1, dtype=np.int64)  # 0.0 maps to 0.0, in cell 0
+    hi = np.full(k - 1, 1.0).view(np.int64)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        above = cell_index(inverse(mid.view(np.float64)), k) >= targets
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return np.concatenate(([0.0], hi.view(np.float64), [1.0]))
 
 
 def statistic_from_counts(counts: np.ndarray, n: int, k: int) -> float:

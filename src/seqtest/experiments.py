@@ -159,7 +159,11 @@ def maxiset_decomposition_experiment(
 ) -> list[dict]:
     """Rejection rates of f, its ball projection, and the residual, per gamma.
 
-    The gamma-ball is the smoothness body with radius budget gamma^2.  For the
+    The gamma-ball is the smoothness body with radius budget gamma^2.  The
+    split is f = P f + (f - P f), with P the metric projection onto the ball
+    (``project_besov``).  The residual f - P f is not orthogonal to P f, as
+    the paper's maxiset-plus-orthogonal split is: in criterion 10's setting
+    the cosine between them is 0.52 to 0.60.  For the
     density families each of the three perturbations is checked when its
     plan is built: the sampler refuses a 1 + f that is not bounded away from
     zero, a configuration error, not a numeric one.

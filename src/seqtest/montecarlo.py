@@ -9,9 +9,13 @@ once and yields the same streams as that scalar reference.  Wall time is
 measured but kept out of every serialized output for byte-reproducibility.
 
 Each family's plan supplies only how a replication draws its data and how
-the data is tested; both call the same sampling functions and statistic
-cores as ``draw_sequence_observation``/``sample_iid`` and the ``*_test``
-functions, and one loop (``_counter``) counts the rejections.
+the data is tested, and one loop (``_counter``) counts the rejections.
+Every rejection rule calls the same statistic core as its ``*_test``
+function.  Sequence and CvM draws call the same sampling functions as
+``draw_sequence_observation``/``sample_iid``.  A chi-square replication
+reads its sample only through its cell counts: it draws the uniforms that
+``sample_iid`` draws, and under an alternative counts them, sorted, against
+cell thresholds fixed when the plan is built, with no point inverted.
 """
 
 from __future__ import annotations
@@ -306,8 +310,8 @@ def _sequence_draw(th: np.ndarray, n: int, sigma: float):
 
 
 def _iid_draw(theta: Spectrum | None, n: int):
-    """The values of ``sample_iid(theta, n, rng)``, in an order that neither
-    i.i.d. statistic reads (cell counts; CvM sorts).  Under an alternative the
+    """The values of ``sample_iid(theta, n, rng)``, for the CvM plan, in an
+    order its statistic does not read (it sorts).  Under an alternative the
     uniforms are sorted first: the inverse-CDF map is nondecreasing, so the
     values come out the same and sorted (to within an ulp where ``np.interp``
     rounds across a grid node), and on sorted input ``np.interp`` walks its
@@ -400,16 +404,26 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     return MonteCarloPlan(count, normal_type2(drift, alpha), details)
 
 
+def _chisq_counts(theta: Spectrum | None, n: int, k: int):
+    """The cell counts of ``sample_iid(theta, n, rng)``.  Under an alternative
+    the uniforms are sorted and counted against plan-time cell thresholds
+    (``chisq.cell_thresholds``), so no point is inverted.  Each call allocates
+    its own arrays: threads share the plan.  Uniform null draws are binned
+    directly, which is faster than sorting them."""
+    if theta is None:
+        return lambda rng: chisq_mod.binned(rng.random(n), k)
+    thresholds = chisq_mod.cell_thresholds(iid_sampler(theta), k)
+    return lambda rng: np.diff(np.searchsorted(np.sort(rng.random(n)), thresholds))
+
+
 def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     k = p["k"]
     n, alpha = cfg.n, cfg.alpha
     x_alpha = upper_quantile(alpha)
     count = _counter(
         cfg.seed,
-        _iid_draw(cfg.theta, n),
-        lambda xs: chisq_mod.standardized_chisq(
-            chisq_mod.statistic_from_counts(chisq_mod.binned(xs, k), n, k), k
-        ) > x_alpha,
+        _chisq_counts(cfg.theta, n, k),
+        lambda counts: chisq_mod.standardized_chisq(chisq_mod.statistic_from_counts(counts, n, k), k) > x_alpha,
     )
     drift = 0.0 if cfg.theta is None else chisq_mod.chisq_drift(cfg.theta, k, n)
     return MonteCarloPlan(count, normal_type2(drift, alpha), {"k": k, "drift": drift})

@@ -261,9 +261,11 @@ def iid_sampler(spec: Spectrum, grid_points: int = 8193):
     sampled density is a fine piecewise-constant approximation whose cell
     masses on any interval wider than the grid step match the target to
     O(step^2).  The density floor and the grid are settled here, once.  The
-    grid must increase strictly, so the map is nondecreasing: inverting
-    sorted uniforms gives the sorted sample, and on sorted input
-    ``np.interp`` walks the grid instead of bisecting it.
+    grid must increase strictly, so the map is nondecreasing.  The Monte
+    Carlo engine relies on that twice: its CvM draws invert sorted uniforms,
+    which gives the sorted sample (on sorted input ``np.interp`` walks the
+    grid instead of bisecting it), and its chi-square plans invert only the
+    cell thresholds of ``chisq.cell_thresholds``, once per plan.
     """
     floor = min_density(spec, points=2 * grid_points - 1)
     if floor < MIN_DENSITY:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqtest.chisq import chisq_test
+from seqtest.chisq import cell_index, cell_thresholds, chisq_test, population_chisq_functional
 from seqtest.cli import main as cli_main
 from seqtest.cvm import calibrate_cvm, cvm_test
 from seqtest.design import least_favorable, minimax_test, solve_design
@@ -24,7 +24,14 @@ from seqtest.montecarlo import (
     run_monte_carlo,
 )
 from seqtest.quadratic import example_coefficients, quadratic_test
-from seqtest.sampling import SequenceObservation, draw_sequence_observation, rng_for_replication, sample_iid
+from seqtest.sampling import (
+    SequenceObservation,
+    cdf_grid,
+    draw_sequence_observation,
+    iid_sampler,
+    rng_for_replication,
+    sample_iid,
+)
 from seqtest.spectra import Spectrum
 
 # sha256 of the canonical config JSON, first 12 hex digits; any change to the
@@ -214,6 +221,27 @@ class TestEngineMatchesReference:
         )
         assert got == want
 
+    @pytest.mark.parametrize("name", ["density workload", "k = 8192"])
+    def test_chisq_alternative(self, name):
+        if name == "density workload":
+            # n = 5000, k = 50, alpha = 0.01, theta_3 scaled to drift 2
+            n, k, alpha, seed = 5000, 50, 0.01, 107
+            shape = Spectrum(basis="complex-exponential", coeffs=np.array([0.0, 0.0, 0.0, 0.5], dtype=complex))
+            scale = math.sqrt(2.0 * math.sqrt(2.0 * k) / population_chisq_functional(shape, k, n))
+            theta = Spectrum(shape.basis, shape.coeffs * scale)
+        else:
+            # every cell boundary i / 8192 is a node of the sampler's CDF grid
+            n, k, alpha, seed = 20000, 8192, 0.05, 108
+            theta = Spectrum(basis="complex-exponential", coeffs=np.array([0.0, 0.0, 0.08], dtype=complex))
+        cfg = ExperimentConfig(family="chisq", n=n, reps=EQUIVALENCE_REPS, seed=seed, alpha=alpha,
+                               theta=theta, params={"k": k})
+        got = run_monte_carlo(cfg).rejections
+        want = sum(
+            chisq_test(sample_iid(theta, n, rng_for_replication(seed, rep)), k, alpha).reject
+            for rep in range(EQUIVALENCE_REPS)
+        )
+        assert got == want
+
     def test_cvm(self):
         theta = Spectrum(basis="cosine", coeffs=np.array([0.25, -0.1]))
         cfg = ExperimentConfig(
@@ -249,6 +277,33 @@ class TestIidDraw:
         want = np.sort(sample_iid(spec, n, rng_for_replication(seed, 3)))
         got = _iid_draw(spec, n)(rng_for_replication(seed, 3))
         np.testing.assert_array_equal(got, want)
+
+
+def _ulps(x, steps):
+    """x moved by ``steps`` ulps, down when negative."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+class TestCellThresholds:
+    """The engine counts sorted uniforms against the thresholds; a uniform's
+    cell that way must be the cell of its inverted point."""
+
+    @given(spec=_valid_spectra, k=st.sampled_from([2, 3, 7, 50, 64, 8192, 10000]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cells_of_inverted_points(self, spec, k, seed):
+        inverse = iid_sampler(spec)
+        t = cell_thresholds(inverse, k)
+        assert np.all(np.diff(t) >= 0)
+        _, cdf = cdf_grid(spec)
+        u = np.concatenate([
+            rng_for_replication(seed, 0).random(1000),
+            t, _ulps(t, -1), _ulps(t, 1),
+            *(_ulps(cdf, steps) for steps in (-2, -1, 0, 1, 2)),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        np.testing.assert_array_equal(np.searchsorted(t, u, side="right") - 1, cell_index(inverse(u), k))
 
 
 def _cos(*coeffs):
@@ -330,6 +385,17 @@ class TestScheduling:
             family="quadratic", n=300, reps=101, seed=11,
             theta=Spectrum(basis="cosine", coeffs=np.array([0.1])),
             params={"gamma": 2.0, "j_max": 32},
+        )
+        plan = build_plan(cfg)
+        results = {t: run_monte_carlo(cfg, threads=t, plan=plan) for t in (1, 3, 8)}
+        payloads = {t: r.to_json_dict() for t, r in results.items()}
+        assert payloads[1] == payloads[3] == payloads[8]
+
+    def test_thread_count_does_not_change_chisq_counts(self):
+        cfg = ExperimentConfig(
+            family="chisq", n=2000, reps=101, seed=14,
+            theta=Spectrum(basis="complex-exponential", coeffs=np.array([0.0, 0.0, 0.0, 0.05], dtype=complex)),
+            params={"k": 50},
         )
         plan = build_plan(cfg)
         results = {t: run_monte_carlo(cfg, threads=t, plan=plan) for t in (1, 3, 8)}

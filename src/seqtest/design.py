@@ -17,6 +17,7 @@ centering C_n = sigma^-2 n rho_n up to the solver residual) and
 Var T_n = 2 A_n with A_n = sigma^-4 n^2 sum_j kappa_j^4, so the test rejects
 when (T_n - C_n) / sqrt(2 A_n) > x_alpha and its minimax type II error is
 Phi(x_alpha - sqrt(A_n / 2)).  The least favorable signal is theta_j = kappa_j.
+``energy_form`` writes the standardized statistic as an ``EnergyForm``.
 
 The inverse variant observes y_j = lambda_j theta_j + noise.  Writing the
 least favorable signal as theta_j^2 = a lambda_j^-4 up to the breakpoint,
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleDesignError, NumericError
+from .quadratic import EnergyForm
 from .report import TestReport, normal_type2, upper_quantile
 from .sampling import SequenceObservation, check_noise_level, rng_for_replication
 from .spectra import BesovBall, Spectrum, besov_seminorm
@@ -81,9 +83,6 @@ class DetectionDesign:
     def null_mean(self) -> float:
         """Exact E[T_n] under the null for the stored truncation."""
         return float(self.n / self.sigma**2 * np.sum(self.kappa_j2))
-
-    def null_sd(self) -> float:
-        return math.sqrt(2.0 * self.a_n)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -239,16 +238,14 @@ def _check_observation(obs: SequenceObservation, design: DetectionDesign) -> np.
     return np.asarray(obs.y.coeffs, dtype=float)
 
 
-def energy_statistic(y: np.ndarray, kappa_j2: np.ndarray, prefactor: float) -> float:
-    """T_n = prefactor * sum_j kappa_j^2 y_j^2 with prefactor = sigma^-4 n^2,
-    unchecked (the one formula both ``minimax_statistic`` and the Monte Carlo
-    engine evaluate)."""
-    return float(prefactor * np.sum(kappa_j2 * y**2))
+def energy_form(design: DetectionDesign) -> EnergyForm:
+    """(T_n - c_n) / sqrt(2 A_n), with weights sigma^-4 n^2 kappa_j^2."""
+    return EnergyForm(design.sigma**-4 * design.n**2 * design.kappa_j2, design.c_n, math.sqrt(2.0 * design.a_n))
 
 
 def minimax_statistic(obs: SequenceObservation, design: DetectionDesign) -> float:
-    y = _check_observation(obs, design)
-    return energy_statistic(y, design.kappa_j2, design.sigma**-4 * design.n**2)
+    """T_n = sigma^-4 n^2 sum_j kappa_j^2 y_j^2."""
+    return energy_form(design).energy(_check_observation(obs, design))
 
 
 def minimax_drift(design: DetectionDesign) -> float:
@@ -261,8 +258,9 @@ def predicted_type2_minimax(design: DetectionDesign, alpha: float) -> float:
 
 
 def minimax_test(obs: SequenceObservation, design: DetectionDesign, alpha: float) -> TestReport:
-    t_n = minimax_statistic(obs, design)
-    z = (t_n - design.c_n) / design.null_sd()
+    form = energy_form(design)
+    t_n = form.energy(_check_observation(obs, design))
+    z = (t_n - form.offset) / form.sd
     x_alpha = upper_quantile(alpha)
     return TestReport(
         family="minimax",

@@ -10,12 +10,14 @@ and the studentized statistic is
     T_n = n h^{1/2} sigma^{-2} kappa^{-1} ( S - sigma^2 (n h)^{-1} ||K||^2 ),
 
 with ||K||^2 = int K^2 and kappa^2 = 2 int (K * K)^2.  On the circle the
-spectral form is exact: for h < 1 / (2b) the Poisson summation identities
+spectral form is exact: for 0 < h <= 1 / (4b) the Poisson summation identities
 
     sum_j Khat(j h)^2 = ||K||^2 / h,     sum_j Khat(j h)^4 = kappa^2 / (2 h)
 
-hold exactly, so T_n has mean 0 and variance 1 under the null up to the
-truncation of the stored frequencies.  The type II error against theta is
+hold exactly (the quartic sum folds K*K*K*K, of support 4b, at +-1/h), so
+T_n has mean 0 and variance 1 under the null up to the truncation of the
+stored frequencies.  A wider bandwidth inflates the null variance, so every
+function that standardizes refuses it.  The type II error against theta is
 Phi(x_alpha - kappa^{-1} sigma^{-2} n h^{1/2} T1n(theta)) with
 T1n(theta) = sum_j |Khat(j h) theta_j|^2.
 
@@ -23,6 +25,7 @@ Every function here has one path: the transform table Khat(j h) is built
 from the kernel's closed-form ``transform`` at the length of the spectrum it
 weights, and ||K||^2 and kappa^2 come from ``kernel_constants``, which
 computes them once per kernel by Gauss-Legendre quadrature and keeps them.
+T_n is the ``EnergyForm`` that ``energy_form`` builds.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError
+from .quadratic import EnergyForm
 from .report import TestReport, normal_type2, upper_quantile
 from .sampling import SequenceObservation
 from .spectra import Spectrum
@@ -173,40 +177,41 @@ def transform_values(kernel: Kernel, h: float, j_max: int) -> np.ndarray:
     return kernel.transform(np.arange(j_max + 1, dtype=float) * h)
 
 
-def weighted_energy(y: np.ndarray, w: np.ndarray) -> float:
-    """S = sum over j in Z of w_j |y_j|^2 from the stored j = 0..J, with
-    w_j = |Khat(j h)|^2 aligned to y; unchecked (the one formula behind
-    ``kernel_statistic``, ``bias_functional`` and the Monte Carlo engine)."""
-    mags = np.abs(y) ** 2
-    return float(w[0] * mags[0] + 2.0 * np.sum(w[1:] * mags[1:]))
+def check_bandwidth(kernel: Kernel, h: float) -> None:
+    """Refuse a bandwidth outside (0, 1 / (4b)], where the quartic Poisson
+    identity, and with it the null variance of T_n, fails."""
+    bound = 1.0 / (4.0 * kernel.halfwidth)
+    if not 0.0 < h <= bound:
+        raise ConfigError(f"bandwidth h={h!r} must lie in (0, {bound:g}] for the {kernel.name} kernel")
 
 
-def studentization(n: int, h: float, sigma: float, consts: KernelConstants) -> tuple[float, float]:
-    """(scale, center) with T_n = scale * (S - center); see the module docstring."""
-    scale = n * math.sqrt(h) / sigma**2 / math.sqrt(consts.kappa_sq)
-    return scale, sigma**2 / (n * h) * consts.l2_norm_sq
+def studentization_scale(kernel: Kernel, h: float, n: int, sigma: float) -> float:
+    """n h^{1/2} sigma^{-2} kappa^{-1}, the factor T_n puts on S - center."""
+    check_bandwidth(kernel, h)
+    return n * math.sqrt(h) / sigma**2 / math.sqrt(kernel_constants(kernel).kappa_sq)
 
 
-def studentize(energy: float, scale: float, center: float) -> float:
-    return float(scale * (energy - center))
-
-
-def _squared_transform(spec: Spectrum, kernel: Kernel, h: float) -> np.ndarray:
-    """|Khat(j h)|^2 for the stored frequencies of ``spec``."""
-    _require_complex(spec)
-    return transform_values(kernel, h, spec.coeffs.size - 1) ** 2
+def energy_form(kernel: Kernel, h: float, j_max: int, n: int, sigma: float) -> EnergyForm:
+    """T_n over frequencies 0..j_max: each |y_j|^2 is the (re, im) pair of a
+    complex y, weighted |Khat(j h)|^2 at j = 0 and twice that at j >= 1 (the
+    conjugate frequency -j)."""
+    scale = studentization_scale(kernel, h, n, sigma)
+    w = transform_values(kernel, h, j_max) ** 2
+    w[1:] *= 2.0
+    center = sigma**2 / (n * h) * kernel_constants(kernel).l2_norm_sq
+    return EnergyForm(np.repeat(w, 2), center, 1.0 / scale)
 
 
 def bias_functional(theta: Spectrum, kernel: Kernel, h: float) -> float:
-    """T1n(theta) = sum_j |Khat(j h) theta_j|^2 over the stored frequencies."""
-    return weighted_energy(theta.coeffs, _squared_transform(theta, kernel, h))
+    """T1n(theta) = sum over j in Z of |Khat(j h) theta_j|^2 from the stored j = 0..J."""
+    w = transform_values(kernel, h, _require_complex(theta).coeffs.size - 1) ** 2
+    mags = np.abs(theta.coeffs) ** 2
+    return float(w[0] * mags[0] + 2.0 * np.sum(w[1:] * mags[1:]))
 
 
 def kernel_statistic(obs: SequenceObservation, kernel: Kernel, h: float) -> float:
-    if not 0.0 < h < 1.0:
-        raise ConfigError("bandwidth h must lie in (0, 1)")
-    energy = weighted_energy(obs.y.coeffs, _squared_transform(obs.y, kernel, h))
-    return studentize(energy, *studentization(obs.n, h, obs.sigma, kernel_constants(kernel)))
+    y = np.ascontiguousarray(_require_complex(obs.y).coeffs)
+    return energy_form(kernel, h, y.size - 1, obs.n, obs.sigma).standardized(y)
 
 
 def predicted_type2_kernel(
@@ -217,7 +222,7 @@ def predicted_type2_kernel(
     sigma: float,
     alpha: float,
 ) -> float:
-    scale, _ = studentization(n, h, sigma, kernel_constants(kernel))
+    scale = studentization_scale(kernel, h, n, sigma)
     return normal_type2(scale * bias_functional(theta, kernel, h), alpha)
 
 

@@ -11,7 +11,9 @@ measured but kept out of every serialized output for byte-reproducibility.
 Each family's plan supplies only how a replication draws its data and how
 the data is tested, and one loop (``_counter``) counts the rejections.
 Every rejection rule calls the same statistic core as its ``*_test``
-function.  Sequence and CvM draws call the same sampling functions as
+function.  The quadratic, kernel and minimax plans differ only in the
+``EnergyForm``, theta and drift they build, and share one rejection rule
+(``_plan_energy``).  Sequence and CvM draws call the same sampling functions as
 ``draw_sequence_observation``/``sample_iid``.  A chi-square replication
 reads its sample only through its cell counts: it draws the uniforms that
 ``sample_iid`` draws, and under an alternative counts them, sorted, against
@@ -185,14 +187,10 @@ class ExperimentConfig:
                 raise ConfigError("quadratic params.j_max applies only with 'gamma'; 'kappa_sq' sets its own length")
             if kq is not None and (kq.size == 0 or np.any(kq < 0)):
                 raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
-            with np.errstate(over="ignore"):
-                if kq is not None and not math.isfinite(float(np.sum(kq**2))):
-                    raise ConfigError("kappa_sq is too large: the null variance sum(kappa_sq**2) overflows")
         elif self.family == "kernel":
             if p["kernel"] not in _KERNELS:
                 raise ConfigError(f"kernel must be one of {sorted(_KERNELS)}")
-            if not 0.0 < p["h"] < 1.0:
-                raise ConfigError("kernel family needs a bandwidth h in (0, 1)")
+            kernels_mod.check_bandwidth(_KERNELS[p["kernel"]](), p["h"])
         elif self.family == "chisq":
             if p["k"] < 2:
                 raise ConfigError("chisq family needs k >= 2 cells")
@@ -323,33 +321,27 @@ def _iid_draw(theta: Spectrum | None, n: int):
     return lambda rng: inverse(np.sort(rng.random(n)))
 
 
-def _require_finite(family: str, **values: float) -> None:
-    """Refuse a sequence plan whose drift or statistic scale overflows a
-    float: its statistic would be infinite in every replication, and each
-    would count as a rejection."""
-    bad = [f"{name}={value}" for name, value in values.items() if not math.isfinite(value)]
-    if bad:
-        raise ConfigError(f"{family} plan: {', '.join(bad)}; theta, n or 1/sigma is too large for a float")
+def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarray, details: dict) -> MonteCarloPlan:
+    """The plan of a sequence-model family: draw y = theta + noise and reject
+    when the family's standardized energy exceeds x_alpha.  A drift that
+    overflows a float is refused: the normal prediction would be meaningless."""
+    drift = details["drift"]
+    if not math.isfinite(drift):
+        raise ConfigError(f"{cfg.family} plan: drift={drift}; theta, n or 1/sigma is too large for a float")
+    x_alpha = upper_quantile(cfg.alpha)
+    count = _counter(cfg.seed, _sequence_draw(th, cfg.n, cfg.sigma), lambda y: form.standardized(y) > x_alpha)
+    return MonteCarloPlan(count, normal_type2(drift, cfg.alpha), details)
 
 
 def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     kq = p["kappa_sq"]
     if kq is None:
         kq = quad_mod.example_coefficients(cfg.n, p["gamma"], p["j_max"])
+    form = quad_mod.energy_form(kq, cfg.n, cfg.sigma)
     th = _padded(cfg.theta, kq.size, "cosine")
-    n, sigma, alpha = cfg.n, cfg.sigma, cfg.alpha
-    center = quad_mod.null_center(kq, n, sigma)
-    sd0 = quad_mod.null_sd(kq, n, sigma)
-    x_alpha = upper_quantile(alpha)
-    count = _counter(
-        cfg.seed,
-        _sequence_draw(th, n, sigma),
-        lambda y: quad_mod.centered_energy(y, kq, center) / sd0 > x_alpha,
-    )
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = quad_mod.drift(th, kq, n, sigma)
-    _require_finite("quadratic", drift=drift, null_sd=sd0)
-    return MonteCarloPlan(count, normal_type2(drift, alpha), {"j_max": kq.size, "drift": drift})
+        drift = quad_mod.drift(th, kq, cfg.n, cfg.sigma)
+    return _plan_energy(cfg, form, th, {"j_max": kq.size, "drift": drift})
 
 
 def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -358,24 +350,16 @@ def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
         dsg = design_mod.solve_inverse_design(*design_args, p["lambdas"], j_max=p["j_max"])
     else:
         dsg = design_mod.solve_design(*design_args, j_max=p["j_max"])
-    kq, c_n, sd = dsg.kappa_j2, dsg.c_n, dsg.null_sd()
+    form = design_mod.energy_form(dsg)
     if p["least_favorable"]:
         th = design_mod.least_favorable(dsg).coeffs
         drift = design_mod.minimax_drift(dsg)
     else:
         th = _padded(cfg.theta, dsg.j_max, "cosine")
         with np.errstate(over="ignore", invalid="ignore"):
-            drift = (dsg.null_mean() - c_n + quad_mod.noncentrality(th, kq, cfg.n, cfg.sigma)) / sd
-    _require_finite("minimax", drift=drift, null_sd=sd)
-    x_alpha = upper_quantile(cfg.alpha)
-    prefactor = cfg.sigma**-4 * cfg.n**2
-    count = _counter(
-        cfg.seed,
-        _sequence_draw(th, cfg.n, cfg.sigma),
-        lambda y: (design_mod.energy_statistic(y, kq, prefactor) - c_n) / sd > x_alpha,
-    )
+            drift = (dsg.null_mean() - dsg.c_n + quad_mod.noncentrality(th, dsg.kappa_j2, cfg.n, cfg.sigma)) / form.sd
     details = {"k_n": dsg.k_n, "a_n": dsg.a_n, "c_n": dsg.c_n, "j_max": dsg.j_max, "drift": drift}
-    return MonteCarloPlan(count, normal_type2(drift, cfg.alpha), details)
+    return _plan_energy(cfg, form, th, details)
 
 
 def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -385,23 +369,12 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     j_max = max(1024, theta_support) if p["j_max"] is None else p["j_max"]
     if theta_support > j_max:
         raise ConfigError(f"signal support {theta_support} exceeds the run's truncation {j_max}")
-    w = kernels_mod.transform_values(kernel, h, j_max) ** 2
+    form = kernels_mod.energy_form(kernel, h, j_max, cfg.n, cfg.sigma)
     th = _padded(cfg.theta, j_max, "complex-exponential")
-    n, sigma, alpha = cfg.n, cfg.sigma, cfg.alpha
-    scale, center = kernels_mod.studentization(n, h, sigma, kernels_mod.kernel_constants(kernel))
-    x_alpha = upper_quantile(alpha)
-    count = _counter(
-        cfg.seed,
-        _sequence_draw(th, n, sigma),
-        lambda y: kernels_mod.studentize(kernels_mod.weighted_energy(y, w), scale, center) > x_alpha,
-    )
-    theta_spec = cfg.theta if cfg.theta is not None else Spectrum("complex-exponential", np.zeros(1, dtype=complex))
-    t1n = kernels_mod.bias_functional(theta_spec, kernel, h)
+    t1n = 0.0 if cfg.theta is None else kernels_mod.bias_functional(cfg.theta, kernel, h)
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = scale * t1n
-    _require_finite("kernel", drift=drift, scale=scale)
-    details = {"j_max": j_max, "h": h, "drift": drift, "t1n": t1n}
-    return MonteCarloPlan(count, normal_type2(drift, alpha), details)
+        drift = kernels_mod.studentization_scale(kernel, h, cfg.n, cfg.sigma) * t1n
+    return _plan_energy(cfg, form, th, {"j_max": j_max, "h": h, "drift": drift, "t1n": t1n})
 
 
 def _chisq_counts(theta: Spectrum | None, n: int, k: int):

@@ -16,17 +16,43 @@ error against a signal theta is Phi(x_alpha - A_n(theta) / sqrt(2 A_n)) with
 Since sd0 = sigma^4 n^-2 sqrt(2 A_n) and E_theta[T_n] = sigma^4 n^-2 A_n(theta),
 the standardized mean shift is exactly A_n(theta) / sqrt(2 A_n): the error
 formula and the finite-truncation standardization agree with no extra factor.
+``EnergyForm`` is the statistic core of this family, the kernel and the minimax one.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .report import TestReport, normal_type2, upper_quantile
 from .spectra import Spectrum
+
+
+@dataclass(frozen=True)
+class EnergyForm:
+    """z = (sum_i w_i v_i^2 - offset) / sd, with v = y, or for a complex y
+    its float view of (re, im) pairs (one weight per part).  ``sd`` is the
+    null standard deviation; one that left the float range would make every
+    z 0 or infinite, so the form refuses it."""
+
+    weights: np.ndarray
+    offset: float
+    sd: float
+
+    def __post_init__(self):
+        if not 0.0 < self.sd < math.inf:
+            raise ConfigError(f"null sd {self.sd!r} is not a positive finite float; weights, n or sigma out of range")
+
+    def energy(self, y: np.ndarray) -> float:
+        """sum_i w_i v_i^2, unchecked."""
+        v = y.view(float) if y.dtype.kind == "c" else y
+        return float(np.dot(self.weights, v * v))
+
+    def standardized(self, y: np.ndarray) -> float:
+        return (self.energy(y) - self.offset) / self.sd
 
 
 def example_coefficients(n: int, gamma: float, j_max: int) -> np.ndarray:
@@ -63,29 +89,24 @@ def noncentrality(theta, kappa_sq: np.ndarray, n: int, sigma: float) -> float:
     return float(n**2 * sigma**-4 * np.sum(kq[:m] * th[:m] ** 2))
 
 
-def null_sd(kappa_sq: np.ndarray, n: int, sigma: float) -> float:
-    """Exact null standard deviation of T_n at the stored truncation."""
-    kappa_sq = np.asarray(kappa_sq, dtype=float)
-    return float(sigma**2 / n * math.sqrt(2.0 * np.sum(kappa_sq**2)))
+def energy_form(kappa_sq: np.ndarray, n: int, sigma: float) -> EnergyForm:
+    """T_n / sd0: offset the null mean (sigma^2 / n) sum_j kappa^2_j, sd0 the exact null sd."""
+    kq = np.asarray(kappa_sq, dtype=float)
+    with np.errstate(over="ignore"):
+        sd0 = float(sigma**2 / n * math.sqrt(2.0 * np.sum(kq**2)))
+    return EnergyForm(kq, sigma**2 / n * float(np.sum(kq)), sd0)
 
 
-def null_center(kappa_sq: np.ndarray, n: int, sigma: float) -> float:
-    """E T_n's offset under the null: (sigma^2 / n) sum_j kappa^2_j."""
-    return sigma**2 / n * float(np.sum(kappa_sq))
-
-
-def centered_energy(y: np.ndarray, kappa_sq: np.ndarray, center: float) -> float:
-    """T_n = sum_j kappa^2_j y_j^2 - center, unchecked (the one formula both
-    ``quadratic_statistic`` and the Monte Carlo engine evaluate)."""
-    return float(np.dot(kappa_sq, y**2) - center)
+def _centered(y, form: EnergyForm) -> float:
+    """T_n = sum_j kappa^2_j y_j^2 - offset, after checking y."""
+    yv = _as_coeff_array(y)
+    if yv.size != form.weights.size:
+        raise ConfigError(f"observation length {yv.size} != weight length {form.weights.size}")
+    return form.energy(yv) - form.offset
 
 
 def quadratic_statistic(y, kappa_sq: np.ndarray, n: int, sigma: float) -> float:
-    yv = _as_coeff_array(y)
-    kq = np.asarray(kappa_sq, dtype=float)
-    if yv.size != kq.size:
-        raise ConfigError(f"observation length {yv.size} != weight length {kq.size}")
-    return centered_energy(yv, kq, null_center(kq, n, sigma))
+    return _centered(y, energy_form(kappa_sq, n, sigma))
 
 
 def drift(theta, kappa_sq: np.ndarray, n: int, sigma: float) -> float:
@@ -111,11 +132,9 @@ def scale_to_drift(shape, kappa_sq, n: int, sigma: float, target: float) -> Spec
 
 
 def quadratic_test(y, kappa_sq: np.ndarray, n: int, sigma: float, alpha: float) -> TestReport:
-    t_n = quadratic_statistic(y, kappa_sq, n, sigma)
-    sd0 = null_sd(kappa_sq, n, sigma)
-    if sd0 <= 0:
-        raise ConfigError("null standard deviation is zero; weights are degenerate")
-    standardized = t_n / sd0
+    form = energy_form(kappa_sq, n, sigma)
+    t_n = _centered(y, form)
+    standardized = t_n / form.sd
     x_alpha = upper_quantile(alpha)
     return TestReport(
         family="quadratic",

@@ -4,7 +4,8 @@ Everything here recomputes a quantity from its defining formula with tools
 outside the package (scipy optimizers, direct summation), so agreement is
 evidence and not circularity.  The weight-profile regularity report, the
 primitive mean and the CvM consistency margin are diagnostics that only the
-tests read.
+tests read.  ``imhof_sf`` is the exact law of the sequence-model statistics,
+and ``exact_power`` reads it off an ``EnergyForm``.
 """
 
 import math
@@ -17,6 +18,7 @@ from scipy.optimize import minimize
 
 from seqtest.cvm import cvm_population
 from seqtest.errors import ConfigError
+from seqtest.report import upper_quantile
 from seqtest.sampling import density_grid
 
 # Regularity thresholds: neighbor-step bound a3 <= A3_STEP_OVER_KN / k_n in the
@@ -26,6 +28,70 @@ A5_MASS_FRACTION = 0.5
 
 # limiting distribution of omega^2 = n T^2: classical upper 5% point
 ASYMPTOTIC_Q95 = 0.46136
+
+
+# Gauss-Legendre nodes per panel of Imhof's integral, each panel spanning at
+# most pi of phase, and the bound on the integral's two truncated tails
+IMHOF_NODES = 16
+IMHOF_TAIL = 1e-7
+
+
+def imhof_sf(x: float, lam, delta=None) -> float:
+    """P(sum_i lam_i (Z_i + delta_i)^2 > x) for independent standard normal
+    Z_i and lam_i >= 0, by Imhof's (1961) inversion integral
+
+        P = 1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du,
+
+    taken in t = log u with Gauss-Legendre panels.  The panels are 1/2 wide
+    in t while the phase theta moves by at most c u <= 2 pi per unit of t
+    (c bounds |theta'|), and span pi / c in u beyond, so each panel covers at
+    most pi of phase.  The range starts where c u falls below IMHOF_TAIL and
+    stops where Imhof's bound on the upper tail, taken over the m largest
+    weights for the best m, does.
+    """
+    lam = np.asarray(lam, dtype=float)
+    d2 = np.zeros_like(lam) if delta is None else np.asarray(delta, dtype=float) ** 2
+    keep = lam > 0.0
+    top = lam[keep].max()
+    lam, d2, x = lam[keep] / top, d2[keep], x / top  # weights at most 1
+    c = 0.5 * (float(np.sum(lam * (1.0 + d2))) + abs(x))
+    # rho(u) >= prod over the m largest of sqrt(lam_i u), so the tail beyond U
+    # is at most (2 / m) U^(-m/2) prod lam_i^(-1/2); log_u[m - 1] is the U at
+    # which that bound reads pi * IMHOF_TAIL
+    m = np.arange(1, lam.size + 1)
+    log_u = (np.log(2.0 / (m * math.pi * IMHOF_TAIL)) - 0.5 * np.cumsum(np.log(np.sort(lam)[::-1]))) * 2.0 / m
+    u_lo, u_mid, u_hi = IMHOF_TAIL / c, 2.0 * math.pi / c, math.exp(float(np.min(log_u)))
+    if (u_hi - u_mid) * c / math.pi > 1e7:
+        # one or two real coordinates: the integrand decays like u^-1/2 or u^-1
+        raise ValueError("Imhof's integral needs over 1e7 panels for these weights")
+    t_edges = np.arange(math.log(u_lo), math.log(u_mid), 0.5)
+    u_edges = np.arange(u_mid, max(u_hi, u_mid) + math.pi / c, math.pi / c)
+    edges = np.concatenate([t_edges, np.log(u_edges)])
+    nodes, weights = leggauss(IMHOF_NODES)
+    total = 0.0
+    step = max(1, 2**16 // lam.size)  # panels per chunk: about 1e6 (node, weight) pairs
+    for lo in range(0, edges.size - 1, step):
+        a, b = edges[lo : lo + step + 1][:-1], edges[lo : lo + step + 1][1:]
+        t = (0.5 * (b - a)[:, None] * nodes + 0.5 * (a + b)[:, None]).ravel()
+        w = (0.5 * (b - a)[:, None] * weights).ravel()
+        lu = np.exp(t)[:, None] * lam
+        lu2 = lu * lu
+        theta = 0.5 * np.sum(np.arctan(lu) + d2 * lu / (1.0 + lu2), axis=1) - 0.5 * x * np.exp(t)
+        log_rho = np.sum(0.25 * np.log1p(lu2) + 0.5 * d2 * lu2 / (1.0 + lu2), axis=1)
+        total += float(np.dot(w, np.sin(theta) * np.exp(-log_rho)))
+    return 0.5 + total / math.pi
+
+
+def exact_power(form, mean: np.ndarray, noise_var: np.ndarray, alpha: float) -> float:
+    """P(form.standardized(y) > x_alpha) for y = mean + N(0, noise_var), one
+    real coordinate per weight: lam_i = w_i noise_var_i, delta_i = mean_i /
+    noise sd.  A coordinate without noise adds w_i mean_i^2 to the energy."""
+    mean = np.asarray(mean, dtype=float)
+    noise_var = np.asarray(noise_var, dtype=float)
+    noisy = noise_var > 0.0
+    fixed = float(np.dot(form.weights[~noisy], mean[~noisy] ** 2))
+    x = form.offset + form.sd * upper_quantile(alpha) - fixed
+    return imhof_sf(x, form.weights[noisy] * noise_var[noisy], mean[noisy] / np.sqrt(noise_var[noisy]))
 
 
 def direct_seminorm(energies: np.ndarray, s: float) -> float:

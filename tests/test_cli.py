@@ -287,6 +287,8 @@ _DECOMPOSITION = {**_simulate_payload(reps=10), "s": 1.0, "gammas": [0.5, 1.0]}
 BAD_CONFIGS = {
     "chisq k": (["simulate"], _params("chisq", k="x")),
     "kernel h": (["simulate"], _params("kernel", h="x")),
+    # past 1/(4b) the quartic Poisson identity fails and the null variance grows
+    "kernel h past its bound": (["simulate"], _params("kernel", h=0.3)),
     "kernel name": (["simulate"], _params("kernel", kernel=["box"])),
     "quadratic gamma": (["simulate"], _params("quadratic", gamma="a")),
     "quadratic kappa_sq": (["simulate"], _params("quadratic", kappa_sq=["a"])),

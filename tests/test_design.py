@@ -154,7 +154,7 @@ class TestMinimaxTest:
         rep = minimax_test(obs, d, 0.05)
         assert rep.family == "minimax"
         assert rep.details == {"k_n": d.k_n, "a_n": d.a_n, "c_n": d.c_n}
-        assert rep.standardized == pytest.approx((rep.statistic - d.c_n) / d.null_sd())
+        assert rep.standardized == pytest.approx((rep.statistic - d.c_n) / math.sqrt(2.0 * d.a_n))
 
 
 class TestLeastFavorable:

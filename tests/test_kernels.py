@@ -127,9 +127,11 @@ class TestStatistic:
     def test_bandwidth_bounds(self):
         y = Spectrum(basis="complex-exponential", coeffs=np.array([0.0, 0.1 + 0j]))
         obs = SequenceObservation(y=y, n=10, sigma=1.0)
-        for h in (0.0, 1.0, -0.2):
+        for h in (0.0, 1.0, -0.2, 0.3):  # the box kernel's bound is 1/4
             with pytest.raises(ConfigError):
                 kernel_statistic(obs, box_kernel(), h)
+            with pytest.raises(ConfigError):
+                predicted_type2_kernel(y, box_kernel(), h, 10, 1.0, 0.05)
 
     def test_cosine_basis_rejected(self):
         obs = SequenceObservation(y=Spectrum(basis="cosine", coeffs=np.ones(4)), n=10, sigma=1.0)

@@ -8,6 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
+
+from helpers import exact_power, imhof_sf
+from seqtest import design as design_mod
+from seqtest import kernels as kernels_mod
+from seqtest import quadratic as quad_mod
 
 from seqtest.chisq import cell_index, cell_thresholds, chisq_test, population_chisq_functional
 from seqtest.cli import main as cli_main
@@ -39,6 +45,8 @@ from seqtest.spectra import Spectrum
 REFERENCE_HASH = "b6b023960910"
 
 EQUIVALENCE_REPS = 64
+
+IMHOF_ATOL = 1e-5  # Imhof's integral against scipy's noncentral chi-square
 
 
 def _reference_config():
@@ -352,6 +360,78 @@ class TestPinnedStreams:
         out = tmp_path / "curve.csv"
         assert cli_main(["power-curve", "--config", str(cfg), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CURVE_SHA256
+
+
+def _curve(family, seed, theta, params):
+    return {"family": family, "n": {"quadratic": 500, "kernel": 800, "minimax": 2000}[family],
+            "reps": 100, "seed": seed, "theta": theta, "params": params, "scales": [0.0, 1.0, 1.5]}
+
+
+# sha256 of a power-curve CSV per sequence-model family: unlike the CvM curve,
+# these pin each plan's normal prediction (the predicted_type2 and gap columns)
+PINNED_SEQUENCE_CURVES = {
+    "quadratic": (
+        _curve("quadratic", 9, {"basis": "cosine", "coeffs": [0.08, 0.05, 0.02]}, {"gamma": 2.0, "j_max": 64}),
+        "07319fed1c6dd4b7b0d928c99916f7266db191b9dff61a31747b29a3718cb2f7",
+    ),
+    "kernel": (
+        _curve("kernel", 10, {"basis": "complex-exponential", "coeffs": [[0.0, 0.0], [0.02, 0.01]]},
+               {"kernel": "triangle", "h": 0.11, "j_max": 48}),
+        "8408a3336db803446e5e03e12a60e0dcdd0ece6115d8e4ebc444f522a6558dc2",
+    ),
+    "minimax": (
+        _curve("minimax", 11, {"basis": "cosine", "coeffs": [0.03, 0.02, 0.01]}, {"s": 1.0, "p0": 1.0, "rho_n": 2e-3}),
+        "0f03fcc46c3cbdf6ee500336092d886f2125d017952cc0f586965506e5162731",
+    ),
+}
+
+
+class TestPinnedSequenceCurves:
+    @pytest.mark.parametrize("name", sorted(PINNED_SEQUENCE_CURVES))
+    def test_power_curve_bytes(self, name, tmp_path, capsys):
+        payload, want = PINNED_SEQUENCE_CURVES[name]
+        cfg = tmp_path / "curve.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "curve.csv"
+        assert cli_main(["power-curve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def _exact_law_inputs(cfg: ExperimentConfig):
+    """(form, mean, noise variance) per real coordinate of a sequence plan's y."""
+    p = cfg.validate()
+    var = cfg.sigma**2 / cfg.n
+    if cfg.family == "quadratic":
+        kq = example_coefficients(cfg.n, p["gamma"], p["j_max"])
+        return quad_mod.energy_form(kq, cfg.n, cfg.sigma), _pad_cosine(cfg.theta, kq.size).coeffs, np.full(kq.size, var)
+    if cfg.family == "minimax":
+        d = solve_design(p["s"], p["p0"], p["rho_n"], cfg.n, cfg.sigma)
+        return design_mod.energy_form(d), least_favorable(d).coeffs, np.full(d.j_max, var)
+    kernel = {"box": box_kernel, "triangle": triangle_kernel}[p["kernel"]]()
+    form = kernels_mod.energy_form(kernel, p["h"], p["j_max"], cfg.n, cfg.sigma)
+    # y_0 is real with variance sigma^2 / n; each part of y_j, j >= 1, has half that
+    noise = np.full(2 * (p["j_max"] + 1), var / 2.0)
+    noise[:2] = var, 0.0
+    return form, _pad_complex(cfg.theta, p["j_max"]).coeffs.view(float), noise
+
+
+class TestExactLaw:
+    """Imhof's inversion of the weighted noncentral chi-square law
+    (``helpers.imhof_sf``), gated against scipy, and the pinned sequence
+    counts checked against the exact power it gives."""
+
+    @pytest.mark.parametrize("df,nc,x", [(3, 0.0, 8.0), (3, 4.0, 8.0), (50, 0.0, 60.0), (50, 30.0, 60.0)])
+    def test_imhof_matches_ncx2(self, df, nc, x):
+        delta = np.zeros(df)
+        delta[0] = math.sqrt(nc)
+        want = stats.ncx2.sf(x, df, nc) if nc else stats.chi2.sf(x, df)
+        assert imhof_sf(x, np.ones(df), delta) == pytest.approx(want, abs=IMHOF_ATOL)
+
+    @pytest.mark.parametrize("name", ["quadratic", "minimax", "kernel"])
+    def test_pinned_count_within_4_se(self, name):
+        cfg, count = PINNED_REJECTIONS[name]
+        power = exact_power(*_exact_law_inputs(cfg), cfg.alpha)
+        assert abs(count / cfg.reps - power) <= 4.0 * math.sqrt(power * (1.0 - power) / cfg.reps)
 
 
 # sha256 of `minimax-design --out design.json` for one direct and one inverse

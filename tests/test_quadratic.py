@@ -9,19 +9,20 @@ from hypothesis import strategies as st
 
 from helpers import check_regularity, half_mass_index
 from seqtest.errors import ConfigError
+from seqtest.kernels import box_kernel, kernel_test
 from seqtest.quadratic import (
     a_n_value,
     drift,
+    energy_form,
     example_coefficients,
     noncentrality,
-    null_sd,
     predicted_type2_quadratic,
     quadratic_statistic,
     quadratic_test,
     scale_to_drift,
 )
 from seqtest.report import upper_quantile
-from seqtest.sampling import draw_sequence_observation, rng_for_replication
+from seqtest.sampling import SequenceObservation, draw_sequence_observation, rng_for_replication
 from seqtest.spectra import Spectrum
 
 # A_n for the rational weight family at n = 1000, gamma = 2, j_max = 4096;
@@ -89,9 +90,28 @@ class TestStatistic:
                 for r in range(3000)
             ]
         )
-        sd = null_sd(kq, 200, 1.0)
+        sd = energy_form(kq, 200, 1.0).sd
         assert abs(np.mean(vals)) < 4 * sd / math.sqrt(3000)
         assert np.std(vals) == pytest.approx(sd, rel=0.1)
+
+
+# *_test calls whose null sd leaves the float range; the engine refuses the
+# same configs, and neither may return an infinite or zero standardized value
+DEGENERATE_NULL_SD = {
+    # n h^(1/2) sigma^-2 overflows, so the null sd is 0
+    "kernel tiny sigma": lambda: kernel_test(
+        SequenceObservation(Spectrum("complex-exponential", np.array([0.0, 0.1 + 0j])), 100, 1e-160),
+        box_kernel(), 0.2, 0.05,
+    ),
+    # sum kappa^4 overflows, so the null sd is infinite
+    "quadratic huge weight": lambda: quadratic_test(np.array([0.1, 0.2]), np.array([1e200, 1.0]), 100, 1.0, 0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_NULL_SD))
+def test_degenerate_null_sd_refused(name):
+    with pytest.raises(ConfigError, match="null sd"):
+        DEGENERATE_NULL_SD[name]()
 
 
 class TestDrift:
@@ -101,7 +121,7 @@ class TestDrift:
         theta = np.full(64, 0.01)
         shift = 300.0**2 * np.sum(kq * theta**2)
         assert drift(theta, kq, 300, 1.0) == pytest.approx(
-            shift / (300.0**2 * null_sd(kq, 300, 1.0)), rel=1e-12
+            shift / (300.0**2 * energy_form(kq, 300, 1.0).sd), rel=1e-12
         )
         assert noncentrality(theta, kq, 300, 1.0) == pytest.approx(shift, rel=1e-14)
 

@@ -5,9 +5,10 @@ null mean k - 1; the test rejects when (T_n - k + 1) / sqrt(2 k) exceeds
 x_alpha.  The population counterpart T_n(F) = n k sum_l (int_cell f)^2
 drives the normal type II approximation Phi(x_alpha - T_n(F) / sqrt(2 k)).
 
-T_n(F) is evaluated one way, from the cell integrals of the perturbation,
-each a finite sum of closed-form exponential integrals.  Expanding the same
-sum in frequency gives the aliasing sum
+T_n(F) is evaluated one way, from the cell integrals of the perturbation:
+each is the increment over its cell of the exact antiderivative
+``sampling.cumulative_perturbation``.  Expanding the same sum in frequency
+gives the aliasing sum
 
     J1 = k^2 sum_m sum_{j != 0, j != m k} theta_j conj(theta_{j - m k})
          (2 - 2 cos(2 pi j / k)) / (4 pi^2 j (j - m k)),
@@ -40,6 +41,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import TestReport, normal_type2, upper_quantile
+from .sampling import cumulative_perturbation
 from .spectra import Spectrum
 
 # validity window for the normal type II approximation, as multiples of sqrt(k)
@@ -153,25 +155,13 @@ def haar_statistic(sample: np.ndarray, level: int) -> float:
     return n * total
 
 
-def _cell_phase_coeffs(js: np.ndarray, k: int) -> np.ndarray:
-    """c_j = int_0^{1/k} e^{2 pi i j x} dx for each signed frequency (j != 0)."""
-    w = 2.0j * math.pi * js
-    return (np.exp(w / k) - 1.0) / w
-
-
 def cell_integrals(theta: Spectrum, k: int) -> np.ndarray:
     """p_l = int_{l/k}^{(l+1)/k} f for the perturbation f with spectrum theta."""
     if theta.basis != "complex-exponential":
         raise ConfigError("cell integrals are computed from the complex-exponential basis")
     if k < 2:
         raise ConfigError("need at least k = 2 cells")
-    js, vals = theta.signed_pairs()
-    nz = js != 0
-    l = np.arange(k)
-    phases = np.exp(2.0j * math.pi * np.outer(l, js[nz]) / k)
-    p = phases @ (vals[nz] * _cell_phase_coeffs(js[nz], k))
-    p = np.real(p) + float(np.real(vals[~nz][0]) if np.any(~nz) else 0.0) / k
-    return p
+    return np.diff(cumulative_perturbation(theta, np.arange(k + 1) / k))
 
 
 def population_chisq_functional(theta: Spectrum, k: int, n: int) -> float:

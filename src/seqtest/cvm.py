@@ -25,8 +25,8 @@ quadrature so the remainder identity is checked explicitly.
 
 Critical values come from a seeded Monte Carlo table of n T^2 under the
 null, keyed by (n, reps, seed), kept in process and optionally cached as
-JSON.  The classical asymptotic 0.95 quantile of omega^2 is kept only as a
-cross-check constant.
+JSON.  The classical asymptotic 0.95 quantile of omega^2 is not used here;
+the test suite keeps it as a cross-check of the tables.
 """
 
 from __future__ import annotations

@@ -176,31 +176,24 @@ def solve_inverse_design(
     lam = lam[:j_max]
 
     j = np.arange(1, j_max + 1, dtype=float)
-    inv4_cumsum = np.cumsum(lam**-4)
-
-    def a_of(k: int) -> float:
-        # continuity of the least favorable profile at the breakpoint
-        return 2.0 * s * p0 * k ** (-(1.0 + 2.0 * s)) * lam[k - 1] ** 4
-
-    def radius_gap(k: int) -> float:
-        return a_of(k) * inv4_cumsum[k - 1] + p0 * float(k) ** (-2.0 * s) - rho_n
-
-    gaps = np.array([radius_gap(k) for k in range(1, j_max + 1)])
+    # a_k at each candidate breakpoint k: continuity of the least favorable profile there
+    a_k = 2.0 * s * p0 * j ** (-(1.0 + 2.0 * s)) * lam**4
+    gaps = a_k * np.cumsum(lam**-4) + p0 * j ** (-2.0 * s) - rho_n
     if gaps[0] < 0.0:
         raise InfeasibleDesignError("rho_n too large for the eigenvalue sequence: no breakpoint k >= 1")
     below = np.nonzero(gaps <= 0.0)[0]
     if below.size == 0:
         raise InfeasibleDesignError(f"no breakpoint within truncation j_max={j_max}")
     k_hi = int(below[0]) + 1
-    k_n = min((k_hi - 1, k_hi), key=lambda k: abs(radius_gap(k)) if k >= 1 else math.inf)
+    k_n = k_hi - 1 if k_hi > 1 and abs(gaps[k_hi - 2]) <= abs(gaps[k_hi - 1]) else k_hi
 
-    a = a_of(k_n)
+    a = a_k[k_n - 1]
     kappa_j2 = np.where(j <= k_n, a * lam**-2, _tail_profile(s, p0, j) * lam**2)
 
     budget_res = abs(a * lam[k_n - 1] ** -4 - 2.0 * s * p0 * k_n ** (-(1.0 + 2.0 * s))) / (
         2.0 * s * p0 * k_n ** (-(1.0 + 2.0 * s))
     )
-    radius_res = abs(radius_gap(k_n)) / rho_n
+    radius_res = abs(gaps[k_n - 1]) / rho_n
     c_n = float(n / sigma**2 * np.sum(kappa_j2))  # exact null mean; see module docstring
     return _build(s, p0, rho_n, n, sigma, k_n, kappa_j2, c_n, budget_res, radius_res, lambdas=lam)
 

@@ -23,20 +23,18 @@ T1n(theta) = sum_j |Khat(j h) theta_j|^2.
 
 Every function here has one path: the transform table Khat(j h) is built
 from the kernel's closed-form ``transform`` at the length of the spectrum it
-weights, and ||K||^2 and kappa^2 come from ``kernel_constants``, which
-computes them once per kernel by Gauss-Legendre quadrature and keeps them.
-T_n is the ``EnergyForm`` that ``energy_form`` builds.
+weights, and ||K||^2 and kappa^2 are closed-form constants each ``Kernel``
+carries (rationals for the three stock kernels).  T_n is the ``EnergyForm``
+that ``energy_form`` builds.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError
 from .quadratic import EnergyForm
@@ -44,9 +42,7 @@ from .report import TestReport, normal_type2, upper_quantile
 from .sampling import SequenceObservation
 from .spectra import Spectrum
 
-_GL_NODES, _GL_WEIGHTS = leggauss(64)
-
-# how far the quadrature mass of a kernel may sit from 1
+# how far the mass Khat(0) of a kernel may sit from 1
 MASS_TOL = 1e-8
 
 
@@ -54,16 +50,17 @@ MASS_TOL = 1e-8
 class Kernel:
     """Symmetric density kernel on [-halfwidth, halfwidth].
 
-    ``kinks`` lists points where K or its derivative jumps; quadrature is
-    split there so that polynomial pieces integrate exactly.  ``transform``
-    is the closed form of Khat(omega).
+    ``transform`` is the closed form of Khat(omega); ``l2_norm_sq`` = int K^2
+    and ``kappa_sq`` = 2 int (K * K)^2 are the kernel's exact constants.
+    ``fn`` is K itself, for checks in the space domain.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     transform: Callable[[np.ndarray], np.ndarray]
+    l2_norm_sq: float
+    kappa_sq: float
     halfwidth: float = 1.0
-    kinks: tuple[float, ...] = (0.0,)
 
 
 def _box(t: np.ndarray) -> np.ndarray:
@@ -100,27 +97,22 @@ def _epanechnikov_transform(w: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - a**2 / 10.0, exact)
 
 
+# K * K is a piecewise polynomial of degree 1, 3 and 5 for the box, triangle
+# and Epanechnikov kernels, so both constants are rationals.
 def box_kernel() -> Kernel:
-    return Kernel("box", _box, _box_transform)
+    return Kernel("box", _box, _box_transform, 1.0 / 2.0, 2.0 / 3.0)
 
 
 def triangle_kernel() -> Kernel:
-    return Kernel("triangle", _triangle, _triangle_transform)
+    return Kernel("triangle", _triangle, _triangle_transform, 2.0 / 3.0, 302.0 / 315.0)
 
 
 def epanechnikov_kernel() -> Kernel:
-    return Kernel("epanechnikov", _epanechnikov, _epanechnikov_transform)
+    return Kernel("epanechnikov", _epanechnikov, _epanechnikov_transform, 3.0 / 5.0, 334.0 / 385.0)
 
 
-def _piecewise_gl(fn: Callable[[np.ndarray], np.ndarray], breaks: np.ndarray) -> float:
-    """Gauss-Legendre integral of fn over consecutive [breaks] pieces."""
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi <= lo:
-            continue
-        x = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
-        total += 0.5 * (hi - lo) * float(np.dot(_GL_WEIGHTS, fn(x)))
-    return total
+# the stock kernels by name, as a config names them
+KERNELS = {k.name: k for k in (box_kernel(), triangle_kernel(), epanechnikov_kernel())}
 
 
 @dataclass(frozen=True)
@@ -129,41 +121,12 @@ class KernelConstants:
     kappa_sq: float  # 2 int (K * K)^2
 
 
-@functools.lru_cache(maxsize=None)
 def kernel_constants(kernel: Kernel) -> KernelConstants:
-    """||K||^2 and kappa^2 of ``kernel``, computed once per kernel (a
-    ``Kernel`` is frozen and hashable); a ConfigError is raised anew on
-    every call, since lru_cache keeps only results."""
-    b = kernel.halfwidth
-    inner_breaks = np.unique(np.concatenate([[-b, b], np.asarray(kernel.kinks, dtype=float)]))
-    mass = _piecewise_gl(kernel.fn, inner_breaks)
+    """||K||^2 and kappa^2 of ``kernel``, once its mass Khat(0) is 1."""
+    mass = float(kernel.transform(np.zeros(1))[0])
     if abs(mass - 1.0) > MASS_TOL:
         raise ConfigError(f"kernel {kernel.name!r} does not integrate to 1 (got {mass!r})")
-    l2 = _piecewise_gl(lambda t: kernel.fn(t) ** 2, inner_breaks)
-
-    def conv(u_vals: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u_vals)
-        for i, u in enumerate(u_vals):
-            lo, hi = max(-b, u - b), min(b, u + b)
-            if hi <= lo:
-                out[i] = 0.0
-                continue
-            # kinks of K(v) and of K(u - v) both break the integrand
-            pts = [lo, hi]
-            for q in inner_breaks:
-                if lo < q < hi:
-                    pts.append(float(q))
-                if lo < u - q < hi:
-                    pts.append(float(u - q))
-            pts = np.unique(np.asarray(pts))
-            out[i] = _piecewise_gl(lambda v: kernel.fn(u - v) * kernel.fn(v), pts)
-        return out
-
-    # (K*K)^2 is piecewise smooth with breaks on the kink lattice {q1 + q2}
-    kk = np.unique(np.concatenate([inner_breaks, [-b, b]]))
-    outer_breaks = np.unique(np.add.outer(kk, kk).ravel())
-    kappa_sq = 2.0 * _piecewise_gl(lambda u: conv(u) ** 2, outer_breaks)
-    return KernelConstants(l2_norm_sq=l2, kappa_sq=kappa_sq)
+    return KernelConstants(l2_norm_sq=kernel.l2_norm_sq, kappa_sq=kernel.kappa_sq)
 
 
 def _require_complex(spec: Spectrum) -> Spectrum:

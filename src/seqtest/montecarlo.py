@@ -39,18 +39,12 @@ from . import design as design_mod
 from . import kernels as kernels_mod
 from . import quadratic as quad_mod
 from .cvm import DEFAULT_CALIBRATION_REPS, DEFAULT_CALIBRATION_SEED
-from .errors import ConfigError
+from .errors import ConfigError, finite_real
 from .report import normal_type2, upper_quantile
 from .sampling import check_noise_level, iid_sampler, replication_rngs, sequence_noise
 from .spectra import Spectrum
 
 FAMILIES = ("quadratic", "kernel", "chisq", "cvm", "minimax")
-
-_KERNELS = {
-    "box": kernels_mod.box_kernel,
-    "triangle": kernels_mod.triangle_kernel,
-    "epanechnikov": kernels_mod.epanechnikov_kernel,
-}
 
 THETA_BASIS = {
     "quadratic": "cosine",
@@ -96,16 +90,9 @@ def _typed(value, key: str, kind: type):
         if not isinstance(value, kind):
             raise ConfigError(f"{key!r} must be a {kind.__name__}, got {value!r}")
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}")
-    if kind is int and isinstance(value, numbers.Integral):
+    if kind is int and isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{key!r} must be finite, got {value!r}")
+    number = finite_real(value, key)
     if kind is int:
         if not number.is_integer():
             raise ConfigError(f"{key!r} must be an integer, got {value!r}")
@@ -188,9 +175,9 @@ class ExperimentConfig:
             if kq is not None and (kq.size == 0 or np.any(kq < 0)):
                 raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
         elif self.family == "kernel":
-            if p["kernel"] not in _KERNELS:
-                raise ConfigError(f"kernel must be one of {sorted(_KERNELS)}")
-            kernels_mod.check_bandwidth(_KERNELS[p["kernel"]](), p["h"])
+            if p["kernel"] not in kernels_mod.KERNELS:
+                raise ConfigError(f"kernel must be one of {sorted(kernels_mod.KERNELS)}")
+            kernels_mod.check_bandwidth(kernels_mod.KERNELS[p["kernel"]], p["h"])
         elif self.family == "chisq":
             if p["k"] < 2:
                 raise ConfigError("chisq family needs k >= 2 cells")
@@ -363,7 +350,7 @@ def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
 
 
 def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
-    kernel = _KERNELS[p["kernel"]]()
+    kernel = kernels_mod.KERNELS[p["kernel"]]
     h = p["h"]
     theta_support = 0 if cfg.theta is None else cfg.theta.coeffs.size - 1
     j_max = max(1024, theta_support) if p["j_max"] is None else p["j_max"]

@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_real
 
 BASES = ("cosine", "complex-exponential", "haar")
 
@@ -112,10 +112,10 @@ class Spectrum:
             raise ConfigError(f"spectrum JSON needs 'basis' and 'coeffs': {exc}") from exc
         try:
             if basis == "complex-exponential":
-                arr = np.array([complex(re, im) for re, im in raw])
+                arr = np.array([complex(finite_real(re, "coeffs"), finite_real(im, "coeffs")) for re, im in raw])
             else:
-                arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
+                arr = np.array([finite_real(c, "coeffs") for c in raw])
+        except (TypeError, ValueError) as exc:
             raise ConfigError("coeffs must be numbers ([re, im] pairs in the complex basis)") from exc
         return Spectrum(basis=basis, coeffs=arr)
 
@@ -178,8 +178,11 @@ class BesovBall:
 
 
 def first_violated_tail(spec: Spectrum, ball: BesovBall) -> int | None:
-    """Smallest k whose tail constraint k^{2s} tail(k) <= p0 fails, or None."""
-    bad = _weighted_tails(spec, ball.s) > ball.p0 * (1.0 + 1e-15)
+    """Smallest k whose tail constraint k^{2s} tail(k) <= p0 fails, or None.
+
+    A constraint fails past the same slack ``BesovBall.admits`` allows, so a
+    point the ball contains has no violated tail."""
+    bad = _weighted_tails(spec, ball.s) > ball.p0 * (1.0 + CONTAINS_REL_TOL)
     idx = np.flatnonzero(bad)
     return int(idx[0]) + 1 if idx.size else None
 

@@ -2,7 +2,7 @@ import hypothesis
 
 hypothesis.settings.register_profile(
     "suite",
-    deadline=None,  # quadrature-backed checks are slow on first call
+    deadline=None,  # examples run scipy quadrature oracles and whole CLI commands
     max_examples=40,
     derandomize=True,
 )

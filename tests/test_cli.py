@@ -389,6 +389,26 @@ class TestBadConfigValues:
         assert "invalid config:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,payload",
+        [
+            (["project-besov"], {"theta": {"basis": "cosine", "coeffs": ["0.5", 0.1]}, "s": 1.0, "p0": 0.5}),
+            (["project-besov"], {"theta": {"basis": "cosine", "coeffs": [True, 0.1]}, "s": 1.0, "p0": 0.5}),
+            (
+                ["project-besov"],
+                {"theta": {"basis": "complex-exponential", "coeffs": [[0, 0], [True, False]]}, "s": 1.0, "p0": 0.5},
+            ),
+            (["simulate"], _simulate_payload(theta={"basis": "cosine", "coeffs": ["0.1"]})),
+        ],
+        ids=["string", "boolean", "complex boolean", "simulate theta string"],
+    )
+    def test_spectrum_coeffs_must_be_numbers(self, argv, payload, tmp_path, capsys):
+        cfg = _config(tmp_path, "bad.json", payload)
+        assert main(argv + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config:" in err
+        assert "Traceback" not in err
+
     def test_integral_float_counts_still_read(self, tmp_path):
         cfg = _config(tmp_path, "sim.json", _simulate_payload(n=400.0, reps=20.0, seed=7.0))
         assert main(["simulate", "--config", cfg]) == 0

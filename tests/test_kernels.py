@@ -34,7 +34,6 @@ CONSTANTS_REF = {
     "triangle": (2.0 / 3.0, 302.0 / 315.0),
     "epanechnikov": (3.0 / 5.0, 334.0 / 385.0),
 }
-CONSTANTS_ATOL = 1e-12
 
 TRANSFORM_AGREEMENT_ATOL = 1e-8  # closed form vs oscillatory quadrature
 POISSON_RTOL_SMOOTH = 1e-8
@@ -50,25 +49,19 @@ class TestConstants:
     @pytest.mark.parametrize("kern", _stock(), ids=lambda k: k.name)
     def test_closed_forms(self, kern):
         consts = kernel_constants(kern)
-        l2_ref, kappa_ref = CONSTANTS_REF[kern.name]
-        assert consts.l2_norm_sq == pytest.approx(l2_ref, abs=CONSTANTS_ATOL)
-        assert consts.kappa_sq == pytest.approx(kappa_ref, abs=CONSTANTS_ATOL)
+        assert (consts.l2_norm_sq, consts.kappa_sq) == CONSTANTS_REF[kern.name]
 
     def test_mass_validation(self):
+        # the mass Khat(0) = 2 is refused, whatever constants the kernel carries
         lopsided = Kernel(
             "double-box",
             lambda t: np.where(np.abs(t) <= 1.0, 1.0, 0.0),
             lambda w: 2.0 * box_kernel().transform(w),
+            2.0,
+            32.0 / 3.0,
         )
         with pytest.raises(ConfigError):
             kernel_constants(lopsided)
-        with pytest.raises(ConfigError):  # a failure is not remembered as a result
-            kernel_constants(lopsided)
-
-    def test_computed_once_per_kernel(self):
-        # equal frozen kernels share one entry, so a plan and a *_test call
-        # reuse the quadrature
-        assert kernel_constants(triangle_kernel()) is kernel_constants(triangle_kernel())
 
 
 class TestTransforms:
@@ -166,10 +159,14 @@ class TestPrediction:
 
 
 def test_import_leaves_scipy_integrate_out():
-    """The library evaluates every kernel transform in closed form, so
-    importing it does not load scipy's quadrature package."""
+    """The library evaluates every kernel transform and constant in closed
+    form, so importing it loads neither scipy's quadrature package nor
+    numpy's polynomial (Gauss-Legendre) one."""
     src = str(Path(seqtest.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, seqtest; print('scipy.integrate' in sys.modules)"
+    probe = (
+        "import sys, seqtest; "
+        "print('scipy.integrate' in sys.modules, any(m.startswith('numpy.polynomial') for m in sys.modules))"
+    )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

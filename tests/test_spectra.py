@@ -184,6 +184,16 @@ class TestProjection:
         ball = BesovBall(s=1.0, p0=2.0 * besov_seminorm(spec, 1.0))
         assert project_besov(spec, ball) is spec
 
+    @pytest.mark.parametrize("excess", [1e-14, 1e-13, 5e-13])
+    def test_contained_point_within_slack_is_identity(self, excess):
+        # the ball admits a seminorm up to p0 (1 + CONTAINS_REL_TOL); the
+        # projection must not move such a point
+        spec = Spectrum("cosine", np.array([0.3, 0.2, 0.1, 0.05]))
+        ball = BesovBall(s=1.0, p0=besov_seminorm(spec, 1.0) / (1.0 + excess))
+        assert ball.contains(spec)
+        assert first_violated_tail(spec, ball) is None
+        assert project_besov(spec, ball) is spec
+
     def test_feasible_and_idempotent(self):
         rng = np.random.default_rng(2024)
         for _ in range(10):
@@ -205,10 +215,11 @@ class TestProjection:
         np.testing.assert_array_equal(proj.coeffs[: k_star - 1], spec.coeffs[: k_star - 1])
 
     def test_head_preserved_bitwise_on_tight_constraints(self):
-        # tails from k = 1..4 sit on their budgets to rounding, k = 5 is just
-        # over: head slopes of the minorant come within an ulp of 1 here
+        # tails from k = 1..4 sit on their budgets to within the ball's slack,
+        # k = 5 is just past it: head slopes of the minorant come within an
+        # ulp of 1 here
         w = np.array([0.8660254037844386, 0.3726779962499648, 0.22047927592204936,
-                      0.1499999999999998, 0.11055415967851363, 0.16666666666666674])
+                      0.1499999999999998, 0.11055415967873976, 0.16666666666666674])
         spec, ball = Spectrum(basis="cosine", coeffs=w), BesovBall(s=1.0, p0=1.0)
         assert first_violated_tail(spec, ball) == 5
         np.testing.assert_array_equal(project_besov(spec, ball).coeffs[:4], w[:4])

@@ -12,12 +12,19 @@ uses the weighted energy statistic
 
     T_n = sigma^-4 n^2 sum_j kappa_j^2 y_j^2.
 
-Under the null E T_n = sigma^-2 n sum_j kappa_j^2 (which matches the
-centering C_n = sigma^-2 n rho_n up to the solver residual) and
-Var T_n = 2 A_n with A_n = sigma^-4 n^2 sum_j kappa_j^4, so the test rejects
-when (T_n - C_n) / sqrt(2 A_n) > x_alpha and its minimax type II error is
-Phi(x_alpha - sqrt(A_n / 2)).  The least favorable signal is theta_j = kappa_j.
-``energy_form`` writes the standardized statistic as an ``EnergyForm``.
+Under the null E T_n = sigma^-2 n sum_j kappa_j^2 and Var T_n = 2 A_n with
+A_n = sigma^-4 n^2 sum_j kappa_j^4, so the test rejects when
+(T_n - C_n) / sqrt(2 A_n) > x_alpha.  The centering C_n = sigma^-2 n rho_n is
+not the null mean: sum_j kappa_j^2 sums and truncates the tail that the
+radius equation integrates, at a rounded k_n, so the standardized gap
+(E T_n - C_n) / sqrt(2 A_n) is -0.139 at n = 2000, rho_n = 2e-3 and -0.056 at
+n = 1e4, rho_n = n^-0.8 (s = 1, P0 = 1), and the size is not exactly alpha.
+A signal theta shifts T_n from its null law by
+sigma^-4 n^2 sum_j kappa_j^2 theta_j^2, and its drift is that shift over
+sqrt(2 A_n).  The least favorable signal is theta_j = kappa_j, whose drift is
+sqrt(A_n / 2), so the minimax type II error is Phi(x_alpha - sqrt(A_n / 2)).
+``energy_form`` writes the standardized statistic as an ``EnergyForm``, and
+its ``drift`` is the drift of any signal.
 
 The inverse variant observes y_j = lambda_j theta_j + noise.  Writing the
 least favorable signal as theta_j^2 = a lambda_j^-4 up to the breakpoint,
@@ -241,13 +248,9 @@ def minimax_statistic(obs: SequenceObservation, design: DetectionDesign) -> floa
     return energy_form(design).energy(_check_observation(obs, design))
 
 
-def minimax_drift(design: DetectionDesign) -> float:
-    """sqrt(A_n / 2), the standardized mean shift of the least favorable signal."""
-    return math.sqrt(design.a_n / 2.0)
-
-
 def predicted_type2_minimax(design: DetectionDesign, alpha: float) -> float:
-    return normal_type2(minimax_drift(design), alpha)
+    """Phi(x_alpha - sqrt(A_n / 2)), the type II error at the least favorable signal."""
+    return normal_type2(math.sqrt(design.a_n / 2.0), alpha)
 
 
 def minimax_test(obs: SequenceObservation, design: DetectionDesign, alpha: float) -> TestReport:

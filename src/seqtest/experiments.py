@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,10 +41,6 @@ DECOMPOSITION_FIELDS = (
 )
 
 
-def _scaled(theta: Spectrum, scale: float) -> Spectrum:
-    return Spectrum(theta.basis, np.asarray(theta.coeffs) * float(scale))
-
-
 def _run(config: ExperimentConfig, threads: int) -> tuple[MonteCarloPlan, float, float]:
     plan = build_plan(config)
     summary = run_monte_carlo(config, threads=threads, plan=plan)
@@ -54,18 +51,18 @@ def power_curve(config: ExperimentConfig, scales, threads: int = 1) -> list[dict
     """Empirical vs. predicted type II error along a signal-scale schedule."""
     if config.theta is None:
         raise ConfigError("power_curve needs a base signal to scale")
+    s_values = [float(v) for v in scales]
+    if not s_values:
+        raise ConfigError("power_curve needs at least one scale")
+    base = config.theta
     rows = []
-    for scale in scales:
-        cfg = ExperimentConfig(
-            family=config.family, n=config.n, reps=config.reps, seed=config.seed,
-            alpha=config.alpha, sigma=config.sigma,
-            theta=_scaled(config.theta, scale), params=config.params,
-        )
+    for scale in s_values:
+        cfg = replace(config, theta=Spectrum(base.basis, np.asarray(base.coeffs) * scale))
         plan, rate, std_err = _run(cfg, threads)
         predicted = plan.predicted_type2
         empirical_beta = 1.0 - rate
         rows.append({
-            "scale": float(scale),
+            "scale": scale,
             "power": rate,
             "empirical_type2": empirical_beta,
             "predicted_type2": predicted,
@@ -181,10 +178,7 @@ def maxiset_decomposition_experiment(
         residual = Spectrum(f_n.basis, np.asarray(f_n.coeffs) - np.asarray(f_proj.coeffs))
         triple = {}
         for label, spec in (("f", f_n), ("projected", f_proj), ("residual", residual)):
-            cfg = ExperimentConfig(
-                family=config.family, n=config.n, reps=config.reps, seed=config.seed,
-                alpha=config.alpha, sigma=config.sigma, theta=spec, params=config.params,
-            )
+            cfg = replace(config, theta=spec)
             _, rate, std_err = _run(cfg, threads)
             triple[label] = (rate, std_err, cfg.config_hash())
         rows.append({

@@ -19,13 +19,14 @@ T_n has mean 0 and variance 1 under the null up to the truncation of the
 stored frequencies.  A wider bandwidth inflates the null variance, so every
 function that standardizes refuses it.  The type II error against theta is
 Phi(x_alpha - kappa^{-1} sigma^{-2} n h^{1/2} T1n(theta)) with
-T1n(theta) = sum_j |Khat(j h) theta_j|^2.
+T1n(theta) = sum_j |Khat(j h) theta_j|^2, the energy S of theta.
 
 Every function here has one path: the transform table Khat(j h) is built
 from the kernel's closed-form ``transform`` at the length of the spectrum it
 weights, and ||K||^2 and kappa^2 are closed-form constants each ``Kernel``
 carries (rationals for the three stock kernels).  T_n is the ``EnergyForm``
-that ``energy_form`` builds.
+that ``energy_form`` builds, T1n(theta) its ``energy`` and the drift above
+its ``drift``.
 """
 
 from __future__ import annotations
@@ -148,28 +149,17 @@ def check_bandwidth(kernel: Kernel, h: float) -> None:
         raise ConfigError(f"bandwidth h={h!r} must lie in (0, {bound:g}] for the {kernel.name} kernel")
 
 
-def studentization_scale(kernel: Kernel, h: float, n: int, sigma: float) -> float:
-    """n h^{1/2} sigma^{-2} kappa^{-1}, the factor T_n puts on S - center."""
-    check_bandwidth(kernel, h)
-    return n * math.sqrt(h) / sigma**2 / math.sqrt(kernel_constants(kernel).kappa_sq)
-
-
 def energy_form(kernel: Kernel, h: float, j_max: int, n: int, sigma: float) -> EnergyForm:
     """T_n over frequencies 0..j_max: each |y_j|^2 is the (re, im) pair of a
     complex y, weighted |Khat(j h)|^2 at j = 0 and twice that at j >= 1 (the
-    conjugate frequency -j)."""
-    scale = studentization_scale(kernel, h, n, sigma)
+    conjugate frequency -j).  The sd is 1 / (n h^{1/2} sigma^{-2} kappa^{-1})."""
+    check_bandwidth(kernel, h)
+    constants = kernel_constants(kernel)
+    scale = n * math.sqrt(h) / sigma**2 / math.sqrt(constants.kappa_sq)
     w = transform_values(kernel, h, j_max) ** 2
     w[1:] *= 2.0
-    center = sigma**2 / (n * h) * kernel_constants(kernel).l2_norm_sq
+    center = sigma**2 / (n * h) * constants.l2_norm_sq
     return EnergyForm(np.repeat(w, 2), center, 1.0 / scale)
-
-
-def bias_functional(theta: Spectrum, kernel: Kernel, h: float) -> float:
-    """T1n(theta) = sum over j in Z of |Khat(j h) theta_j|^2 from the stored j = 0..J."""
-    w = transform_values(kernel, h, _require_complex(theta).coeffs.size - 1) ** 2
-    mags = np.abs(theta.coeffs) ** 2
-    return float(w[0] * mags[0] + 2.0 * np.sum(w[1:] * mags[1:]))
 
 
 def kernel_statistic(obs: SequenceObservation, kernel: Kernel, h: float) -> float:
@@ -185,8 +175,8 @@ def predicted_type2_kernel(
     sigma: float,
     alpha: float,
 ) -> float:
-    scale = studentization_scale(kernel, h, n, sigma)
-    return normal_type2(scale * bias_functional(theta, kernel, h), alpha)
+    coeffs = np.ascontiguousarray(_require_complex(theta).coeffs)
+    return normal_type2(energy_form(kernel, h, coeffs.size - 1, n, sigma).drift(coeffs), alpha)
 
 
 def kernel_test(obs: SequenceObservation, kernel: Kernel, h: float, alpha: float) -> TestReport:

@@ -12,12 +12,13 @@ Each family's plan supplies only how a replication draws its data and how
 the data is tested, and one loop (``_counter``) counts the rejections.
 Every rejection rule calls the same statistic core as its ``*_test``
 function.  The quadratic, kernel and minimax plans differ only in the
-``EnergyForm``, theta and drift they build, and share one rejection rule
-(``_plan_energy``).  Sequence and CvM draws call the same sampling functions as
-``draw_sequence_observation``/``sample_iid``.  A chi-square replication
-reads its sample only through its cell counts: it draws the uniforms that
-``sample_iid`` draws, and under an alternative counts them, sorted, against
-cell thresholds fixed when the plan is built, with no point inverted.
+``EnergyForm`` and theta they build, and share one rejection rule and one
+drift, the form's (``_plan_energy``).  Sequence and CvM draws call the same
+sampling functions as ``draw_sequence_observation``/``sample_iid``.  A
+chi-square replication reads its sample only through its cell counts: it
+draws the uniforms that ``sample_iid`` draws, and under an alternative counts
+them, sorted, against cell thresholds fixed when the plan is built, with no
+point inverted.
 """
 
 from __future__ import annotations
@@ -310,9 +311,11 @@ def _iid_draw(theta: Spectrum | None, n: int):
 
 def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarray, details: dict) -> MonteCarloPlan:
     """The plan of a sequence-model family: draw y = theta + noise and reject
-    when the family's standardized energy exceeds x_alpha.  A drift that
-    overflows a float is refused: the normal prediction would be meaningless."""
-    drift = details["drift"]
+    when the family's standardized energy exceeds x_alpha.  The prediction
+    reads ``form.drift(theta)``; a drift that overflows a float is refused,
+    since the normal prediction would be meaningless."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = details["drift"] = form.drift(th)
     if not math.isfinite(drift):
         raise ConfigError(f"{cfg.family} plan: drift={drift}; theta, n or 1/sigma is too large for a float")
     x_alpha = upper_quantile(cfg.alpha)
@@ -325,10 +328,7 @@ def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     if kq is None:
         kq = quad_mod.example_coefficients(cfg.n, p["gamma"], p["j_max"])
     form = quad_mod.energy_form(kq, cfg.n, cfg.sigma)
-    th = _padded(cfg.theta, kq.size, "cosine")
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = quad_mod.drift(th, kq, cfg.n, cfg.sigma)
-    return _plan_energy(cfg, form, th, {"j_max": kq.size, "drift": drift})
+    return _plan_energy(cfg, form, _padded(cfg.theta, kq.size, "cosine"), {"j_max": kq.size})
 
 
 def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -337,16 +337,12 @@ def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
         dsg = design_mod.solve_inverse_design(*design_args, p["lambdas"], j_max=p["j_max"])
     else:
         dsg = design_mod.solve_design(*design_args, j_max=p["j_max"])
-    form = design_mod.energy_form(dsg)
     if p["least_favorable"]:
         th = design_mod.least_favorable(dsg).coeffs
-        drift = design_mod.minimax_drift(dsg)
     else:
         th = _padded(cfg.theta, dsg.j_max, "cosine")
-        with np.errstate(over="ignore", invalid="ignore"):
-            drift = (dsg.null_mean() - dsg.c_n + quad_mod.noncentrality(th, dsg.kappa_j2, cfg.n, cfg.sigma)) / form.sd
-    details = {"k_n": dsg.k_n, "a_n": dsg.a_n, "c_n": dsg.c_n, "j_max": dsg.j_max, "drift": drift}
-    return _plan_energy(cfg, form, th, details)
+    details = {"k_n": dsg.k_n, "a_n": dsg.a_n, "c_n": dsg.c_n, "j_max": dsg.j_max}
+    return _plan_energy(cfg, design_mod.energy_form(dsg), th, details)
 
 
 def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -354,14 +350,9 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     h = p["h"]
     theta_support = 0 if cfg.theta is None else cfg.theta.coeffs.size - 1
     j_max = max(1024, theta_support) if p["j_max"] is None else p["j_max"]
-    if theta_support > j_max:
-        raise ConfigError(f"signal support {theta_support} exceeds the run's truncation {j_max}")
-    form = kernels_mod.energy_form(kernel, h, j_max, cfg.n, cfg.sigma)
     th = _padded(cfg.theta, j_max, "complex-exponential")
-    t1n = 0.0 if cfg.theta is None else kernels_mod.bias_functional(cfg.theta, kernel, h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = kernels_mod.studentization_scale(kernel, h, cfg.n, cfg.sigma) * t1n
-    return _plan_energy(cfg, form, th, {"j_max": j_max, "h": h, "drift": drift, "t1n": t1n})
+    form = kernels_mod.energy_form(kernel, h, j_max, cfg.n, cfg.sigma)
+    return _plan_energy(cfg, form, th, {"j_max": j_max, "h": h})
 
 
 def _chisq_counts(theta: Spectrum | None, n: int, k: int):

@@ -16,7 +16,10 @@ error against a signal theta is Phi(x_alpha - A_n(theta) / sqrt(2 A_n)) with
 Since sd0 = sigma^4 n^-2 sqrt(2 A_n) and E_theta[T_n] = sigma^4 n^-2 A_n(theta),
 the standardized mean shift is exactly A_n(theta) / sqrt(2 A_n): the error
 formula and the finite-truncation standardization agree with no extra factor.
-``EnergyForm`` is the statistic core of this family, the kernel and the minimax one.
+
+``EnergyForm`` is the statistic core of this family, the kernel and the
+minimax one, and ``EnergyForm.drift`` is the one drift of all three: the
+energy of the signal over the null sd, sum_j kappa^2_j theta_j^2 / sd0 here.
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ class EnergyForm:
     def standardized(self, y: np.ndarray) -> float:
         return (self.energy(y) - self.offset) / self.sd
 
+    def drift(self, mean: np.ndarray) -> float:
+        """energy(mean) / sd, the shift of the standardized statistic from its
+        null law when y = mean + noise: the paper's type II error is
+        Phi(x_alpha - drift) (``report.normal_type2``)."""
+        return self.energy(mean) / self.sd
+
 
 def example_coefficients(n: int, gamma: float, j_max: int) -> np.ndarray:
     """The rational weight family kappa^2_j = n^{-1/(2 gamma)} n^{-1} j^-g / (j^-g + n^-1).
@@ -74,19 +83,6 @@ def _as_coeff_array(y) -> np.ndarray:
             raise ConfigError("quadratic tests operate on cosine-basis observations")
         return np.asarray(y.coeffs, dtype=float)
     return np.asarray(y, dtype=float)
-
-
-def a_n_value(kappa_sq: np.ndarray, n: int, sigma: float) -> float:
-    kappa_sq = np.asarray(kappa_sq, dtype=float)
-    return float(n**2 * sigma**-4 * np.sum(kappa_sq**2))
-
-
-def noncentrality(theta, kappa_sq: np.ndarray, n: int, sigma: float) -> float:
-    """A_n(theta) over the overlapping index range of weights and signal."""
-    th = _as_coeff_array(theta)
-    kq = np.asarray(kappa_sq, dtype=float)
-    m = min(th.size, kq.size)
-    return float(n**2 * sigma**-4 * np.sum(kq[:m] * th[:m] ** 2))
 
 
 def energy_form(kappa_sq: np.ndarray, n: int, sigma: float) -> EnergyForm:
@@ -110,11 +106,11 @@ def quadratic_statistic(y, kappa_sq: np.ndarray, n: int, sigma: float) -> float:
 
 
 def drift(theta, kappa_sq: np.ndarray, n: int, sigma: float) -> float:
-    """Standardized mean shift A_n(theta) / sqrt(2 A_n)."""
-    a_n = a_n_value(kappa_sq, n, sigma)
-    if a_n <= 0:
-        raise ConfigError("weights are identically zero")
-    return noncentrality(theta, kappa_sq, n, sigma) / math.sqrt(2.0 * a_n)
+    """Standardized mean shift A_n(theta) / sqrt(2 A_n), over the indices
+    that the weights and the signal share."""
+    form = energy_form(kappa_sq, n, sigma)
+    th = _as_coeff_array(theta)[: form.weights.size]
+    return EnergyForm(form.weights[: th.size], form.offset, form.sd).drift(th)
 
 
 def predicted_type2_quadratic(theta, kappa_sq, n: int, sigma: float, alpha: float) -> float:

@@ -278,13 +278,8 @@ def iid_sampler(spec: Spectrum, grid_points: int = 8193):
     return lambda u: np.interp(u, cdf, x)
 
 
-def sample_iid(
-    spec: Spectrum,
-    size: int,
-    rng: np.random.Generator,
-    grid_points: int = 8193,
-) -> np.ndarray:
+def sample_iid(spec: Spectrum, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. points from the density 1 + f by inverse-CDF lookup."""
     if size < 0:
         raise ConfigError("sample size must be non-negative")
-    return iid_sampler(spec, grid_points)(rng.random(size))
+    return iid_sampler(spec)(rng.random(size))

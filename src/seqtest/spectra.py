@@ -87,15 +87,6 @@ class Spectrum:
             total += float(np.real(self.coeffs[0]) ** 2)
         return total
 
-    def signed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full signed index set (-J..J) and coefficients for the complex basis."""
-        if self.basis != "complex-exponential":
-            raise ConfigError("signed_pairs is only defined for the complex-exponential basis")
-        j_max = self.max_frequency
-        js = np.arange(-j_max, j_max + 1)
-        vals = np.concatenate([np.conj(self.coeffs[:0:-1]), self.coeffs])
-        return js, vals
-
     def to_json_dict(self) -> dict:
         if self.basis == "complex-exponential":
             coeffs = [[float(c.real), float(c.imag)] for c in self.coeffs]

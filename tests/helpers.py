@@ -246,6 +246,17 @@ def bridge_kernel_quadrature(theta, order: int = 256) -> float:
     return float((w * f) @ kern @ (w * f))
 
 
+def signed_pairs(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Full signed index set (-J..J) and coefficients of a complex-exponential
+    spectrum, the negative half by conjugate symmetry."""
+    if spec.basis != "complex-exponential":
+        raise ConfigError("signed_pairs is only defined for the complex-exponential basis")
+    j_max = spec.max_frequency
+    js = np.arange(-j_max, j_max + 1)
+    vals = np.concatenate([np.conj(spec.coeffs[:0:-1]), spec.coeffs])
+    return js, vals
+
+
 def space_domain_energy(y, kernel, h: float, grid: int = 2048) -> float:
     """||smoothed field||^2 by direct periodic convolution on a grid.
 
@@ -254,7 +265,7 @@ def space_domain_energy(y, kernel, h: float, grid: int = 2048) -> float:
     direct summation, and integrates the square; O(grid^2).
     """
     t = np.arange(grid) / grid
-    js, vals = y.signed_pairs()
+    js, vals = signed_pairs(y)
     field = np.real(np.exp(2j * math.pi * np.outer(t, js)) @ vals)
     # wrapped kernel (t - u mod 1), scaled by 1/h
     d = t[:, None] - t[None, :]
@@ -284,7 +295,7 @@ def aliasing_sum(theta, k: int) -> float:
     """J1 = k^2 sum_m sum_{j != 0, j != m k} theta_j conj(theta_{j - m k})
     (2 - 2 cos(2 pi j / k)) / (4 pi^2 j (j - m k)), term by term; n J1 is the
     chi-square population functional of a mean-zero perturbation."""
-    js, vals = theta.signed_pairs()
+    js, vals = signed_pairs(theta)
     if abs(vals[js == 0][0]) > 1e-12:
         raise ConfigError("the aliasing sum requires a mean-zero perturbation (zero frequency-0 coefficient)")
     j_max = int(js.max())
@@ -311,7 +322,7 @@ def cross_frequency_sum(theta, k: int) -> float:
     Keeps the explicit phase average sum_l e^{2 pi i (j - j') l / k} instead
     of using its known value; c_j = int_0^{1/k} e^{2 pi i j x} dx.
     """
-    js, vals = theta.signed_pairs()
+    js, vals = signed_pairs(theta)
     nz = js != 0
     js, vals = js[nz], vals[nz]
     c = (np.exp(2.0j * math.pi * js / k) - 1.0) / (2.0j * math.pi * js)

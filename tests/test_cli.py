@@ -299,6 +299,7 @@ BAD_CONFIGS = {
     "fractional seed": (["simulate"], _simulate_payload(seed=1.5)),
     "scalar scales": (["power-curve"], {**_simulate_payload(reps=10), "scales": 3}),
     "text scales": (["power-curve"], {**_simulate_payload(reps=10), "scales": ["a"]}),
+    "empty scales": (["power-curve"], {**_simulate_payload(reps=10), "scales": []}),
     "scalar c_schedule": (["experiment", "consistency"], {**_CONSISTENCY, "c_schedule": 5}),
     "text gammas": (["experiment", "decomposition"], {**_DECOMPOSITION, "gammas": "ab"}),
     "design j_max": (["minimax-design"], {**_DESIGN, "j_max": "x"}),

@@ -14,8 +14,8 @@ import seqtest
 from seqtest.errors import ConfigError
 from seqtest.kernels import (
     Kernel,
-    bias_functional,
     box_kernel,
+    energy_form,
     epanechnikov_kernel,
     kernel_constants,
     kernel_statistic,
@@ -137,7 +137,8 @@ class TestStatistic:
         coeffs[1:] = rng.normal(size=5) * 0.2 + 1j * rng.normal(size=5) * 0.2
         y = Spectrum(basis="complex-exponential", coeffs=coeffs)
         h = 0.05
-        spectral = bias_functional(y, triangle_kernel(), h)
+        # T1n(y) = sum over j in Z of |Khat(j h) y_j|^2, the form's energy of y
+        spectral = energy_form(triangle_kernel(), h, y.max_frequency, 1000, 1.0).energy(y.coeffs)
         direct = space_domain_energy(y, triangle_kernel(), h, grid=4096)
         assert direct == pytest.approx(spectral, rel=SPACE_DOMAIN_RTOL)
 

@@ -381,7 +381,7 @@ PINNED_SEQUENCE_CURVES = {
     ),
     "minimax": (
         _curve("minimax", 11, {"basis": "cosine", "coeffs": [0.03, 0.02, 0.01]}, {"s": 1.0, "p0": 1.0, "rho_n": 2e-3}),
-        "0f03fcc46c3cbdf6ee500336092d886f2125d017952cc0f586965506e5162731",
+        "e033404bdb74c6c685afae021a433d18d60728a94904d3847ba85d1a950505c4",
     ),
 }
 
@@ -518,6 +518,28 @@ class TestPlansAndRates:
         assert plan.details["k_n"] == d.k_n
         assert plan.details["a_n"] == pytest.approx(d.a_n, rel=1e-15)
         assert plan.details["drift"] == pytest.approx(math.sqrt(d.a_n / 2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("family,n,params", [
+        ("quadratic", 500, {"gamma": 2.0, "j_max": 64}),
+        ("kernel", 800, {"kernel": "box", "h": 0.1, "j_max": 64}),
+        ("minimax", 2000, {"s": 1.0, "p0": 1.0, "rho_n": 2e-3}),
+        ("chisq", 300, {"k": 8}),
+    ])
+    def test_null_plan_predicts_one_minus_alpha(self, family, n, params):
+        # no signal, no shift from the null law, whatever the test centers on
+        plan = build_plan(ExperimentConfig(family=family, n=n, reps=10, seed=0, params=params))
+        assert plan.details["drift"] == 0.0
+        assert plan.predicted_type2 == pytest.approx(0.95, abs=1e-12)
+
+    def test_minimax_drift_same_for_least_favorable_and_explicit_theta(self):
+        params = {"s": 1.0, "p0": 1.0, "rho_n": 2e-3}
+        lf = build_plan(ExperimentConfig(family="minimax", n=2000, reps=10, seed=0,
+                                         params={**params, "least_favorable": True}))
+        theta = least_favorable(solve_design(1.0, 1.0, 2e-3, 2000))
+        explicit = build_plan(ExperimentConfig(family="minimax", n=2000, reps=10, seed=0,
+                                               theta=theta, params=params))
+        assert explicit.details["drift"] == pytest.approx(lf.details["drift"], rel=1e-12)
+        assert explicit.predicted_type2 == pytest.approx(lf.predicted_type2, rel=1e-12)
 
     def test_cvm_plan_has_no_normal_prediction(self):
         cfg = ExperimentConfig(family="cvm", n=30, reps=10, seed=0,

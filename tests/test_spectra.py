@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import direct_seminorm, kkt_residual, slsqp_tail_projection
+from helpers import direct_seminorm, kkt_residual, signed_pairs, slsqp_tail_projection
 from seqtest.errors import ConfigError
 from seqtest.spectra import (
     BesovBall,
@@ -71,7 +71,7 @@ class TestSpectrum:
 
     def test_signed_pairs_symmetry(self):
         spec = Spectrum(basis="complex-exponential", coeffs=np.array([0.0, 0.3 + 0.4j, 0.1 - 0.2j]))
-        js, vals = spec.signed_pairs()
+        js, vals = signed_pairs(spec)
         assert list(js) == [-2, -1, 0, 1, 2]
         np.testing.assert_allclose(vals[js < 0], np.conj(vals[js > 0][::-1]))
 

@@ -6,6 +6,11 @@ any table can be replayed exactly.  CSV files start with ``# schema=v1`` and
 format floats with ``repr``, which is shortest-roundtrip and platform-stable;
 together with the replication-seeded engine this makes outputs byte-identical
 across thread counts.
+
+Prior membership scores its draws in blocks.  Each draw reads only the
+prior's support, min(j_max, floor(k_n / delta)) normals, the prefix of the
+stream a full-length draw reads, so the counts are those of full-length
+draws.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import numpy as np
 from . import design as design_mod
 from .errors import ConfigError, NumericError
 from .montecarlo import THETA_BASIS, ExperimentConfig, MonteCarloPlan, build_plan, run_monte_carlo
-from .sampling import replication_rngs
 from .spectra import (
     FAMILIES_QUADRATIC_RATE, BesovBall, CalibrationRates, Spectrum,
     calibration_rates, make_tail_alternative, project_besov,
@@ -203,12 +207,16 @@ def bayes_membership_rate(
     draws: int,
     seed: int,
 ) -> dict:
-    """Empirical probability that a prior draw lands in the alternative set."""
+    """Empirical probability that a prior draw lands in the alternative set.
+
+    Draw r is ``sample_bayes_prior(design, delta, seed, r)``, scored with the
+    others a block at a time (``prior_blocks``).  A draw reads only the
+    prior's support, min(j_max, floor(k_n / delta)) normals, the prefix of
+    the same stream, so the counts are those of the full-length draws.
+    """
     if draws < 1:
         raise ConfigError("need at least one prior draw")
-    profile = design_mod.prior_profile(design, delta)  # one shifted-design solve for every draw
-    rngs = replication_rngs(seed, 0, draws)
-    members = sum(design_mod._draw_prior(design, profile, rng).in_alternative for rng in rngs)
+    members = sum(int(member.sum()) for *_, member in design_mod.prior_blocks(design, delta, seed, 0, draws))
     rate = members / draws
     return {
         "draws": draws,

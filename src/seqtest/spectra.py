@@ -113,8 +113,7 @@ class Spectrum:
 
 def tail_energy_profile(spec: Spectrum) -> np.ndarray:
     """tail[k-1] = sum of |theta_j|^2 over frequencies >= k, for k = 1..J."""
-    energies = spec.frequency_energies()
-    return np.cumsum(energies[::-1])[::-1]
+    return _weighted_tails(spec.frequency_energies(), 0.0)  # k^0 = 1
 
 
 def besov_seminorm(spec: Spectrum, s: float) -> float:
@@ -124,26 +123,31 @@ def besov_seminorm(spec: Spectrum, s: float) -> float:
     is attained by letting lambda increase toward an integer k, so the integer
     maximum equals the supremum.
     """
+    return float(besov_seminorms(spec.frequency_energies(), s))
+
+
+def besov_seminorms(energies: np.ndarray, s: float) -> np.ndarray:
+    """``besov_seminorm`` of each row of frequency ``energies``: entry k - 1
+    along the last axis is the energy at frequency k (``frequency_energies``)."""
     if s <= 0:
         raise ConfigError("smoothness index s must be positive")
-    seminorm = float(np.max(_weighted_tails(spec, s), initial=0.0))
-    if not math.isfinite(seminorm):
+    seminorm = np.max(_weighted_tails(energies, s), axis=-1, initial=0.0)
+    if not np.all(np.isfinite(seminorm)):
         raise ConfigError(f"the s={s:g} seminorm of this input overflows a float")
     return seminorm
 
 
-def _weighted_tails(spec: Spectrum, s: float) -> np.ndarray:
-    """k^{2s} tail(k) for the k = 1..m whose tail is nonzero.
+def _weighted_tails(energies: np.ndarray, s: float) -> np.ndarray:
+    """k^{2s} tail(k) along the last axis of frequency ``energies``, k = 1..J.
 
-    Tails only fall, so the zero ones are those past m; each would add 0 to
-    the seminorm, and leaving them out keeps a k^{2s} that overflows to inf
-    (large s) from turning them into NaN.  A nonzero tail there gives inf.
+    A zero tail gives 0: the product is taken only where the tail is
+    positive, so a k^{2s} that overflows to inf (large s) cannot meet a zero
+    tail and make NaN.  A positive tail there gives inf.
     """
-    tails = tail_energy_profile(spec)
-    m = int(np.count_nonzero(tails))
-    k = np.arange(1, m + 1, dtype=float)
+    tails = np.cumsum(energies[..., ::-1], axis=-1)[..., ::-1]
     with np.errstate(over="ignore"):
-        return k ** (2.0 * s) * tails[:m]
+        weights = np.arange(1, tails.shape[-1] + 1, dtype=float) ** (2.0 * s)
+        return np.multiply(weights, tails, out=np.zeros_like(tails), where=tails > 0.0)
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ def first_violated_tail(spec: Spectrum, ball: BesovBall) -> int | None:
 
     A constraint fails past the same slack ``BesovBall.admits`` allows, so a
     point the ball contains has no violated tail."""
-    bad = _weighted_tails(spec, ball.s) > ball.p0 * (1.0 + CONTAINS_REL_TOL)
+    bad = _weighted_tails(spec.frequency_energies(), ball.s) > ball.p0 * (1.0 + CONTAINS_REL_TOL)
     idx = np.flatnonzero(bad)
     return int(idx[0]) + 1 if idx.size else None
 

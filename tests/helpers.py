@@ -5,7 +5,9 @@ outside the package (scipy optimizers, direct summation), so agreement is
 evidence and not circularity.  The weight-profile regularity report, the
 primitive mean and the CvM consistency margin are diagnostics that only the
 tests read.  ``imhof_sf`` is the exact law of the sequence-model statistics,
-and ``exact_power`` reads it off an ``EnergyForm``.
+and ``exact_power`` reads it off an ``EnergyForm``.  ``prior_members`` counts
+prior membership one full-length draw at a time, the reference for the
+block-scored count.
 """
 
 import math
@@ -17,9 +19,11 @@ from scipy import integrate
 from scipy.optimize import minimize
 
 from seqtest.cvm import cvm_population
+from seqtest.design import prior_profile
 from seqtest.errors import ConfigError
 from seqtest.report import upper_quantile
-from seqtest.sampling import density_grid
+from seqtest.sampling import density_grid, rng_for_replication
+from seqtest.spectra import BesovBall, Spectrum, besov_seminorm
 
 # Regularity thresholds: neighbor-step bound a3 <= A3_STEP_OVER_KN / k_n in the
 # resolution window, window mass fractions for a5 below A5_MASS_FRACTION.
@@ -336,6 +340,18 @@ def cross_frequency_sum(theta, k: int) -> float:
             phase_avg = np.sum(np.exp(2.0j * math.pi * diff * l / k))
             total += vals[a] * np.conj(vals[b]) * c[a] * np.conj(c[b]) * phase_avg
     return float(abs(k * total))
+
+
+def prior_members(design, delta: float, draws: int, seed: int) -> int:
+    """How many of prior draws 0..draws-1 lie in V_n: each draws all j_max
+    normals of ``rng_for_replication(seed, rep)`` and is scored as a Spectrum."""
+    scale = np.sqrt(prior_profile(design, delta))
+    ball = BesovBall(s=design.s, p0=design.p0)
+    members = 0
+    for rep in range(draws):
+        eta = Spectrum("cosine", scale * rng_for_replication(seed, rep).standard_normal(design.j_max))
+        members += bool(eta.norm_sq() >= design.rho_n and ball.admits(besov_seminorm(eta, design.s)))
+    return members
 
 
 def half_mass_index(kappa_sq: np.ndarray) -> int:

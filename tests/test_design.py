@@ -196,9 +196,23 @@ class TestBayesPrior:
 
     def test_membership_flag_consistency(self):
         d = solve_design(**ORACLE)
-        draw = sample_bayes_prior(d, 0.2, seed=7, rep=0)
-        in_ball = besov_seminorm(draw.eta, d.s) <= d.p0 * (1 + 1e-12)
-        assert draw.in_alternative == (in_ball and draw.norm_sq >= d.rho_n)
+        for seed, rep in [(7, 0)] + [(31, rep) for rep in range(12)]:
+            draw = sample_bayes_prior(d, 0.2, seed=seed, rep=rep)
+            norm_sq, seminorm = draw.eta.norm_sq(), besov_seminorm(draw.eta, d.s)
+            # the draw's scores may sum in another order than the Spectrum's
+            assert draw.norm_sq == pytest.approx(norm_sq, rel=1e-12)
+            assert draw.seminorm == pytest.approx(seminorm, rel=1e-12)
+            in_ball = seminorm <= d.p0 * (1 + 1e-12)
+            assert draw.in_alternative == (in_ball and norm_sq >= d.rho_n)
+
+    @pytest.mark.parametrize("seed", [0, 7, 77_001])
+    @pytest.mark.parametrize("m, size", [(1, 2), (56, 1024), (1370, 5480)])
+    def test_normals_fill_a_prefix_of_the_full_draw(self, seed, m, size):
+        # prior draws read only the support's m normals of each stream
+        full = rng_for_replication(seed, 3).standard_normal(size)
+        row = np.zeros((2, size))[1]
+        rng_for_replication(seed, 3).standard_normal(out=row[:m])
+        np.testing.assert_array_equal(row[:m], full[:m])
 
     def test_delta_validation(self):
         d = solve_design(**ORACLE)

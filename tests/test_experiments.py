@@ -11,7 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from seqtest.design import sample_bayes_prior, solve_design
+from helpers import prior_members
+from seqtest.design import PRIOR_BLOCK_BYTES, solve_design, solve_inverse_design
 from seqtest.errors import ConfigError, NumericError
 from seqtest.experiments import (
     CONSISTENCY_FIELDS,
@@ -195,17 +196,32 @@ class TestDecompositionExperiment:
             maxiset_decomposition_experiment(config, s=1.0, gammas=[1.0, 2.0])
 
 
+def _direct_prior_design(j_max=None):
+    return solve_design(s=1.0, p0=1.0, rho_n=1e-2, n=1000, j_max=j_max)  # k_n = 17
+
+
+# (design, delta, draws, seed); the direct design's support is 56 = 17 / 0.3
+PRIOR_CASES = {
+    "direct": (_direct_prior_design, 0.3, 50, 88),
+    "inverse": (lambda: solve_inverse_design(1.0, 1.0, 1e-3, 1000, 1.0, 1.0 / np.arange(1, 501)), 0.3, 50, 88),
+    "support past j_max": (lambda: _direct_prior_design(j_max=40), 0.3, 200, 88),
+    "criterion 11": (lambda: solve_design(1.0, 1.0, 4e-5, 10_000), 0.2, 1000, 77_001),
+    "one draw": (_direct_prior_design, 0.3, 1, 88),
+    "partial last block": (_direct_prior_design, 0.3, 2 * (PRIOR_BLOCK_BYTES // (8 * 56)) + 17, 88),
+}
+
+
 class TestBayesMembershipRate:
-    def test_matches_a_manual_loop(self):
-        design = solve_design(s=1.0, p0=1.0, rho_n=1e-2, n=1000)
-        report = bayes_membership_rate(design, delta=0.3, draws=50, seed=88)
-        manual = sum(
-            sample_bayes_prior(design, 0.3, 88, rep).in_alternative for rep in range(50)
-        )
+    @pytest.mark.parametrize("case", list(PRIOR_CASES))
+    def test_matches_a_manual_loop(self, case):
+        make_design, delta, draws, seed = PRIOR_CASES[case]
+        design = make_design()
+        report = bayes_membership_rate(design, delta=delta, draws=draws, seed=seed)
+        manual = prior_members(design, delta, draws, seed)
         assert report["members"] == manual
-        assert report["rate"] == manual / 50
+        assert report["rate"] == manual / draws
         assert report["std_err"] == pytest.approx(
-            np.sqrt(report["rate"] * (1 - report["rate"]) / 50), rel=1e-12
+            np.sqrt(report["rate"] * (1 - report["rate"]) / draws), rel=1e-12
         )
         assert set(report) == {"draws", "members", "rate", "std_err", "delta", "seed"}
 

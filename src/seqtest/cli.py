@@ -6,6 +6,7 @@ does not know is an error.  ``--out`` writes JSON when the path ends in
 ``calibrate cvm`` write JSON only and refuse any other path.
 ``--seed``/``--reps`` override the config's key of the same name and exist
 only on the subcommands whose config has it; ``--threads`` is at least 1.
+``--threads`` bounds the pool width: a plan with small replications runs on one thread.
 Exit codes: 0 success, 2 invalid config or arguments, I/O failure or an
 allocation that fails, 3 infeasible design, 4 numeric failure.  Outputs
 never include wall-clock times, so a run is byte-reproducible from (config,
@@ -227,7 +228,10 @@ def _cmd_calibrate_cvm(args) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--threads", type=int, default=1, help="worker threads, >= 1 (results identical)")
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="upper bound on worker threads, >= 1; plans with small replications run on one (results identical)",
+    )
     common.add_argument("--out", help="output path; JSON if it ends in .json, else CSV")
 
     def command(subparsers, name, handler, overrides=(), json_only=False):

@@ -260,7 +260,7 @@ def predicted_type2_minimax(design: DetectionDesign, alpha: float) -> float:
 def minimax_test(obs: SequenceObservation, design: DetectionDesign, alpha: float) -> TestReport:
     form = energy_form(design)
     t_n = form.energy(_check_observation(obs, design))
-    z = (t_n - form.offset) / form.sd
+    z = form.standardize(t_n)
     x_alpha = upper_quantile(alpha)
     return TestReport(
         family="minimax",

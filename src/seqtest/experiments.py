@@ -5,7 +5,8 @@ Every row carries the resolved seed and a 12-hex config hash so any line of
 any table can be replayed exactly.  CSV files start with ``# schema=v1`` and
 format floats with ``repr``, which is shortest-roundtrip and platform-stable;
 together with the replication-seeded engine this makes outputs byte-identical
-across thread counts.
+across thread counts.  ``threads`` bounds each run's pool width, and a plan
+with small replications runs on one thread (``montecarlo.pool_width``).
 
 Prior membership scores its draws in blocks.  Each draw reads only the
 prior's support, min(j_max, floor(k_n / delta)) normals, the prefix of the

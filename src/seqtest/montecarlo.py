@@ -18,7 +18,14 @@ sampling functions as ``draw_sequence_observation``/``sample_iid``.  A
 chi-square replication reads its sample only through its cell counts: it
 draws the uniforms that ``sample_iid`` draws, and under an alternative counts
 them, sorted, against cell thresholds fixed when the plan is built, with no
-point inverted.
+point inverted.  A sequence-model replication forms, squares and weights its
+observation in one buffer that each ``count`` call allocates for itself.
+
+``threads`` is an upper bound on the pool width; ``pool_width`` sets the
+width from the plan.  A plan whose replications each draw fewer than
+``POOL_MIN_DRAWS`` values, or that has fewer than 4 replications, runs on the
+calling thread, since the pool would cost more than it saves; a larger one is
+split into spans over at most as many threads as the CPUs the process may use.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -56,6 +64,13 @@ THETA_BASIS = {
 }
 
 _REQUIRED = object()
+
+# A plan whose replications each draw fewer values than this runs on one
+# thread.  In the 1 -> 2 thread curve of BENCH_17.json, 2^14 is the least
+# power of two at which every family ran faster at two threads than at one;
+# a chi-square replication of 8192 uniforms did not, and at 1024 draws every
+# family but CvM ran slower.
+POOL_MIN_DRAWS = 2**14
 
 
 def take(data: dict, key: str, kind: type = float, default=_REQUIRED, many: bool = False):
@@ -255,9 +270,11 @@ class MonteCarloSummary:
 
 @dataclass(frozen=True)
 class MonteCarloPlan:
-    """Compiled run: count rejections over a replication range."""
+    """Compiled run: count rejections over a replication range.  ``draws`` is
+    how many values one replication draws; it sets the pool width."""
 
     count: Callable[[int, int], int]
+    draws: int
     predicted_type2: float | None
     details: dict
 
@@ -275,24 +292,46 @@ def _padded(theta: Spectrum | None, j_max: int, basis: str) -> np.ndarray:
     return out
 
 
-def _counter(seed: int, draw, rejects) -> Callable[[int, int], int]:
+def _counter(seed: int, replicate) -> Callable[[int, int], int]:
     """The one replication loop: ``count(lo, hi)`` runs replications lo..hi-1,
-    each drawing its data from its own generator and testing it."""
+    each drawing its data from its own generator and testing it.
+    ``replicate()`` returns that test, ``rng -> rejected``; it is called once
+    per count, so the test may own buffers while threads share the plan."""
 
     def count(lo: int, hi: int) -> int:
+        rejects = replicate()
         c = 0
         for rng in replication_rngs(seed, lo, hi):
-            c += rejects(draw(rng))
+            c += rejects(rng)
         return c
 
     return count
 
 
-def _sequence_draw(th: np.ndarray, n: int, sigma: float):
-    """Observations y = theta + (sigma / sqrt(n)) xi, as ``draw_sequence_observation``."""
+def _sequence_test(form: quad_mod.EnergyForm, th: np.ndarray, n: int, sigma: float, x_alpha: float):
+    """The test of one replication on y = theta + (sigma / sqrt(n)) xi, with
+    the noise of ``draw_sequence_observation``.  y is formed, squared and
+    weighted in one buffer, real or the (re, im) pairs of a complex theta, so
+    a replication allocates no array; the bits are those of
+    ``form.standardized(th + noise_scale * noise)``."""
     noise_scale = sigma / math.sqrt(n)
     complex_ = np.iscomplexobj(th)
-    return lambda rng: th + noise_scale * sequence_noise(rng, th.size, complex_)
+    mean = th.view(float)
+
+    def replicate():
+        out = np.empty(4 * th.size if complex_ else th.size)
+        v = out[: mean.size]
+
+        def rejects(rng) -> bool:
+            sequence_noise(rng, th.size, complex_, out=out)
+            np.multiply(v, noise_scale, out=v)
+            np.add(v, mean, out=v)
+            np.multiply(v, v, out=v)
+            return form.standardize(form.weighted_sum(v)) > x_alpha
+
+        return rejects
+
+    return replicate
 
 
 def _iid_draw(theta: Spectrum | None, n: int):
@@ -318,9 +357,8 @@ def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarra
         drift = details["drift"] = form.drift(th)
     if not math.isfinite(drift):
         raise ConfigError(f"{cfg.family} plan: drift={drift}; theta, n or 1/sigma is too large for a float")
-    x_alpha = upper_quantile(cfg.alpha)
-    count = _counter(cfg.seed, _sequence_draw(th, cfg.n, cfg.sigma), lambda y: form.standardized(y) > x_alpha)
-    return MonteCarloPlan(count, normal_type2(drift, cfg.alpha), details)
+    count = _counter(cfg.seed, _sequence_test(form, th, cfg.n, cfg.sigma, upper_quantile(cfg.alpha)))
+    return MonteCarloPlan(count, form.weights.size, normal_type2(drift, cfg.alpha), details)
 
 
 def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -371,13 +409,13 @@ def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     k = p["k"]
     n, alpha = cfg.n, cfg.alpha
     x_alpha = upper_quantile(alpha)
-    count = _counter(
-        cfg.seed,
-        _chisq_counts(cfg.theta, n, k),
-        lambda counts: chisq_mod.standardized_chisq(chisq_mod.statistic_from_counts(counts, n, k), k) > x_alpha,
-    )
+    counts = _chisq_counts(cfg.theta, n, k)
+
+    def rejects(rng) -> bool:
+        return chisq_mod.standardized_chisq(chisq_mod.statistic_from_counts(counts(rng), n, k), k) > x_alpha
+
     drift = 0.0 if cfg.theta is None else chisq_mod.chisq_drift(cfg.theta, k, n)
-    return MonteCarloPlan(count, normal_type2(drift, alpha), {"k": k, "drift": drift})
+    return MonteCarloPlan(_counter(cfg.seed, lambda: rejects), n, normal_type2(drift, alpha), {"k": k, "drift": drift})
 
 
 def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -387,15 +425,15 @@ def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     critical = calibration.critical_value(cfg.alpha)
     n = cfg.n
     grid = cvm_mod.order_grid(n)
-    # n * (omega^2 / n) is n T^2 as cvm_test forms it, rounding included
-    count = _counter(
-        cfg.seed,
-        _iid_draw(cfg.theta, n),
-        lambda xs: n * (cvm_mod.omega_sq(np.sort(xs), grid) / n) > critical,
-    )
+    draw = _iid_draw(cfg.theta, n)
+
+    def rejects(rng) -> bool:
+        # n * (omega^2 / n) is n T^2 as cvm_test forms it, rounding included
+        return n * (cvm_mod.omega_sq(np.sort(draw(rng)), grid) / n) > critical
+
     margin = 0.0 if cfg.theta is None else n * cvm_mod.cvm_population(cfg.theta)
     details = {"critical_value": critical, "margin": margin, "calibration_reps": calibration.reps}
-    return MonteCarloPlan(count, None, details)
+    return MonteCarloPlan(_counter(cfg.seed, lambda: rejects), n, None, details)
 
 
 _PLANNERS = {
@@ -412,21 +450,41 @@ def build_plan(config: ExperimentConfig) -> MonteCarloPlan:
     return _PLANNERS[config.family](config, params)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pool_width(draws: int, reps: int, threads: int) -> int:
+    """Worker threads for ``reps`` replications of ``draws`` values each, at
+    most ``threads``: one below ``POOL_MIN_DRAWS`` draws or 4 replications,
+    else ``threads`` capped at the usable CPUs and at the replications."""
+    if threads <= 1 or draws < POOL_MIN_DRAWS or reps < 4:
+        return 1
+    return min(threads, _usable_cpus(), reps)
+
+
 def run_monte_carlo(
     config: ExperimentConfig,
     threads: int = 1,
     plan: MonteCarloPlan | None = None,
 ) -> MonteCarloSummary:
+    """Count the rejections of ``config.reps`` replications.  ``threads`` is
+    an upper bound on the pool width, which ``pool_width`` sets from the plan:
+    the count, and so the summary, is the same at any width."""
     if plan is None:
         plan = build_plan(config)
     start = time.perf_counter()
-    if threads <= 1 or config.reps < 4:
+    width = pool_width(plan.draws, config.reps, threads)
+    if width == 1:
         rejections = plan.count(0, config.reps)
     else:
-        pieces = min(4 * threads, config.reps)
+        pieces = min(4 * width, config.reps)
         edges = np.linspace(0, config.reps, pieces + 1).astype(int)
         spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=width) as pool:
             rejections = sum(pool.map(lambda span: plan.count(*span), spans))
     wall = time.perf_counter() - start
     return MonteCarloSummary(

@@ -52,10 +52,18 @@ class EnergyForm:
     def energy(self, y: np.ndarray) -> float:
         """sum_i w_i v_i^2, unchecked."""
         v = y.view(float) if y.dtype.kind == "c" else y
-        return float(np.dot(self.weights, v * v))
+        return self.weighted_sum(v * v)
+
+    def weighted_sum(self, squares: np.ndarray) -> float:
+        """sum_i w_i s_i for the squares s_i = v_i^2, formed by the caller (in
+        place, say), unchecked."""
+        return float(np.dot(self.weights, squares))
 
     def standardized(self, y: np.ndarray) -> float:
-        return (self.energy(y) - self.offset) / self.sd
+        return self.standardize(self.energy(y))
+
+    def standardize(self, energy: float) -> float:
+        return (energy - self.offset) / self.sd
 
     def drift(self, mean: np.ndarray) -> float:
         """energy(mean) / sd, the shift of the standardized statistic from its

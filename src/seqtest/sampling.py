@@ -30,6 +30,7 @@ from .spectra import Spectrum
 
 # Densities are rejected as sampling targets below this pointwise floor.
 MIN_DENSITY = 1e-9
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def rng_for_replication(seed: int, replication: int = 0) -> np.random.Generator:
@@ -153,20 +154,33 @@ class SequenceObservation:
     sigma: float
 
 
-def sequence_noise(rng: np.random.Generator, size: int, complex_: bool) -> np.ndarray:
+def sequence_noise(
+    rng: np.random.Generator, size: int, complex_: bool, out: np.ndarray | None = None
+) -> np.ndarray:
     """Standard Gaussian coordinates xi_1..xi_size of the sequence model.
 
     Complex coordinates take independent real and imaginary parts of
     variance 1/2, except the j = 0 coordinate, which is real with unit
-    variance.
+    variance.  The real parts are drawn first, then the imaginary parts.
+
+    ``out`` is the float64 buffer the draw is written into, so that a caller
+    drawing again and again allocates nothing: ``size`` values for real
+    coordinates; for complex ones ``4 * size``, whose first half receives the
+    (re, im) pairs and whose second half takes the raw normals.  The
+    coordinates come back as a view of it.
     """
+    if out is None:
+        out = np.empty(4 * size if complex_ else size)
     if not complex_:
-        return rng.standard_normal(size)
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    noise = (re + 1j * im) / math.sqrt(2.0)
-    noise[0] = re[0]
-    return noise
+        return rng.standard_normal(out=out)
+    pairs, raw = out[: 2 * size], out[2 * size :]
+    rng.standard_normal(out=raw)
+    # times 1/sqrt(2), not over it: these are the bits of the complex quotient
+    # (re + i im) / sqrt(2), which numpy forms through the reciprocal
+    np.multiply(raw[:size], _SQRT_HALF, out=pairs[0::2])
+    np.multiply(raw[size:], _SQRT_HALF, out=pairs[1::2])
+    pairs[0], pairs[1] = raw[0], 0.0
+    return pairs.view(complex)
 
 
 def draw_sequence_observation(

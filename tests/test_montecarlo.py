@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from scipy import stats
 from helpers import exact_power, imhof_sf
 from seqtest import design as design_mod
 from seqtest import kernels as kernels_mod
+from seqtest import montecarlo
 from seqtest import quadratic as quad_mod
 
 from seqtest.chisq import cell_index, cell_thresholds, chisq_test, population_chisq_functional
@@ -23,10 +26,12 @@ from seqtest.errors import ConfigError
 from seqtest.kernels import box_kernel, kernel_test, triangle_kernel
 from seqtest.montecarlo import (
     DEFAULT_CALIBRATION_SEED,
+    POOL_MIN_DRAWS,
     ExperimentConfig,
     MonteCarloSummary,
     _iid_draw,
     build_plan,
+    pool_width,
     run_monte_carlo,
 )
 from seqtest.quadratic import example_coefficients, quadratic_test
@@ -482,6 +487,53 @@ class TestScheduling:
         payloads = {t: r.to_json_dict() for t, r in results.items()}
         assert payloads[1] == payloads[3] == payloads[8]
 
+    def test_pool_summary_matches_one_thread(self, monkeypatch):
+        """A plan above POOL_MIN_DRAWS is split over the pool, and its summary
+        is the one-thread summary at every width."""
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+        widths = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig(
+            family="chisq", n=2 * POOL_MIN_DRAWS, reps=40, seed=15,
+            theta=Spectrum(basis="complex-exponential", coeffs=np.array([0.0, 0.0, 0.0, 0.01], dtype=complex)),
+            params={"k": 50},
+        )
+        plan = build_plan(cfg)
+        payloads = {t: run_monte_carlo(cfg, threads=t, plan=plan).to_json_dict() for t in (1, 2, 3)}
+        assert payloads[1] == payloads[2] == payloads[3]
+        assert widths == [2, 3]
+
+    def test_small_plan_never_builds_the_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a plan below POOL_MIN_DRAWS built a thread pool")
+
+        cfg = ExperimentConfig(family="quadratic", n=300, reps=101, seed=11, params={"gamma": 2.0, "j_max": 32})
+        plan = build_plan(cfg)
+        serial = run_monte_carlo(cfg, threads=1, plan=plan)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        assert run_monte_carlo(cfg, threads=8, plan=plan).to_json_dict() == serial.to_json_dict()
+
+    def test_width_rule(self, monkeypatch):
+        # the rule alone: no thread is started, whatever width is asked for
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        big = POOL_MIN_DRAWS
+        assert pool_width(big - 1, 10**6, 8) == 1
+        assert pool_width(big, 3, 8) == 1
+        assert pool_width(big, 10**6, 1) == 1
+        assert pool_width(big, 10**6, 100_000) == 2
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
+        assert pool_width(big, 10**6, 3) == 3
+        assert pool_width(big, 5, 100_000) == 5
+
+    def test_usable_cpus(self):
+        assert 1 <= montecarlo._usable_cpus() <= (os.cpu_count() or 1)
+
     def test_partial_counts_add_up(self):
         cfg = ExperimentConfig(family="chisq", n=100, reps=40, seed=12, params={"k": 4})
         plan = build_plan(cfg)
@@ -530,6 +582,18 @@ class TestPlansAndRates:
         plan = build_plan(ExperimentConfig(family=family, n=n, reps=10, seed=0, params=params))
         assert plan.details["drift"] == 0.0
         assert plan.predicted_type2 == pytest.approx(0.95, abs=1e-12)
+
+    @pytest.mark.parametrize("family,n,params,draws", [
+        ("quadratic", 500, {"gamma": 2.0, "j_max": 64}, 64),
+        ("quadratic", 500, {"kappa_sq": [1.0, 0.5, 0.25]}, 3),
+        ("kernel", 800, {"kernel": "box", "h": 0.1, "j_max": 48}, 98),  # (re, im) of j = 0..48
+        ("minimax", 2000, {"s": 1.0, "p0": 1.0, "rho_n": 2e-3, "j_max": 300}, 300),
+        ("chisq", 300, {"k": 8}, 300),
+        ("cvm", 50, {"calibration_reps": 100}, 50),
+    ])
+    def test_plan_counts_its_draws(self, family, n, params, draws):
+        plan = build_plan(ExperimentConfig(family=family, n=n, reps=10, seed=0, params=params))
+        assert plan.draws == draws
 
     def test_minimax_drift_same_for_least_favorable_and_explicit_theta(self):
         params = {"s": 1.0, "p0": 1.0, "rho_n": 2e-3}

@@ -22,6 +22,7 @@ from seqtest.sampling import (
     replication_rngs,
     rng_for_replication,
     sample_iid,
+    sequence_noise,
 )
 from seqtest.spectra import Spectrum
 
@@ -118,6 +119,23 @@ class TestSequenceModel:
         noise[0] = re[0]
         np.testing.assert_array_equal(obs.y.coeffs, theta.coeffs + noise / math.sqrt(50))
         assert obs.y.coeffs[0].imag == 0.0
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_reused_buffer_matches_fresh_draws(self, complex_):
+        size = 513
+        out = np.empty(4 * size if complex_ else size)
+        for rep in range(50):
+            got = sequence_noise(rng_for_replication(21, rep), size, complex_, out=out)
+            rng = rng_for_replication(21, rep)
+            if complex_:
+                re = rng.standard_normal(size)
+                im = rng.standard_normal(size)
+                want = (re + 1j * im) / math.sqrt(2.0)
+                want[0] = re[0]
+            else:
+                want = rng.standard_normal(size)
+            np.testing.assert_array_equal(got, want)
+            assert np.shares_memory(got, out)
 
     def test_unit_variance_per_coordinate(self):
         # complex coordinates must satisfy E |xi_j|^2 = 1

@@ -80,7 +80,10 @@ def cell_thresholds(inverse, k: int) -> np.ndarray:
     # stands in for any cell left unreached, since uniforms stay below 1).
     #
     # This is exact for ``sampling.iid_sampler``'s map only if the composite
-    # u -> cell_index(inverse(u), k) is nondecreasing.  ``np.interp`` is
+    # u -> cell_index(inverse(u), k) is nondecreasing.  That map returns the
+    # bits of ``np.interp(u, cdf, x)`` at every u in [0, 1] (its guide table
+    # finds np.interp's segment, and the value is numpy's formula), so what
+    # holds for ``np.interp`` below holds for it.  ``np.interp`` is
     # monotone within a grid segment, since each of its float operations is;
     # it can step back, by a few ulps, only where u reaches a CDF grid node
     # m/8192 (the default grid) and the value snaps to the node exactly.  A

@@ -27,6 +27,11 @@ Critical values come from a seeded Monte Carlo table of n T^2 under the
 null, keyed by (n, reps, seed), kept in process and optionally cached as
 JSON.  The classical asymptotic 0.95 quantile of omega^2 is not used here;
 the test suite keeps it as a cross-check of the tables.
+
+Replications are scored a block at a time (``omega_sq_blocks``): the table
+and the Monte Carlo engine's CvM plans draw each replication's uniforms into
+a row of one reused buffer, sort the rows, and score them all with one call
+of ``omega_sq``, with the bits of a replication scored alone.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import TestReport
-from .sampling import replication_rngs
+from .sampling import block_rows, replication_rngs
 from .spectra import Spectrum
 
 # calibration tables must not share streams with test replications: a table
@@ -70,16 +75,45 @@ def order_grid(n: int) -> np.ndarray:
     return (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
 
 
-def omega_sq(x_sorted: np.ndarray, grid: np.ndarray) -> float:
-    """n T^2 = sum_i (x_(i) - grid_i)^2 + 1/(12 n), unchecked (the one formula
-    behind ``cvm_statistic``, calibration and the Monte Carlo engine)."""
-    return float(np.sum((x_sorted - grid) ** 2) + 1.0 / (12.0 * grid.size))
+def omega_sq(x_sorted: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """n T^2 = sum_i (x_(i) - grid_i)^2 + 1/(12 n) of each sorted sample along
+    the last axis, unchecked: the one formula behind ``cvm_statistic``,
+    calibration and the Monte Carlo engine.  numpy sums each row of a
+    C-ordered block as it sums that row alone, so a block's scores have the
+    bits of its rows scored one by one."""
+    return np.sum((x_sorted - grid) ** 2, axis=-1) + 1.0 / (12.0 * grid.size)
+
+
+def omega_sq_blocks(n: int, seed: int, lo: int, hi: int, inverse=None):
+    """n T^2 of replications lo..hi-1, a block at a time.
+
+    Yields one array per block, an entry per replication.  Replication r
+    draws n uniforms from ``rng_for_replication(seed, r)`` into its row of
+    one reused buffer of at most ``sampling.BLOCK_BYTES`` (or one row); the
+    rows are sorted and, when ``inverse`` is given, mapped through it and
+    sorted again, which gives the sorted ``sample_iid`` sample for
+    ``inverse = iid_sampler(theta)``.  With no inverse the uniforms are the
+    sample, as under the null.  Each call owns its buffer, so threads may
+    score spans of one plan at once.
+    """
+    grid = order_grid(n)
+    buffer = np.empty((block_rows(hi - lo, n), n))
+    rngs = replication_rngs(seed, lo, hi)
+    for start in range(lo, hi, buffer.shape[0]):
+        sample = buffer[: hi - start]
+        for row, rng in zip(sample, rngs):
+            rng.random(out=row)
+        sample.sort(axis=1)
+        if inverse is not None:
+            sample = inverse(sample)
+            sample.sort(axis=1)
+        yield omega_sq(sample, grid)
 
 
 def cvm_statistic(sample: np.ndarray) -> float:
     """T^2 = int (Fhat_n - x)^2 dx via the exact order-statistic formula."""
     x = np.sort(_validate_sample(sample))
-    return omega_sq(x, order_grid(x.size)) / x.size
+    return float(omega_sq(x, order_grid(x.size))) / x.size
 
 
 def cvm_population(theta: Spectrum) -> float:
@@ -162,10 +196,7 @@ def _write_cache(path: Path, table: CvmCalibration) -> None:
 def _simulate(n: int, reps: int, seed: int) -> CvmCalibration:
     """The null table of n T^2 from reps seeded replications, read-only,
     since every later call with the same (n, reps, seed) shares it."""
-    grid = order_grid(n)
-    values = np.empty(reps)
-    for rep, rng in enumerate(replication_rngs(seed, 0, reps)):
-        values[rep] = omega_sq(np.sort(rng.random(n)), grid)
+    values = np.concatenate(list(omega_sq_blocks(n, seed, 0, reps)))
     values.sort()
     values.setflags(write=False)
     return CvmCalibration(n=n, reps=reps, seed=seed, values=values)

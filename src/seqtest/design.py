@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleDesignError, NumericError
 from .quadratic import EnergyForm
 from .report import TestReport, normal_type2, upper_quantile
-from .sampling import SequenceObservation, check_noise_level, replication_rngs
+from .sampling import SequenceObservation, block_rows, check_noise_level, replication_rngs
 from .spectra import BesovBall, Spectrum, besov_seminorms
 
 DEFAULT_MIN_TRUNCATION = 1024
@@ -54,10 +54,6 @@ TRUNCATION_MULTIPLIER = 20
 MAX_BREAKPOINT = 2.0**53
 # slack on the rounding bound in the radius-residual check
 RESIDUAL_SLACK = 1e-9
-# largest buffer of prior draws scored at once: with the few arrays that score
-# it, a block stays in a core's L2 cache (2**19 ran 25 % slower on a Xeon
-# with 2 MB of L2 per core)
-PRIOR_BLOCK_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -331,12 +327,12 @@ def prior_blocks(design: DetectionDesign, delta: float, seed: int, lo: int, hi: 
     ``rng_for_replication(seed, r)`` by sqrt(``prior_profile``), which is zero
     past the prior's support m = min(j_max, floor(k_n / delta)).  So a draw
     reads only m normals, into its row of one reused buffer of at most
-    ``PRIOR_BLOCK_BYTES`` (or one row); numpy draws normals in order, so they
+    ``sampling.BLOCK_BYTES`` (or one row); numpy draws normals in order, so they
     are the first m of the full-length draw, and so are the scores.  ``eta``
     holds the first m coefficients, in the buffer the next block overwrites.
     """
     scale = np.sqrt(prior_profile(design, delta)[: int(design.k_n / delta)])  # zero past the cut
-    buffer = np.empty((max(1, min(hi - lo, PRIOR_BLOCK_BYTES // (8 * scale.size))), scale.size))
+    buffer = np.empty((block_rows(hi - lo, scale.size), scale.size))
     rngs = replication_rngs(seed, lo, hi)
     for start in range(lo, hi, buffer.shape[0]):
         eta = buffer[: hi - start]

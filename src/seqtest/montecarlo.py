@@ -9,17 +9,22 @@ once and yields the same streams as that scalar reference.  Wall time is
 measured but kept out of every serialized output for byte-reproducibility.
 
 Each family's plan supplies only how a replication draws its data and how
-the data is tested, and one loop (``_counter``) counts the rejections.
-Every rejection rule calls the same statistic core as its ``*_test``
-function.  The quadratic, kernel and minimax plans differ only in the
-``EnergyForm`` and theta they build, and share one rejection rule and one
-drift, the form's (``_plan_energy``).  Sequence and CvM draws call the same
-sampling functions as ``draw_sequence_observation``/``sample_iid``.  A
-chi-square replication reads its sample only through its cell counts: it
-draws the uniforms that ``sample_iid`` draws, and under an alternative counts
-them, sorted, against cell thresholds fixed when the plan is built, with no
-point inverted.  A sequence-model replication forms, squares and weights its
-observation in one buffer that each ``count`` call allocates for itself.
+the data is tested, and one loop (``_counter``) counts the rejections; a CvM
+plan counts over the blocks of ``cvm.omega_sq_blocks`` instead, the scorer
+of its calibration table.  Every rejection rule calls the same statistic
+core as its ``*_test`` function.  The quadratic, kernel and minimax plans
+differ only in the ``EnergyForm`` and theta they build, and share one
+rejection rule and one drift, the form's (``_plan_energy``).  Sequence draws
+call the sampling function of ``draw_sequence_observation``.  A CvM
+replication draws the uniforms that ``sample_iid`` draws into its row of a
+block, sorts them, and under an alternative maps them through the plan's
+``iid_sampler`` table and sorts again, which gives ``sample_iid``'s sample
+sorted.  A chi-square replication reads its sample only through its cell
+counts: it draws the uniforms that ``sample_iid`` draws, and under an
+alternative counts them, sorted, against cell thresholds fixed when the plan
+is built, with no point inverted.  A sequence-model replication forms,
+squares and weights its observation in one buffer that each ``count`` call
+allocates for itself.
 
 ``threads`` is an upper bound on the pool width; ``pool_width`` sets the
 width from the plan.  A plan whose replications each draw fewer than
@@ -334,20 +339,6 @@ def _sequence_test(form: quad_mod.EnergyForm, th: np.ndarray, n: int, sigma: flo
     return replicate
 
 
-def _iid_draw(theta: Spectrum | None, n: int):
-    """The values of ``sample_iid(theta, n, rng)``, for the CvM plan, in an
-    order its statistic does not read (it sorts).  Under an alternative the
-    uniforms are sorted first: the inverse-CDF map is nondecreasing, so the
-    values come out the same and sorted (to within an ulp where ``np.interp``
-    rounds across a grid node), and on sorted input ``np.interp`` walks its
-    grid instead of bisecting.  Uniform null draws have no inverse to speed up
-    and stay unsorted."""
-    if theta is None:
-        return lambda rng: rng.random(n)
-    inverse = iid_sampler(theta)
-    return lambda rng: inverse(np.sort(rng.random(n)))
-
-
 def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarray, details: dict) -> MonteCarloPlan:
     """The plan of a sequence-model family: draw y = theta + noise and reject
     when the family's standardized energy exceeds x_alpha.  The prediction
@@ -423,17 +414,17 @@ def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
         cfg.n, reps=p["calibration_reps"], seed=p["calibration_seed"], cache_dir=p["cache_dir"]
     )
     critical = calibration.critical_value(cfg.alpha)
-    n = cfg.n
-    grid = cvm_mod.order_grid(n)
-    draw = _iid_draw(cfg.theta, n)
+    n, seed = cfg.n, cfg.seed
+    inverse = None if cfg.theta is None else iid_sampler(cfg.theta)
 
-    def rejects(rng) -> bool:
+    def count(lo: int, hi: int) -> int:
         # n * (omega^2 / n) is n T^2 as cvm_test forms it, rounding included
-        return n * (cvm_mod.omega_sq(np.sort(draw(rng)), grid) / n) > critical
+        blocks = cvm_mod.omega_sq_blocks(n, seed, lo, hi, inverse)
+        return sum(int(np.count_nonzero(n * (scores / n) > critical)) for scores in blocks)
 
     margin = 0.0 if cfg.theta is None else n * cvm_mod.cvm_population(cfg.theta)
     details = {"critical_value": critical, "margin": margin, "calibration_reps": calibration.reps}
-    return MonteCarloPlan(_counter(cfg.seed, lambda: rejects), n, None, details)
+    return MonteCarloPlan(count, n, None, details)
 
 
 _PLANNERS = {

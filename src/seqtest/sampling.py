@@ -7,7 +7,8 @@ Two data-generating mechanisms share the Spectrum conventions:
   imaginary parts of variance 1/2 so that E |xi_j|^2 = 1, and the j = 0 and
   negative-j components follow by conjugate symmetry);
 * i.i.d. draws from the density 1 + f on (0, 1), where f is the expansion of
-  the stored spectrum, via exact antiderivatives and inverse-CDF lookup.
+  the stored spectrum, via exact antiderivatives and inverse-CDF lookup
+  (an indexed search, with the bits of ``np.interp``).
 
 All randomness flows through numpy Generators.  ``rng_for_replication``
 derives one generator per (seed, replication) pair with a splittable mix, so
@@ -30,6 +31,15 @@ from .spectra import Spectrum
 
 # Densities are rejected as sampling targets below this pointwise floor.
 MIN_DENSITY = 1e-9
+# largest buffer of draws that a loop over replications scores at once
+# (``design.prior_blocks``, ``cvm.omega_sq_blocks``): with the few arrays that
+# score it, a block stays in a core's L2 cache (2**19 ran 25 % slower on a
+# Xeon with 2 MB of L2 per core)
+BLOCK_BYTES = 2**17
+# most buckets of an inverse-CDF guide table; a CDF that needs more (a
+# density below about 1/8 somewhere, at the default grid) is searched by
+# ``np.interp`` instead
+MAX_GUIDE_BUCKETS = 2**16
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -130,6 +140,12 @@ def _replication_rngs(seed: int, lo: int, hi: int):
             yield np.random.Generator(np.random.PCG64(seed_state(state)))
     for rep in range(max(lo, hashed_hi), hi):
         yield rng_for_replication(seed, rep)
+
+
+def block_rows(count: int, width: int) -> int:
+    """Rows of ``width`` float64 values in one block of at most
+    ``BLOCK_BYTES``, for ``count`` rows in all: at least one, at most ``count``."""
+    return max(1, min(count, BLOCK_BYTES // (8 * width)))
 
 
 def check_noise_level(n: int, sigma: float) -> None:
@@ -274,12 +290,14 @@ def iid_sampler(spec: Spectrum, grid_points: int = 8193):
     The CDF is exact on the grid; between nodes the inverse is linear, so the
     sampled density is a fine piecewise-constant approximation whose cell
     masses on any interval wider than the grid step match the target to
-    O(step^2).  The density floor and the grid are settled here, once.  The
-    grid must increase strictly, so the map is nondecreasing.  The Monte
-    Carlo engine relies on that twice: its CvM draws invert sorted uniforms,
-    which gives the sorted sample (on sorted input ``np.interp`` walks the
-    grid instead of bisecting it), and its chi-square plans invert only the
-    cell thresholds of ``chisq.cell_thresholds``, once per plan.
+    O(step^2).  The density floor, the grid and the lookup table of
+    ``_inverse_cdf`` are settled here, once.  The map takes an array of any
+    shape with values in [0, 1] and returns the bits of ``np.interp(u, cdf,
+    x)``.  The grid must increase strictly, so the map is nondecreasing.  The
+    Monte Carlo engine relies on that twice: its CvM replications invert
+    sorted uniforms, which gives the sorted sample, and its chi-square plans
+    invert only the cell thresholds of ``chisq.cell_thresholds``, once per
+    plan.
     """
     floor = min_density(spec, points=2 * grid_points - 1)
     if floor < MIN_DENSITY:
@@ -287,9 +305,56 @@ def iid_sampler(spec: Spectrum, grid_points: int = 8193):
             f"1 + f is not bounded away from zero (min {floor:.3e}); not a usable density"
         )
     x, cdf = cdf_grid(spec, grid_points)
-    if not np.all(np.diff(cdf) > 0):
+    step = np.diff(cdf)
+    if not np.all(step > 0):
         raise ConfigError("the CDF of 1 + f does not increase strictly on the sampling grid")
-    return lambda u: np.interp(u, cdf, x)
+    return _inverse_cdf(x, cdf, step)
+
+
+def _inverse_cdf(x: np.ndarray, cdf: np.ndarray, step: np.ndarray):
+    """``u -> np.interp(u, cdf, x)`` for u in [0, 1], bit for bit, by indexed
+    search (Chen & Asau 1974).
+
+    [0, 1] is cut into M = 2^m buckets no wider than the least CDF step, so a
+    bucket holds at most one grid node.  ``guide[b]`` counts the nodes at or
+    below the bucket's left edge b / M; for u in bucket b the count of nodes
+    at or below u, s, is that or one more, settled by one compare with the
+    next node.  Segment s = 1..L-1 holds cdf[s-1] <= u < cdf[s], and the value
+    is numpy's interpolation ``slope * (u - cdf[s-1]) + x[s-1]`` with numpy's
+    slope (dx / dcdf, divided per segment).  The two end entries have slope 0
+    and give numpy's end values: x[0] below cdf[0], x[-1] from cdf[-1] on.
+    u * M and the bucket edges are exact, since M is a power of two, so
+    every u in [0, 1] lands in the segment that ``np.interp``'s search finds.
+    Outside [0, 1] the map is not defined (a uniform never lies there).
+    Where M would pass ``MAX_GUIDE_BUCKETS`` the map is ``np.interp``.
+    """
+    # the computed least step is within one rounding of the true one; shrunk
+    # by 2^-52 it is a lower bound, and M = 2^(1 - e) >= 1 / it, with e its
+    # binary exponent
+    _, exponent = math.frexp(float(step.min()) * (1.0 - 2.0**-52))
+    bits = max(0, 1 - exponent)
+    if 2**bits > MAX_GUIDE_BUCKETS:
+        return lambda u: np.interp(u, cdf, x)
+    buckets = 2**bits
+    # node j lies at or below edge b / M exactly when ceil(cdf[j] M) <= b;
+    # bucket M holds u = 1 alone
+    first_edge = np.clip(np.ceil(cdf * buckets), 0, buckets + 1).astype(np.intp)
+    guide = np.cumsum(np.bincount(first_edge, minlength=buckets + 2))[: buckets + 1]
+    upper = np.append(cdf, np.inf)  # node s, the first one above u's bucket edge
+    slope = np.concatenate(([0.0], np.diff(x) / step, [0.0]))
+    anchor = np.concatenate((cdf[:1], cdf))
+    value = np.concatenate((x[:1], x))
+
+    def inverse(u):
+        u = np.asarray(u)
+        s = guide[(u * buckets).astype(np.intp)]
+        s += upper[s] <= u
+        out = u - anchor[s]
+        out *= slope[s]
+        out += value[s]
+        return out
+
+    return inverse
 
 
 def sample_iid(spec: Spectrum, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,22 +7,25 @@ primitive mean and the CvM consistency margin are diagnostics that only the
 tests read.  ``imhof_sf`` is the exact law of the sequence-model statistics,
 and ``exact_power`` reads it off an ``EnergyForm``.  ``prior_members`` counts
 prior membership one full-length draw at a time, the reference for the
-block-scored count.
+block-scored count, and ``simulate_reference`` draws a CvM null table one
+replication at a time, the reference for the block-scored table.
+``valid_spectra`` generates sampling targets for hypothesis.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.optimize import minimize
 
-from seqtest.cvm import cvm_population
+from seqtest.cvm import cvm_population, omega_sq, order_grid
 from seqtest.design import prior_profile
 from seqtest.errors import ConfigError
 from seqtest.report import upper_quantile
-from seqtest.sampling import density_grid, rng_for_replication
+from seqtest.sampling import density_grid, replication_rngs, rng_for_replication
 from seqtest.spectra import BesovBall, Spectrum, besov_seminorm
 
 # Regularity thresholds: neighbor-step bound a3 <= A3_STEP_OVER_KN / k_n in the
@@ -352,6 +355,29 @@ def prior_members(design, delta: float, draws: int, seed: int) -> int:
         eta = Spectrum("cosine", scale * rng_for_replication(seed, rep).standard_normal(design.j_max))
         members += bool(eta.norm_sq() >= design.rho_n and ball.admits(besov_seminorm(eta, design.s)))
     return members
+
+
+def simulate_reference(n: int, reps: int, seed: int) -> np.ndarray:
+    """The sorted null table of n T^2, one replication at a time: replication
+    r sorts the n uniforms of its generator and scores them alone."""
+    grid = order_grid(n)
+    values = np.empty(reps)
+    for rep, rng in enumerate(replication_rngs(seed, 0, reps)):
+        values[rep] = omega_sq(np.sort(rng.random(n)), grid)
+    values.sort()
+    return values
+
+
+# densities 1 + f with |f| <= 0.85: up to six cosines with |coeff| <= 0.1, four
+# complex frequencies with parts of at most 0.05, or three Haar levels
+_small = st.floats(min_value=-0.1, max_value=0.1, allow_nan=False)
+valid_spectra = st.one_of(
+    st.lists(_small, min_size=1, max_size=6).map(lambda c: Spectrum("cosine", np.array(c))),
+    st.lists(st.tuples(_small, _small), min_size=1, max_size=4).map(
+        lambda c: Spectrum("complex-exponential", np.array([0j] + [complex(re / 2, im / 2) for re, im in c]))
+    ),
+    st.lists(_small, min_size=1, max_size=7).map(lambda c: Spectrum("haar", np.array(c))),
+)
 
 
 def half_mass_index(kappa_sq: np.ndarray) -> int:

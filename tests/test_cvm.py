@@ -18,6 +18,7 @@ from helpers import (
     consistency_margin,
     cvm_statistic_quadrature,
     primitive_mean,
+    simulate_reference,
 )
 from seqtest import cvm
 from seqtest.cvm import (
@@ -27,10 +28,11 @@ from seqtest.cvm import (
     cvm_population,
     cvm_statistic,
     cvm_test,
+    omega_sq_blocks,
 )
 from seqtest.cli import main
 from seqtest.errors import ConfigError
-from seqtest.sampling import replication_rngs, rng_for_replication
+from seqtest.sampling import BLOCK_BYTES, iid_sampler, replication_rngs, rng_for_replication, sample_iid
 from seqtest.spectra import Spectrum
 
 PI = math.pi
@@ -268,6 +270,44 @@ class TestCalibration:
         again = CvmCalibration.from_json_dict(table.to_json_dict())
         assert (again.n, again.reps, again.seed) == (15, 120, 4)
         np.testing.assert_array_equal(again.values, table.values)
+
+
+ROWS_AT_1000 = BLOCK_BYTES // (8 * 1000)  # rows of a block of n = 1000 draws
+
+BLOCK_SPANS = {
+    "from lo > 0": (1000, 3, 3 + ROWS_AT_1000),
+    "partial last block": (1000, 5, 5 + 2 * ROWS_AT_1000 + 3),
+    "single replication": (1000, 7, 8),
+    "small n": (3, 0, 40),
+    "n above one block": (BLOCK_BYTES // 8 + 5, 2, 5),
+}
+
+
+class TestBlockScores:
+    """Each entry of ``omega_sq_blocks`` is the statistic of its replication's
+    sample scored alone, and the calibration table is the table of the
+    one-replication-at-a-time loop."""
+
+    @pytest.mark.parametrize("n, lo, hi", BLOCK_SPANS.values(), ids=BLOCK_SPANS.keys())
+    @pytest.mark.parametrize("theta", [None, Spectrum("cosine", np.array([0.0, 0.1, -0.05]))], ids=["null", "alt"])
+    def test_rows_match_the_scalar_reference(self, n, lo, hi, theta):
+        seed = 21
+        inverse = None if theta is None else iid_sampler(theta)
+        blocks = list(omega_sq_blocks(n, seed, lo, hi, inverse))
+        rows = max(1, BLOCK_BYTES // (8 * n))
+        assert [b.size for b in blocks] == [min(rows, hi - start) for start in range(lo, hi, rows)]
+        scores = np.concatenate(blocks)
+        for rep, score in zip(range(lo, hi), scores):
+            rng = rng_for_replication(seed, rep)
+            sample = rng.random(n) if theta is None else sample_iid(theta, n, rng)
+            # n * (omega^2 / n) is how the engine forms n T^2 from a score
+            assert n * (score / n) == n * cvm_statistic(sample)
+
+    @pytest.mark.parametrize("n, reps", [(1, 100), (30, 150), (1000, 130), (BLOCK_BYTES // 8 + 1, 100)])
+    def test_table_matches_one_replication_at_a_time(self, n, reps):
+        cvm._simulate.cache_clear()
+        table = calibrate_cvm(n, reps=reps, seed=12)
+        assert table.values.tobytes() == simulate_reference(n, reps, 12).tobytes()
 
 
 class TestCvmTest:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import prior_members
-from seqtest.design import PRIOR_BLOCK_BYTES, solve_design, solve_inverse_design
+from seqtest.design import solve_design, solve_inverse_design
 from seqtest.errors import ConfigError, NumericError
 from seqtest.experiments import (
     CONSISTENCY_FIELDS,
@@ -26,6 +26,7 @@ from seqtest.experiments import (
     write_json,
 )
 from seqtest.montecarlo import ExperimentConfig
+from seqtest.sampling import BLOCK_BYTES
 from seqtest.spectra import Spectrum, besov_seminorm
 
 NULL_RATE_BAND = 0.05  # |rate - alpha| at 400 reps; ~4.6 binomial sigmas
@@ -207,7 +208,7 @@ PRIOR_CASES = {
     "support past j_max": (lambda: _direct_prior_design(j_max=40), 0.3, 200, 88),
     "criterion 11": (lambda: solve_design(1.0, 1.0, 4e-5, 10_000), 0.2, 1000, 77_001),
     "one draw": (_direct_prior_design, 0.3, 1, 88),
-    "partial last block": (_direct_prior_design, 0.3, 2 * (PRIOR_BLOCK_BYTES // (8 * 56)) + 17, 88),
+    "partial last block": (_direct_prior_design, 0.3, 2 * (BLOCK_BYTES // (8 * 56)) + 17, 88),
 }
 
 

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import exact_power, imhof_sf
+from helpers import exact_power, imhof_sf, valid_spectra
 from seqtest import design as design_mod
 from seqtest import kernels as kernels_mod
 from seqtest import montecarlo
@@ -20,7 +20,7 @@ from seqtest import quadratic as quad_mod
 
 from seqtest.chisq import cell_index, cell_thresholds, chisq_test, population_chisq_functional
 from seqtest.cli import main as cli_main
-from seqtest.cvm import calibrate_cvm, cvm_test
+from seqtest.cvm import calibrate_cvm, cvm_test, omega_sq, omega_sq_blocks, order_grid
 from seqtest.design import least_favorable, minimax_test, solve_design
 from seqtest.errors import ConfigError
 from seqtest.kernels import box_kernel, kernel_test, triangle_kernel
@@ -29,7 +29,6 @@ from seqtest.montecarlo import (
     POOL_MIN_DRAWS,
     ExperimentConfig,
     MonteCarloSummary,
-    _iid_draw,
     build_plan,
     pool_width,
     run_monte_carlo,
@@ -270,26 +269,14 @@ class TestEngineMatchesReference:
         assert got == want
 
 
-# densities 1 + f with |f| <= 0.85: up to six cosines with |coeff| <= 0.1, four
-# complex frequencies with parts of at most 0.05, or three Haar levels
-_small = st.floats(min_value=-0.1, max_value=0.1, allow_nan=False)
-_valid_spectra = st.one_of(
-    st.lists(_small, min_size=1, max_size=6).map(lambda c: Spectrum("cosine", np.array(c))),
-    st.lists(st.tuples(_small, _small), min_size=1, max_size=4).map(
-        lambda c: Spectrum("complex-exponential", np.array([0j] + [complex(re / 2, im / 2) for re, im in c]))
-    ),
-    st.lists(_small, min_size=1, max_size=7).map(lambda c: Spectrum("haar", np.array(c))),
-)
-
-
 class TestIidDraw:
-    """The engine inverts sorted uniforms; that must give sample_iid's values."""
+    """The CvM scorer inverts sorted uniforms; that must score sample_iid's values."""
 
-    @given(spec=_valid_spectra, n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    @given(spec=valid_spectra, n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
     def test_sorted_values_of_sample_iid(self, spec, n, seed):
-        want = np.sort(sample_iid(spec, n, rng_for_replication(seed, 3)))
-        got = _iid_draw(spec, n)(rng_for_replication(seed, 3))
-        np.testing.assert_array_equal(got, want)
+        want = omega_sq(np.sort(sample_iid(spec, n, rng_for_replication(seed, 3))), order_grid(n))
+        (got,) = omega_sq_blocks(n, seed, 3, 4, iid_sampler(spec))
+        assert got.tobytes() == np.atleast_1d(want).tobytes()
 
 
 def _ulps(x, steps):
@@ -303,7 +290,7 @@ class TestCellThresholds:
     """The engine counts sorted uniforms against the thresholds; a uniform's
     cell that way must be the cell of its inverted point."""
 
-    @given(spec=_valid_spectra, k=st.sampled_from([2, 3, 7, 50, 64, 8192, 10000]),
+    @given(spec=valid_spectra, k=st.sampled_from([2, 3, 7, 50, 64, 8192, 10000]),
            seed=st.integers(0, 2**32 - 1))
     def test_cells_of_inverted_points(self, spec, k, seed):
         inverse = iid_sampler(spec)
@@ -507,6 +494,29 @@ class TestScheduling:
         plan = build_plan(cfg)
         payloads = {t: run_monte_carlo(cfg, threads=t, plan=plan).to_json_dict() for t in (1, 2, 3)}
         assert payloads[1] == payloads[2] == payloads[3]
+        assert widths == [2, 3]
+
+    def test_pool_summary_matches_one_thread_cvm(self, monkeypatch):
+        """A CvM alternative above POOL_MIN_DRAWS scores one row per block; its
+        summary is the one-thread summary at every width."""
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+        widths = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig(
+            family="cvm", n=2 * POOL_MIN_DRAWS, reps=13, seed=16,
+            theta=Spectrum(basis="cosine", coeffs=np.array([0.0, 0.015])),
+            params={"calibration_reps": 100},
+        )
+        plan = build_plan(cfg)
+        payloads = {t: run_monte_carlo(cfg, threads=t, plan=plan).to_json_dict() for t in (1, 2, 3)}
+        assert payloads[1] == payloads[2] == payloads[3]
+        assert 0 < payloads[1]["rejections"] < cfg.reps
         assert widths == [2, 3]
 
     def test_small_plan_never_builds_the_pool(self, monkeypatch):

@@ -10,8 +10,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
+from helpers import valid_spectra
+from seqtest import sampling
 from seqtest.errors import ConfigError
 from seqtest.sampling import (
+    MAX_GUIDE_BUCKETS,
     cdf_grid,
     cumulative_perturbation,
     density_grid,
@@ -255,3 +258,61 @@ class TestDensitySampling:
         x, dens = density_grid(spec, points=129)
         assert x.shape == dens.shape == (129,)
         np.testing.assert_allclose(dens, 1.0 + evaluate_perturbation(spec, x))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _probes(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The uniforms, both ends of [0, 1], the largest double below 1, and
+    every CDF node with the doubles just either side of it, kept in [0, 1]."""
+    u = np.concatenate([
+        uniforms, [0.0, 1.0, np.nextafter(1.0, 0.0)],
+        cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
+    ])
+    return u[(u >= 0.0) & (u <= 1.0)]
+
+
+class TestInverseCdf:
+    """iid_sampler's map is np.interp(u, cdf, x), bit for bit, on [0, 1]."""
+
+    @given(spec=valid_spectra, seed=st.integers(0, 2**32 - 1))
+    def test_bits_of_np_interp(self, spec, seed):
+        x, cdf = cdf_grid(spec)
+        u = _probes(cdf, rng_for_replication(seed, 0).random(2000))
+        assert _bits(iid_sampler(spec)(u)) == _bits(np.interp(u, cdf, x))
+
+    @pytest.mark.parametrize("mean", [0.01, -0.01], ids=["above", "below"])
+    def test_last_node_either_side_of_one(self, mean):
+        # a complex spectrum's j = 0 coefficient is the mean of f, so F(1) = 1 + mean
+        spec = Spectrum("complex-exponential", np.array([mean, 0.02 - 0.01j]))
+        x, cdf = cdf_grid(spec)
+        assert (cdf[-1] > 1.0) if mean > 0 else (cdf[-1] < 1.0)
+        u = _probes(cdf, np.linspace(0.95, 1.0, 4001))
+        assert _bits(iid_sampler(spec)(u)) == _bits(np.interp(u, cdf, x))
+
+    def test_rows_map_as_one_array(self):
+        spec = Spectrum("cosine", np.array([0.2, -0.1]))
+        x, cdf = cdf_grid(spec)
+        u = np.sort(rng_for_replication(4, 0).random((5, 300)), axis=1)
+        got = iid_sampler(spec)(u)
+        assert got.shape == u.shape
+        assert _bits(got) == b"".join(_bits(np.interp(row, cdf, x)) for row in u)
+
+    def test_density_near_the_floor_uses_np_interp(self, monkeypatch):
+        # 1 + 0.7 sqrt(2) cos(pi x) dips to 0.0101 at x = 1: its least CDF
+        # step asks for more than MAX_GUIDE_BUCKETS buckets
+        spec = Spectrum("cosine", np.array([0.7]))
+        x, cdf = cdf_grid(spec)
+        assert 1.0 / np.diff(cdf).min() > MAX_GUIDE_BUCKETS
+        inverse = iid_sampler(spec)
+        calls = []
+        interp = np.interp
+        monkeypatch.setattr(sampling.np, "interp", lambda *a, **k: calls.append(1) or interp(*a, **k))
+        u = _probes(cdf, rng_for_replication(2, 0).random(2000))
+        assert _bits(inverse(u)) == _bits(interp(u, cdf, x))
+        assert calls
+        calls.clear()
+        iid_sampler(Spectrum("cosine", np.array([0.3])))(u)
+        assert not calls  # a density above 1/8 takes the table

@@ -44,10 +44,8 @@ from .experiments import (
 )
 from .kernels import (
     Kernel,
-    KernelConstants,
     box_kernel,
     epanechnikov_kernel,
-    kernel_constants,
     kernel_statistic,
     kernel_test,
     predicted_type2_kernel,
@@ -68,6 +66,7 @@ from .sampling import (
     density_grid,
     draw_sequence_observation,
     min_density,
+    replication_blocks,
     replication_rngs,
     rng_for_replication,
     sample_iid,

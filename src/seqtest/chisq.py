@@ -63,8 +63,13 @@ def cell_index(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def binned(x: np.ndarray, k: int) -> np.ndarray:
-    """Counts of the points of [0, 1) in k equal cells, unchecked."""
-    return np.bincount(cell_index(x, k), minlength=k)
+    """Counts of the points of [0, 1) in k equal cells along the last axis,
+    unchecked: each row's cells are offset by k times its index, and one
+    bincount counts them all."""
+    lead = x.shape[:-1]
+    rows = math.prod(lead)
+    cells = cell_index(x, k) + k * np.arange(rows).reshape(lead + (1,))
+    return np.bincount(cells.ravel(), minlength=rows * k).reshape(lead + (k,))
 
 
 def cell_thresholds(inverse, k: int) -> np.ndarray:
@@ -103,9 +108,11 @@ def cell_thresholds(inverse, k: int) -> np.ndarray:
     return np.concatenate(([0.0], hi.view(np.float64), [1.0]))
 
 
-def statistic_from_counts(counts: np.ndarray, n: int, k: int) -> float:
-    """T_n = k n sum_i (counts_i / n - 1/k)^2, unchecked."""
-    return float(k * n * np.sum((counts / n - 1.0 / k) ** 2))
+def statistic_from_counts(counts: np.ndarray, n: int, k: int) -> np.ndarray:
+    """T_n = k n sum_i (counts_i / n - 1/k)^2 along the last axis, unchecked.
+    numpy sums each row of a C-ordered block as it sums that row alone, so a
+    block's statistics have the bits of its rows' one by one."""
+    return k * n * np.sum((counts / n - 1.0 / k) ** 2, axis=-1)
 
 
 def cell_counts(sample: np.ndarray, k: int) -> np.ndarray:
@@ -116,7 +123,7 @@ def cell_counts(sample: np.ndarray, k: int) -> np.ndarray:
 
 def chisq_statistic(sample: np.ndarray, k: int) -> float:
     counts = cell_counts(sample, k)
-    return statistic_from_counts(counts, counts.sum(), k)
+    return float(statistic_from_counts(counts, counts.sum(), k))
 
 
 def standardized_chisq(t_n: float, k: int) -> float:

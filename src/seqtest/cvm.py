@@ -28,10 +28,10 @@ null, keyed by (n, reps, seed), kept in process and optionally cached as
 JSON.  The classical asymptotic 0.95 quantile of omega^2 is not used here;
 the test suite keeps it as a cross-check of the tables.
 
-Replications are scored a block at a time (``omega_sq_blocks``): the table
-and the Monte Carlo engine's CvM plans draw each replication's uniforms into
-a row of one reused buffer, sort the rows, and score them all with one call
-of ``omega_sq``, with the bits of a replication scored alone.
+Replications are scored a block at a time: the table and the Monte Carlo
+engine's CvM plans score the uniform blocks of ``sampling.replication_blocks``
+with ``omega_sq_scorer``, which sorts the rows and scores them all with one
+call of ``omega_sq``, with the bits of a replication scored alone.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import TestReport
-from .sampling import block_rows, replication_rngs
+from .sampling import replication_blocks
 from .spectra import Spectrum
 
 # calibration tables must not share streams with test replications: a table
@@ -84,30 +84,27 @@ def omega_sq(x_sorted: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.sum((x_sorted - grid) ** 2, axis=-1) + 1.0 / (12.0 * grid.size)
 
 
-def omega_sq_blocks(n: int, seed: int, lo: int, hi: int, inverse=None):
-    """n T^2 of replications lo..hi-1, a block at a time.
-
-    Yields one array per block, an entry per replication.  Replication r
-    draws n uniforms from ``rng_for_replication(seed, r)`` into its row of
-    one reused buffer of at most ``sampling.BLOCK_BYTES`` (or one row); the
-    rows are sorted and, when ``inverse`` is given, mapped through it and
-    sorted again, which gives the sorted ``sample_iid`` sample for
-    ``inverse = iid_sampler(theta)``.  With no inverse the uniforms are the
-    sample, as under the null.  Each call owns its buffer, so threads may
-    score spans of one plan at once.
-    """
+def omega_sq_scorer(n: int, inverse=None):
+    """The map from a block of n uniforms a row to each row's n T^2.  The
+    rows are sorted in place and, with ``inverse = iid_sampler(theta)``,
+    mapped through it and sorted again: the sorted ``sample_iid`` sample."""
     grid = order_grid(n)
-    buffer = np.empty((block_rows(hi - lo, n), n))
-    rngs = replication_rngs(seed, lo, hi)
-    for start in range(lo, hi, buffer.shape[0]):
-        sample = buffer[: hi - start]
-        for row, rng in zip(sample, rngs):
-            rng.random(out=row)
-        sample.sort(axis=1)
+
+    def score(block: np.ndarray) -> np.ndarray:
+        block.sort(axis=1)
         if inverse is not None:
-            sample = inverse(sample)
-            sample.sort(axis=1)
-        yield omega_sq(sample, grid)
+            block = inverse(block)
+            block.sort(axis=1)
+        return omega_sq(block, grid)
+
+    return score
+
+
+def omega_sq_blocks(n: int, seed: int, lo: int, hi: int, inverse=None):
+    """n T^2 of replications lo..hi-1, one array per block of
+    ``replication_blocks``: replication r scores the n uniforms of
+    ``rng_for_replication(seed, r)`` through ``omega_sq_scorer(n, inverse)``."""
+    return map(omega_sq_scorer(n, inverse), replication_blocks(seed, lo, hi, n, np.random.Generator.random))
 
 
 def cvm_statistic(sample: np.ndarray) -> float:

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleDesignError, NumericError
 from .quadratic import EnergyForm
 from .report import TestReport, normal_type2, upper_quantile
-from .sampling import SequenceObservation, block_rows, check_noise_level, replication_rngs
+from .sampling import SequenceObservation, check_noise_level, replication_blocks
 from .spectra import BesovBall, Spectrum, besov_seminorms
 
 DEFAULT_MIN_TRUNCATION = 1024
@@ -286,10 +286,15 @@ def _resolve_delta(design: DetectionDesign, delta: float) -> DetectionDesign:
 
 
 def prior_profile(design: DetectionDesign, delta: float) -> np.ndarray:
-    """Prior variances kappa_j^2(delta): the shrunken-ball design's weights,
-    hard-truncated beyond k_n / delta."""
+    """Prior variances theta*_j^2(delta), hard-truncated beyond k_n / delta:
+    the least favorable signal of the shrunken-ball design, its weights
+    kappa_j^2 for the direct design and kappa_j^2 / lambda_j^2 for the
+    inverse one, whose weights are lambda_j^2 theta*_j^2."""
     shifted = _resolve_delta(design, delta)
-    profile = shifted.kappa_j2.copy()
+    if shifted.lambdas is None:
+        profile = shifted.kappa_j2.copy()
+    else:
+        profile = shifted.kappa_j2 / shifted.lambdas**2
     cut = int(design.k_n / delta)
     profile[cut:] = 0.0
     return profile
@@ -326,19 +331,15 @@ def prior_blocks(design: DetectionDesign, delta: float, seed: int, lo: int, hi: 
     smoothness ball.  Draw r scales the normals of
     ``rng_for_replication(seed, r)`` by sqrt(``prior_profile``), which is zero
     past the prior's support m = min(j_max, floor(k_n / delta)).  So a draw
-    reads only m normals, into its row of one reused buffer of at most
-    ``sampling.BLOCK_BYTES`` (or one row); numpy draws normals in order, so they
-    are the first m of the full-length draw, and so are the scores.  ``eta``
-    holds the first m coefficients, in the buffer the next block overwrites.
+    reads only m normals, into its row of a block of ``replication_blocks``;
+    numpy draws normals in order, so they are the first m of the full-length
+    draw, and so are the scores.  ``eta`` holds the first m coefficients, in
+    the buffer the next block overwrites.
     """
     scale = np.sqrt(prior_profile(design, delta)[: int(design.k_n / delta)])  # zero past the cut
-    buffer = np.empty((block_rows(hi - lo, scale.size), scale.size))
-    rngs = replication_rngs(seed, lo, hi)
-    for start in range(lo, hi, buffer.shape[0]):
-        eta = buffer[: hi - start]
-        for row, rng in zip(eta, rngs):
-            rng.standard_normal(out=row)
+    ball = BesovBall(design.s, design.p0)
+    for eta in replication_blocks(seed, lo, hi, scale.size, np.random.Generator.standard_normal):
         eta *= scale
         energies = eta**2
         norm_sq, seminorm = energies.sum(axis=1), besov_seminorms(energies, design.s)
-        yield eta, norm_sq, seminorm, (norm_sq >= design.rho_n) & BesovBall(design.s, design.p0).admits(seminorm)
+        yield eta, norm_sq, seminorm, (norm_sq >= design.rho_n) & ball.admits(seminorm)

@@ -53,7 +53,8 @@ class Kernel:
 
     ``transform`` is the closed form of Khat(omega); ``l2_norm_sq`` = int K^2
     and ``kappa_sq`` = 2 int (K * K)^2 are the kernel's exact constants.
-    ``fn`` is K itself, for checks in the space domain.
+    ``fn`` is K itself, for checks in the space domain.  A kernel whose mass
+    Khat(0) is not 1 is refused.
     """
 
     name: str
@@ -62,6 +63,11 @@ class Kernel:
     l2_norm_sq: float
     kappa_sq: float
     halfwidth: float = 1.0
+
+    def __post_init__(self):
+        mass = float(self.transform(np.zeros(1))[0])
+        if abs(mass - 1.0) > MASS_TOL:
+            raise ConfigError(f"kernel {self.name!r} does not integrate to 1 (got {mass!r})")
 
 
 def _box(t: np.ndarray) -> np.ndarray:
@@ -116,20 +122,6 @@ def epanechnikov_kernel() -> Kernel:
 KERNELS = {k.name: k for k in (box_kernel(), triangle_kernel(), epanechnikov_kernel())}
 
 
-@dataclass(frozen=True)
-class KernelConstants:
-    l2_norm_sq: float  # int K^2
-    kappa_sq: float  # 2 int (K * K)^2
-
-
-def kernel_constants(kernel: Kernel) -> KernelConstants:
-    """||K||^2 and kappa^2 of ``kernel``, once its mass Khat(0) is 1."""
-    mass = float(kernel.transform(np.zeros(1))[0])
-    if abs(mass - 1.0) > MASS_TOL:
-        raise ConfigError(f"kernel {kernel.name!r} does not integrate to 1 (got {mass!r})")
-    return KernelConstants(l2_norm_sq=kernel.l2_norm_sq, kappa_sq=kernel.kappa_sq)
-
-
 def _require_complex(spec: Spectrum) -> Spectrum:
     if spec.basis != "complex-exponential":
         raise ConfigError("kernel tests operate on complex-exponential spectra")
@@ -154,11 +146,10 @@ def energy_form(kernel: Kernel, h: float, j_max: int, n: int, sigma: float) -> E
     complex y, weighted |Khat(j h)|^2 at j = 0 and twice that at j >= 1 (the
     conjugate frequency -j).  The sd is 1 / (n h^{1/2} sigma^{-2} kappa^{-1})."""
     check_bandwidth(kernel, h)
-    constants = kernel_constants(kernel)
-    scale = n * math.sqrt(h) / sigma**2 / math.sqrt(constants.kappa_sq)
+    scale = n * math.sqrt(h) / sigma**2 / math.sqrt(kernel.kappa_sq)
     w = transform_values(kernel, h, j_max) ** 2
     w[1:] *= 2.0
-    center = sigma**2 / (n * h) * constants.l2_norm_sq
+    center = sigma**2 / (n * h) * kernel.l2_norm_sq
     return EnergyForm(np.repeat(w, 2), center, 1.0 / scale)
 
 

@@ -3,28 +3,19 @@
 Every replication ``rep`` of a run draws from ``rng_for_replication(seed,
 rep)``, so the stream a replication sees is a pure function of (seed, rep):
 rejection counts are identical no matter how replications are sliced across
-workers, and partial counts add associatively.  The loop takes those
-generators from ``replication_rngs``, which seeds a block of replications at
-once and yields the same streams as that scalar reference.  Wall time is
-measured but kept out of every serialized output for byte-reproducibility.
+workers, and partial counts add associatively.  Wall time is measured but
+kept out of every serialized output for byte-reproducibility.
 
-Each family's plan supplies only how a replication draws its data and how
-the data is tested, and one loop (``_counter``) counts the rejections; a CvM
-plan counts over the blocks of ``cvm.omega_sq_blocks`` instead, the scorer
-of its calibration table.  Every rejection rule calls the same statistic
-core as its ``*_test`` function.  The quadratic, kernel and minimax plans
-differ only in the ``EnergyForm`` and theta they build, and share one
-rejection rule and one drift, the form's (``_plan_energy``).  Sequence draws
-call the sampling function of ``draw_sequence_observation``.  A CvM
-replication draws the uniforms that ``sample_iid`` draws into its row of a
-block, sorts them, and under an alternative maps them through the plan's
-``iid_sampler`` table and sorts again, which gives ``sample_iid``'s sample
-sorted.  A chi-square replication reads its sample only through its cell
-counts: it draws the uniforms that ``sample_iid`` draws, and under an
-alternative counts them, sorted, against cell thresholds fixed when the plan
-is built, with no point inverted.  A sequence-model replication forms,
-squares and weights its observation in one buffer that each ``count`` call
-allocates for itself.
+A plan is data: how many values a replication draws, the ``Generator``
+method that draws them, a block statistic and a threshold.
+``MonteCarloPlan.count`` is the one loop: it scores the blocks of
+``sampling.replication_blocks`` (each replication's draws in a row of one
+reused buffer) and counts the rows above the threshold.  Every statistic
+calls the same core as its ``*_test`` function and has the bits of a
+replication scored alone.  The quadratic, kernel and minimax plans differ
+only in the ``EnergyForm`` and theta they build, and share one scorer and
+one drift, the form's.  The chi-square and CvM plans draw the uniforms that
+``sample_iid`` draws and read them through cell counts and ``omega_sq``.
 
 ``threads`` is an upper bound on the pool width; ``pool_width`` sets the
 width from the plan.  A plan whose replications each draw fewer than
@@ -35,6 +26,7 @@ split into spans over at most as many threads as the CPUs the process may use.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -55,7 +47,7 @@ from . import quadratic as quad_mod
 from .cvm import DEFAULT_CALIBRATION_REPS, DEFAULT_CALIBRATION_SEED
 from .errors import ConfigError, finite_real
 from .report import normal_type2, upper_quantile
-from .sampling import check_noise_level, iid_sampler, replication_rngs, sequence_noise
+from .sampling import check_noise_level, complex_pairs, iid_sampler, replication_blocks
 from .spectra import Spectrum
 
 FAMILIES = ("quadratic", "kernel", "chisq", "cvm", "minimax")
@@ -275,13 +267,24 @@ class MonteCarloSummary:
 
 @dataclass(frozen=True)
 class MonteCarloPlan:
-    """Compiled run: count rejections over a replication range.  ``draws`` is
-    how many values one replication draws; it sets the pool width."""
+    """Compiled run.  Replication r draws ``draws`` values, ``draw(rng, out=
+    row)`` with the generator of (``seed``, r), into a row of a block of
+    ``sampling.replication_blocks``; ``score`` maps a block to one statistic
+    a row, and a replication rejects when its statistic exceeds
+    ``threshold``.  ``draws`` also sets the pool width."""
 
-    count: Callable[[int, int], int]
+    seed: int
     draws: int
+    draw: Callable
+    score: Callable[[np.ndarray], np.ndarray]
+    threshold: float
     predicted_type2: float | None
     details: dict
+
+    def count(self, lo: int, hi: int) -> int:
+        """Rejections among replications lo..hi-1."""
+        blocks = replication_blocks(self.seed, lo, hi, self.draws, self.draw)
+        return sum(int(np.count_nonzero(self.score(block) > self.threshold)) for block in blocks)
 
 
 def _padded(theta: Spectrum | None, j_max: int, basis: str) -> np.ndarray:
@@ -297,46 +300,23 @@ def _padded(theta: Spectrum | None, j_max: int, basis: str) -> np.ndarray:
     return out
 
 
-def _counter(seed: int, replicate) -> Callable[[int, int], int]:
-    """The one replication loop: ``count(lo, hi)`` runs replications lo..hi-1,
-    each drawing its data from its own generator and testing it.
-    ``replicate()`` returns that test, ``rng -> rejected``; it is called once
-    per count, so the test may own buffers while threads share the plan."""
-
-    def count(lo: int, hi: int) -> int:
-        rejects = replicate()
-        c = 0
-        for rng in replication_rngs(seed, lo, hi):
-            c += rejects(rng)
-        return c
-
-    return count
-
-
-def _sequence_test(form: quad_mod.EnergyForm, th: np.ndarray, n: int, sigma: float, x_alpha: float):
-    """The test of one replication on y = theta + (sigma / sqrt(n)) xi, with
-    the noise of ``draw_sequence_observation``.  y is formed, squared and
-    weighted in one buffer, real or the (re, im) pairs of a complex theta, so
-    a replication allocates no array; the bits are those of
-    ``form.standardized(th + noise_scale * noise)``."""
+def _sequence_scorer(form: quad_mod.EnergyForm, th: np.ndarray, n: int, sigma: float):
+    """The standardized energy of y = theta + (sigma / sqrt(n)) xi for each
+    row of normals, drawn as ``draw_sequence_observation`` draws them.  Each
+    row is weighted alone (``form.weighted_sum``), since a product of the
+    block with the weights would sum in another order."""
     noise_scale = sigma / math.sqrt(n)
-    complex_ = np.iscomplexobj(th)
+    pairs = complex_pairs if np.iscomplexobj(th) else None
     mean = th.view(float)
 
-    def replicate():
-        out = np.empty(4 * th.size if complex_ else th.size)
-        v = out[: mean.size]
+    def score(block: np.ndarray) -> np.ndarray:
+        v = block if pairs is None else pairs(block)
+        v *= noise_scale
+        v += mean
+        v *= v
+        return form.standardize(np.array([form.weighted_sum(row) for row in v]))
 
-        def rejects(rng) -> bool:
-            sequence_noise(rng, th.size, complex_, out=out)
-            np.multiply(v, noise_scale, out=v)
-            np.add(v, mean, out=v)
-            np.multiply(v, v, out=v)
-            return form.standardize(form.weighted_sum(v)) > x_alpha
-
-        return rejects
-
-    return replicate
+    return score
 
 
 def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarray, details: dict) -> MonteCarloPlan:
@@ -348,8 +328,9 @@ def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarra
         drift = details["drift"] = form.drift(th)
     if not math.isfinite(drift):
         raise ConfigError(f"{cfg.family} plan: drift={drift}; theta, n or 1/sigma is too large for a float")
-    count = _counter(cfg.seed, _sequence_test(form, th, cfg.n, cfg.sigma, upper_quantile(cfg.alpha)))
-    return MonteCarloPlan(count, form.weights.size, normal_type2(drift, cfg.alpha), details)
+    score = _sequence_scorer(form, th, cfg.n, cfg.sigma)
+    return MonteCarloPlan(cfg.seed, form.weights.size, np.random.Generator.standard_normal, score,
+                          upper_quantile(cfg.alpha), normal_type2(drift, cfg.alpha), details)
 
 
 def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -384,29 +365,28 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     return _plan_energy(cfg, form, th, {"j_max": j_max, "h": h})
 
 
-def _chisq_counts(theta: Spectrum | None, n: int, k: int):
-    """The cell counts of ``sample_iid(theta, n, rng)``.  Under an alternative
-    the uniforms are sorted and counted against plan-time cell thresholds
-    (``chisq.cell_thresholds``), so no point is inverted.  Each call allocates
-    its own arrays: threads share the plan.  Uniform null draws are binned
-    directly, which is faster than sorting them."""
-    if theta is None:
-        return lambda rng: chisq_mod.binned(rng.random(n), k)
-    thresholds = chisq_mod.cell_thresholds(iid_sampler(theta), k)
-    return lambda rng: np.diff(np.searchsorted(np.sort(rng.random(n)), thresholds))
-
-
 def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
-    k = p["k"]
-    n, alpha = cfg.n, cfg.alpha
-    x_alpha = upper_quantile(alpha)
-    counts = _chisq_counts(cfg.theta, n, k)
+    """Null uniforms are binned as they are, faster than sorting them; under
+    an alternative each row is sorted and counted against the plan's cell
+    thresholds (``chisq.cell_thresholds``), so no point is inverted."""
+    k, n = p["k"], cfg.n
+    if cfg.theta is None:
+        counts = functools.partial(chisq_mod.binned, k=k)
+        drift = 0.0
+    else:
+        thresholds = chisq_mod.cell_thresholds(iid_sampler(cfg.theta), k)
 
-    def rejects(rng) -> bool:
-        return chisq_mod.standardized_chisq(chisq_mod.statistic_from_counts(counts(rng), n, k), k) > x_alpha
+        def counts(block: np.ndarray) -> np.ndarray:
+            block.sort(axis=1)
+            return np.diff([np.searchsorted(row, thresholds) for row in block], axis=1)
 
-    drift = 0.0 if cfg.theta is None else chisq_mod.chisq_drift(cfg.theta, k, n)
-    return MonteCarloPlan(_counter(cfg.seed, lambda: rejects), n, normal_type2(drift, alpha), {"k": k, "drift": drift})
+        drift = chisq_mod.chisq_drift(cfg.theta, k, n)
+
+    def score(block: np.ndarray) -> np.ndarray:
+        return chisq_mod.standardized_chisq(chisq_mod.statistic_from_counts(counts(block), n, k), k)
+
+    return MonteCarloPlan(cfg.seed, n, np.random.Generator.random, score, upper_quantile(cfg.alpha),
+                          normal_type2(drift, cfg.alpha), {"k": k, "drift": drift})
 
 
 def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -414,17 +394,16 @@ def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
         cfg.n, reps=p["calibration_reps"], seed=p["calibration_seed"], cache_dir=p["cache_dir"]
     )
     critical = calibration.critical_value(cfg.alpha)
-    n, seed = cfg.n, cfg.seed
-    inverse = None if cfg.theta is None else iid_sampler(cfg.theta)
+    n = cfg.n
+    omega_sq = cvm_mod.omega_sq_scorer(n, None if cfg.theta is None else iid_sampler(cfg.theta))
 
-    def count(lo: int, hi: int) -> int:
+    def score(block: np.ndarray) -> np.ndarray:
         # n * (omega^2 / n) is n T^2 as cvm_test forms it, rounding included
-        blocks = cvm_mod.omega_sq_blocks(n, seed, lo, hi, inverse)
-        return sum(int(np.count_nonzero(n * (scores / n) > critical)) for scores in blocks)
+        return n * (omega_sq(block) / n)
 
     margin = 0.0 if cfg.theta is None else n * cvm_mod.cvm_population(cfg.theta)
     details = {"critical_value": critical, "margin": margin, "calibration_reps": calibration.reps}
-    return MonteCarloPlan(count, n, None, details)
+    return MonteCarloPlan(cfg.seed, n, np.random.Generator.random, score, critical, None, details)
 
 
 _PLANNERS = {

@@ -13,9 +13,11 @@ Two data-generating mechanisms share the Spectrum conventions:
 All randomness flows through numpy Generators.  ``rng_for_replication``
 derives one generator per (seed, replication) pair with a splittable mix, so
 a replication's data does not depend on scheduling or worker count.  It is
-the scalar reference; every loop over replications takes its generators from
-``replication_rngs``, which computes the same SeedSequence hash for a block
-of replications at once and yields bit-identical streams.
+the scalar reference; ``replication_rngs`` computes the same SeedSequence
+hash for a block of replications at once and yields bit-identical streams.
+``replication_blocks`` is the one loop over replications: it draws each
+replication's values into a row of one reused buffer, and every Monte Carlo
+plan, the CvM null table and the Bayes prior draws score its blocks.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from .spectra import Spectrum
 
 # Densities are rejected as sampling targets below this pointwise floor.
 MIN_DENSITY = 1e-9
-# largest buffer of draws that a loop over replications scores at once
-# (``design.prior_blocks``, ``cvm.omega_sq_blocks``): with the few arrays that
-# score it, a block stays in a core's L2 cache (2**19 ran 25 % slower on a
-# Xeon with 2 MB of L2 per core)
+# largest block of draws that ``replication_blocks`` yields: with the few
+# arrays that score it, a block stays in a core's L2 cache (2**19 ran 25 %
+# slower on a Xeon with 2 MB of L2 per core)
 BLOCK_BYTES = 2**17
 # most buckets of an inverse-CDF guide table; a CDF that needs more (a
 # density below about 1/8 somewhere, at the default grid) is searched by
@@ -148,6 +149,25 @@ def block_rows(count: int, width: int) -> int:
     return max(1, min(count, BLOCK_BYTES // (8 * width)))
 
 
+def replication_blocks(seed: int, lo: int, hi: int, width: int, draw):
+    """The draws of replications lo..hi-1, a block at a time.
+
+    Row r of a block holds ``draw(rng, out=row)`` for the generator of its
+    replication (``replication_rngs``); ``draw`` is a ``Generator`` method
+    such as ``Generator.random`` or ``Generator.standard_normal``.  The blocks
+    are views of one buffer of ``block_rows(hi - lo, width)`` rows, which the
+    next block overwrites, so a caller may score a block in place.  Each call
+    owns its buffer: threads may draw spans of one plan at once.
+    """
+    rngs = replication_rngs(seed, lo, hi)
+    buffer = np.empty((block_rows(hi - lo, width), width))
+    for start in range(lo, hi, buffer.shape[0]):
+        block = buffer[: hi - start]
+        for row, rng in zip(block, rngs):
+            draw(rng, out=row)
+        yield block
+
+
 def check_noise_level(n: int, sigma: float) -> None:
     """Refuse a sigma whose sigma^4, sigma^-4 or n^2 sigma^-4 is not a finite
     float: the sequence-model statistics and designs scale by these powers."""
@@ -170,33 +190,31 @@ class SequenceObservation:
     sigma: float
 
 
-def sequence_noise(
-    rng: np.random.Generator, size: int, complex_: bool, out: np.ndarray | None = None
-) -> np.ndarray:
+def sequence_noise(rng: np.random.Generator, size: int, complex_: bool) -> np.ndarray:
     """Standard Gaussian coordinates xi_1..xi_size of the sequence model.
 
     Complex coordinates take independent real and imaginary parts of
     variance 1/2, except the j = 0 coordinate, which is real with unit
-    variance.  The real parts are drawn first, then the imaginary parts.
-
-    ``out`` is the float64 buffer the draw is written into, so that a caller
-    drawing again and again allocates nothing: ``size`` values for real
-    coordinates; for complex ones ``4 * size``, whose first half receives the
-    (re, im) pairs and whose second half takes the raw normals.  The
-    coordinates come back as a view of it.
+    variance.  The real parts are drawn first, then the imaginary parts
+    (``complex_pairs``).
     """
-    if out is None:
-        out = np.empty(4 * size if complex_ else size)
     if not complex_:
-        return rng.standard_normal(out=out)
-    pairs, raw = out[: 2 * size], out[2 * size :]
-    rng.standard_normal(out=raw)
+        return rng.standard_normal(size)
+    return complex_pairs(rng.standard_normal(2 * size)).view(complex)
+
+
+def complex_pairs(raw: np.ndarray) -> np.ndarray:
+    """The (re, im) pairs of complex noise coordinates from 2 m standard
+    normals along the last axis, the m real parts first: each part times
+    1/sqrt(2), and coordinate 0 real with the first normal as it is."""
+    size = raw.shape[-1] // 2
+    pairs = np.empty_like(raw)
     # times 1/sqrt(2), not over it: these are the bits of the complex quotient
     # (re + i im) / sqrt(2), which numpy forms through the reciprocal
-    np.multiply(raw[:size], _SQRT_HALF, out=pairs[0::2])
-    np.multiply(raw[size:], _SQRT_HALF, out=pairs[1::2])
-    pairs[0], pairs[1] = raw[0], 0.0
-    return pairs.view(complex)
+    np.multiply(raw[..., :size], _SQRT_HALF, out=pairs[..., 0::2])
+    np.multiply(raw[..., size:], _SQRT_HALF, out=pairs[..., 1::2])
+    pairs[..., 0], pairs[..., 1] = raw[..., 0], 0.0
+    return pairs
 
 
 def draw_sequence_observation(

@@ -38,7 +38,7 @@ from seqtest.experiments import (
     consistency_experiment,
     maxiset_decomposition_experiment,
 )
-from seqtest.kernels import box_kernel, kernel_constants
+from seqtest.kernels import box_kernel
 from seqtest.montecarlo import ExperimentConfig, build_plan, run_monte_carlo
 from seqtest.quadratic import example_coefficients, scale_to_drift
 from seqtest.report import normal_cdf, upper_quantile
@@ -202,7 +202,7 @@ def test_criterion_05_kernel_power_and_constant(capsys):
     n = 2000
     h = float(n) ** -0.4
     box = box_kernel()
-    kappa = math.sqrt(kernel_constants(box).kappa_sq)
+    kappa = math.sqrt(box.kappa_sq)
     drift = 1.0
     l2_sq = drift * kappa / (n * math.sqrt(h))  # ||f||_2^2 giving unit drift
     theta = Spectrum(

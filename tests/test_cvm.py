@@ -20,7 +20,7 @@ from helpers import (
     primitive_mean,
     simulate_reference,
 )
-from seqtest import cvm
+from seqtest import cvm, sampling
 from seqtest.cvm import (
     CvmCalibration,
     _write_cache,
@@ -207,7 +207,7 @@ class TestCalibration:
                 calls.append(rng)
                 yield rng
 
-        monkeypatch.setattr(cvm, "replication_rngs", counted)
+        monkeypatch.setattr(sampling, "replication_rngs", counted)
         cvm._simulate.cache_clear()
         first = calibrate_cvm(35, reps=130, seed=77)
         assert len(calls) == 130

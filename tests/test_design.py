@@ -19,6 +19,7 @@ from seqtest.design import (
     solve_inverse_design,
 )
 from seqtest.errors import ConfigError, InfeasibleDesignError
+from seqtest.experiments import bayes_membership_rate
 from seqtest.report import normal_cdf, upper_quantile
 from seqtest.sampling import SequenceObservation, draw_sequence_observation, rng_for_replication
 from seqtest.spectra import Spectrum, besov_seminorm
@@ -177,6 +178,20 @@ class TestBayesPrior:
         cut = int(d.k_n / 0.2)
         assert np.all(profile[cut:] == 0.0)
         assert np.all(profile[: d.k_n] > 0.0)
+
+    def test_inverse_prior_is_the_least_favorable_signal(self):
+        # an inverse design's weights are lambda_j^2 theta*_j^2; its prior
+        # variances are theta*_j^2 of the shrunken-ball design, whose energy
+        # sits near rho_n, so the draws reach V_n
+        lam = 1.0 / np.arange(1, 501)
+        d = solve_inverse_design(1.0, 1.0, 3e-4, 1000, 1.0, lam)
+        shifted = solve_inverse_design(1.0, 1.0 - 0.2, 3e-4 * (1.0 + 0.2), 1000, 1.0, lam)
+        cut = int(d.k_n / 0.2)
+        profile = prior_profile(d, 0.2)
+        np.testing.assert_array_equal(profile[:cut], shifted.kappa_j2[:cut] / lam[:cut] ** 2)
+        assert np.all(profile[cut:] == 0.0)
+        assert profile.sum() == pytest.approx(1.17 * d.rho_n, rel=0.01)
+        assert 0.55 < bayes_membership_rate(d, 0.2, 400, 7)["rate"] < 0.7
 
     def test_draw_determinism_and_scaling(self):
         d = solve_design(**ORACLE)

@@ -17,7 +17,6 @@ from seqtest.kernels import (
     box_kernel,
     energy_form,
     epanechnikov_kernel,
-    kernel_constants,
     kernel_statistic,
     kernel_test,
     predicted_type2_kernel,
@@ -48,20 +47,18 @@ def _stock():
 class TestConstants:
     @pytest.mark.parametrize("kern", _stock(), ids=lambda k: k.name)
     def test_closed_forms(self, kern):
-        consts = kernel_constants(kern)
-        assert (consts.l2_norm_sq, consts.kappa_sq) == CONSTANTS_REF[kern.name]
+        assert (kern.l2_norm_sq, kern.kappa_sq) == CONSTANTS_REF[kern.name]
 
     def test_mass_validation(self):
         # the mass Khat(0) = 2 is refused, whatever constants the kernel carries
-        lopsided = Kernel(
-            "double-box",
-            lambda t: np.where(np.abs(t) <= 1.0, 1.0, 0.0),
-            lambda w: 2.0 * box_kernel().transform(w),
-            2.0,
-            32.0 / 3.0,
-        )
-        with pytest.raises(ConfigError):
-            kernel_constants(lopsided)
+        with pytest.raises(ConfigError, match="does not integrate to 1"):
+            Kernel(
+                "double-box",
+                lambda t: np.where(np.abs(t) <= 1.0, 1.0, 0.0),
+                lambda w: 2.0 * box_kernel().transform(w),
+                2.0,
+                32.0 / 3.0,
+            )
 
 
 class TestTransforms:
@@ -100,12 +97,11 @@ class TestTransforms:
         # quartic sums fold K*K*K*K at +-1/h (support 4*halfwidth), so the
         # identities need h < 1/4, not just the h < 1/2 the squared sum needs
         h = 0.2
-        consts = kernel_constants(kern)
         kh = transform_values(kern, h, j_sum)
         sum_sq = kh[0] ** 2 + 2.0 * np.sum(kh[1:] ** 2)
         sum_quad = kh[0] ** 4 + 2.0 * np.sum(kh[1:] ** 4)
-        assert sum_sq == pytest.approx(consts.l2_norm_sq / h, rel=rtol)
-        assert sum_quad == pytest.approx(consts.kappa_sq / (2.0 * h), rel=1e-8)
+        assert sum_sq == pytest.approx(kern.l2_norm_sq / h, rel=rtol)
+        assert sum_quad == pytest.approx(kern.kappa_sq / (2.0 * h), rel=1e-8)
 
 
 class TestStatistic:

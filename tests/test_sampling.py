@@ -14,18 +14,20 @@ from helpers import valid_spectra
 from seqtest import sampling
 from seqtest.errors import ConfigError
 from seqtest.sampling import (
+    BLOCK_BYTES,
     MAX_GUIDE_BUCKETS,
     cdf_grid,
+    complex_pairs,
     cumulative_perturbation,
     density_grid,
     draw_sequence_observation,
     evaluate_perturbation,
     iid_sampler,
     min_density,
+    replication_blocks,
     replication_rngs,
     rng_for_replication,
     sample_iid,
-    sequence_noise,
 )
 from seqtest.spectra import Spectrum
 
@@ -103,6 +105,39 @@ class TestReplicationBlocks:
             replication_rngs(0, -3, 5)
 
 
+ROWS_AT_100 = BLOCK_BYTES // (8 * 100)  # rows of a block of 100 draws
+
+DRAW_BLOCK_CASES = {
+    "from lo > 0": (5, 7, 7 + ROWS_AT_100, 100),
+    "partial last block": (5, 3, 3 + 2 * ROWS_AT_100 + 5, 100),
+    "one-row blocks": (5, 2, 6, BLOCK_BYTES // 8 + 3),
+    "seed past 2**32": (2**32 + 9, 4, 4 + ROWS_AT_100 + 2, 100),
+}
+
+
+class TestReplicationDrawBlocks:
+    """``replication_blocks`` draws replication r into its row of one reused
+    buffer, with the values of ``rng_for_replication(seed, r)`` drawn alone."""
+
+    @pytest.mark.parametrize("seed, lo, hi, width", DRAW_BLOCK_CASES.values(), ids=DRAW_BLOCK_CASES.keys())
+    @pytest.mark.parametrize("draw", [np.random.Generator.random, np.random.Generator.standard_normal],
+                             ids=["random", "standard_normal"])
+    def test_rows_match_the_scalar_reference(self, seed, lo, hi, width, draw):
+        rows = max(1, BLOCK_BYTES // (8 * width))
+        blocks = replication_blocks(seed, lo, hi, width, draw)
+        first = None
+        starts = range(lo, hi, rows)
+        for start, block in zip(starts, blocks, strict=True):
+            first = block if first is None else first
+            assert np.shares_memory(block, first)
+            assert block.shape == (min(rows, hi - start), width)
+            for rep, row in zip(range(start, hi), block):
+                np.testing.assert_array_equal(row, draw(rng_for_replication(seed, rep), width))
+
+    def test_empty_range(self):
+        assert list(replication_blocks(3, 10, 10, 8, np.random.Generator.random)) == []
+
+
 class TestSequenceModel:
     def test_cosine_draw_stream(self):
         theta = Spectrum(basis="cosine", coeffs=np.array([0.5, -0.25, 0.0]))
@@ -125,20 +160,26 @@ class TestSequenceModel:
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_reused_buffer_matches_fresh_draws(self, complex_):
+        # the engine's sequence draws: the normals of a replication in a row of
+        # a reused block, paired (re, im) for complex coordinates with the bits
+        # of the complex quotient (re + i im) / sqrt(2)
         size = 513
-        out = np.empty(4 * size if complex_ else size)
-        for rep in range(50):
-            got = sequence_noise(rng_for_replication(21, rep), size, complex_, out=out)
-            rng = rng_for_replication(21, rep)
-            if complex_:
-                re = rng.standard_normal(size)
-                im = rng.standard_normal(size)
-                want = (re + 1j * im) / math.sqrt(2.0)
-                want[0] = re[0]
-            else:
-                want = rng.standard_normal(size)
-            np.testing.assert_array_equal(got, want)
-            assert np.shares_memory(got, out)
+        width = 2 * size if complex_ else size
+        rep = 0
+        for block in replication_blocks(21, 0, 50, width, np.random.Generator.standard_normal):
+            got = complex_pairs(block).view(complex) if complex_ else block
+            for row in got:
+                rng = rng_for_replication(21, rep)
+                if complex_:
+                    re = rng.standard_normal(size)
+                    im = rng.standard_normal(size)
+                    want = (re + 1j * im) / math.sqrt(2.0)
+                    want[0] = re[0]
+                else:
+                    want = rng.standard_normal(size)
+                np.testing.assert_array_equal(row, want)
+                rep += 1
+        assert rep == 50
 
     def test_unit_variance_per_coordinate(self):
         # complex coordinates must satisfy E |xi_j|^2 = 1

@@ -87,10 +87,6 @@ class DetectionDesign:
     def residual_bound(self) -> float:
         return (2.0 * self.s + 1.0) / self.k_n
 
-    def null_mean(self) -> float:
-        """Exact E[T_n] under the null for the stored truncation."""
-        return float(self.n / self.sigma**2 * np.sum(self.kappa_j2))
-
     def to_json_dict(self) -> dict:
         out = {
             "s": self.s,
@@ -245,7 +241,7 @@ def energy_form(design: DetectionDesign) -> EnergyForm:
 
 def minimax_statistic(obs: SequenceObservation, design: DetectionDesign) -> float:
     """T_n = sigma^-4 n^2 sum_j kappa_j^2 y_j^2."""
-    return energy_form(design).energy(_check_observation(obs, design))
+    return float(energy_form(design).energy(_check_observation(obs, design)))
 
 
 def predicted_type2_minimax(design: DetectionDesign, alpha: float) -> float:
@@ -255,7 +251,7 @@ def predicted_type2_minimax(design: DetectionDesign, alpha: float) -> float:
 
 def minimax_test(obs: SequenceObservation, design: DetectionDesign, alpha: float) -> TestReport:
     form = energy_form(design)
-    t_n = form.energy(_check_observation(obs, design))
+    t_n = float(form.energy(_check_observation(obs, design)))
     z = form.standardize(t_n)
     x_alpha = upper_quantile(alpha)
     return TestReport(

@@ -155,7 +155,8 @@ def energy_form(kernel: Kernel, h: float, j_max: int, n: int, sigma: float) -> E
 
 def kernel_statistic(obs: SequenceObservation, kernel: Kernel, h: float) -> float:
     y = np.ascontiguousarray(_require_complex(obs.y).coeffs)
-    return energy_form(kernel, h, y.size - 1, obs.n, obs.sigma).standardized(y)
+    form = energy_form(kernel, h, y.size - 1, obs.n, obs.sigma)
+    return float(form.standardize(form.energy(y)))
 
 
 def predicted_type2_kernel(

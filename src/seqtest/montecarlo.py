@@ -14,8 +14,10 @@ reused buffer) and counts the rows above the threshold.  Every statistic
 calls the same core as its ``*_test`` function and has the bits of a
 replication scored alone.  The quadratic, kernel and minimax plans differ
 only in the ``EnergyForm`` and theta they build, and share one scorer and
-one drift, the form's.  The chi-square and CvM plans draw the uniforms that
-``sample_iid`` draws and read them through cell counts and ``omega_sq``.
+one drift, the form's; the scorer forms y = theta + noise in the block and
+takes the energy of all its rows in one call.  The chi-square and CvM plans
+draw the uniforms that ``sample_iid`` draws and read them through cell
+counts and ``omega_sq``.
 
 ``threads`` is an upper bound on the pool width; ``pool_width`` sets the
 width from the plan.  A plan whose replications each draw fewer than
@@ -288,23 +290,19 @@ class MonteCarloPlan:
 
 
 def _padded(theta: Spectrum | None, j_max: int, basis: str) -> np.ndarray:
-    dtype = complex if basis == "complex-exponential" else float
-    if theta is None:
-        return np.zeros(j_max if basis != "complex-exponential" else j_max + 1, dtype=dtype)
-    coeffs = np.asarray(theta.coeffs, dtype=dtype)
-    size = j_max + 1 if basis == "complex-exponential" else j_max
-    if coeffs.size > size:
-        raise ConfigError(f"signal support {coeffs.size} exceeds the run's truncation {size}")
-    out = np.zeros(size, dtype=dtype)
-    out[: coeffs.size] = coeffs
+    complex_ = basis == "complex-exponential"
+    size = j_max + 1 if complex_ else j_max
+    out = np.zeros(size, dtype=complex if complex_ else float)
+    if theta is not None:
+        if theta.coeffs.size > size:
+            raise ConfigError(f"signal support {theta.coeffs.size} exceeds the run's truncation {size}")
+        out[: theta.coeffs.size] = theta.coeffs
     return out
 
 
 def _sequence_scorer(form: quad_mod.EnergyForm, th: np.ndarray, n: int, sigma: float):
     """The standardized energy of y = theta + (sigma / sqrt(n)) xi for each
-    row of normals, drawn as ``draw_sequence_observation`` draws them.  Each
-    row is weighted alone (``form.weighted_sum``), since a product of the
-    block with the weights would sum in another order."""
+    row of normals, drawn as ``draw_sequence_observation`` draws them."""
     noise_scale = sigma / math.sqrt(n)
     pairs = complex_pairs if np.iscomplexobj(th) else None
     mean = th.view(float)
@@ -313,8 +311,7 @@ def _sequence_scorer(form: quad_mod.EnergyForm, th: np.ndarray, n: int, sigma: f
         v = block if pairs is None else pairs(block)
         v *= noise_scale
         v += mean
-        v *= v
-        return form.standardize(np.array([form.weighted_sum(row) for row in v]))
+        return form.standardize(form.energy(v))
 
     return score
 

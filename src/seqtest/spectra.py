@@ -57,12 +57,12 @@ class Spectrum:
             raise ConfigError("coeffs must be a non-empty 1-d array")
         if want_complex and abs(arr[0].imag) > 0:
             raise ConfigError("complex-exponential coeffs[0] (the j=0 term) must be real")
-        # the energy norm_sq() sums; a NaN or infinite coefficient makes it non-finite too
+        object.__setattr__(self, "coeffs", arr)
+        # a NaN or infinite coefficient makes the energy non-finite too
         with np.errstate(over="ignore", invalid="ignore"):
-            energy = 2.0 * np.vdot(arr[1:], arr[1:]).real + arr[0].real ** 2 if want_complex else np.dot(arr, arr)
+            energy = self.norm_sq()
         if not math.isfinite(energy):
             raise ConfigError("coeffs must be finite and their energy sum |theta_j|^2 must not overflow")
-        object.__setattr__(self, "coeffs", arr)
 
     @property
     def max_frequency(self) -> int:
@@ -109,11 +109,6 @@ class Spectrum:
         except (TypeError, ValueError) as exc:
             raise ConfigError("coeffs must be numbers ([re, im] pairs in the complex basis)") from exc
         return Spectrum(basis=basis, coeffs=arr)
-
-
-def tail_energy_profile(spec: Spectrum) -> np.ndarray:
-    """tail[k-1] = sum of |theta_j|^2 over frequencies >= k, for k = 1..J."""
-    return _weighted_tails(spec.frequency_energies(), 0.0)  # k^0 = 1
 
 
 def besov_seminorm(spec: Spectrum, s: float) -> float:

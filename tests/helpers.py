@@ -90,7 +90,7 @@ def imhof_sf(x: float, lam, delta=None) -> float:
 
 
 def exact_power(form, mean: np.ndarray, noise_var: np.ndarray, alpha: float) -> float:
-    """P(form.standardized(y) > x_alpha) for y = mean + N(0, noise_var), one
+    """P(form.standardize(form.energy(y)) > x_alpha) for y = mean + N(0, noise_var), one
     real coordinate per weight: lam_i = w_i noise_var_i, delta_i = mean_i /
     noise sd.  A coordinate without noise adds w_i mean_i^2 to the energy."""
     mean = np.asarray(mean, dtype=float)

@@ -34,6 +34,11 @@ BOUNDARY_RTOL = 0.05  # least-favorable signal sits on both boundaries
 POWER_LAW_K_RTOL = 0.02  # closed-form breakpoint for lambda_j = j^-gamma
 
 
+def _null_mean(d) -> float:
+    """Exact null E[T_n] = sigma^-2 n sum_j kappa_j^2 over the stored truncation."""
+    return float(d.n / d.sigma**2 * np.sum(d.kappa_j2))
+
+
 class TestDirectSolver:
     def test_closed_form_oracle(self):
         d = solve_design(**ORACLE)
@@ -71,7 +76,7 @@ class TestDirectSolver:
         # c_n = n rho / sigma^2 vs the exact weight sum: discretization only
         for args in (ORACLE, dict(s=0.7, p0=2.0, rho_n=1e-3, n=5000)):
             d = solve_design(**args)
-            assert abs(d.null_mean() - d.c_n) <= d.c_n * 2.0 * d.residual_bound
+            assert abs(_null_mean(d) - d.c_n) <= d.c_n * 2.0 * d.residual_bound
 
     def test_infeasible_radius(self):
         with pytest.raises(InfeasibleDesignError):
@@ -97,7 +102,7 @@ class TestInverseSolver:
         assert di.k_n == d.k_n
         np.testing.assert_allclose(di.kappa_j2, d.kappa_j2, rtol=1e-12)
         # the inverse variant centers on the exact weight sum, not n rho
-        assert di.c_n == pytest.approx(di.null_mean(), rel=1e-12)
+        assert di.c_n == pytest.approx(_null_mean(di), rel=1e-12)
         assert abs(di.c_n - d.c_n) <= d.c_n * d.residual_bound
 
     def test_power_law_eigenvalues_closed_form_breakpoint(self):

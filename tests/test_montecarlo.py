@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -543,6 +545,33 @@ class TestScheduling:
 
     def test_usable_cpus(self):
         assert 1 <= montecarlo._usable_cpus() <= (os.cpu_count() or 1)
+
+    def test_scores_do_not_depend_on_blas_threads(self):
+        """A kernel plan of 16 386 weights, past the length at which OpenBLAS
+        splits a dot product over its threads, scores every replication with
+        the same bits at one BLAS thread and at two."""
+        config = {"family": "kernel", "n": 2000, "reps": 8, "seed": 5,
+                  "params": {"kernel": "box", "h": 0.05, "j_max": 8192}}
+        probe = (
+            "import hashlib, json, sys\n"
+            "from seqtest.montecarlo import ExperimentConfig, build_plan\n"
+            "from seqtest.sampling import replication_blocks\n"
+            "cfg = ExperimentConfig.from_json_dict(json.loads(sys.argv[1]))\n"
+            "plan = build_plan(cfg)\n"
+            "digest = hashlib.sha256()\n"
+            "for block in replication_blocks(plan.seed, 0, cfg.reps, plan.draws, plan.draw):\n"
+            "    digest.update(plan.score(block).tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(montecarlo.__file__)))
+        digests = set()
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", probe, json.dumps(config)],
+                                 env=env, capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
     def test_partial_counts_add_up(self):
         cfg = ExperimentConfig(family="chisq", n=100, reps=40, seed=12, params={"k": 4})

@@ -11,6 +11,7 @@ from helpers import check_regularity, half_mass_index
 from seqtest.errors import ConfigError
 from seqtest.kernels import box_kernel, kernel_test
 from seqtest.quadratic import (
+    EnergyForm,
     drift,
     energy_form,
     example_coefficients,
@@ -29,6 +30,11 @@ A_N_REF = 0.7695866217730798
 A_N_RTOL = 1e-12
 
 ROUNDTRIP_RTOL = 1e-12
+
+# observation sizes for the block-against-row bits: the edges of numpy's
+# pairwise blocks (8 and 128) and of its 8192-element buffer, and the kernel
+# plan at j_max = 8192 (16 386 weights, past OpenBLAS's threaded-dot cutoff)
+BLOCK_SIZES = [1, 2, 7, 8, 9, 127, 128, 129, 1025, 4097, 8191, 8192, 8193, 16386]
 
 
 class TestExampleCoefficients:
@@ -91,6 +97,20 @@ class TestStatistic:
         sd = energy_form(kq, 200, 1.0).sd
         assert abs(np.mean(vals)) < 4 * sd / math.sqrt(3000)
         assert np.std(vals) == pytest.approx(sd, rel=0.1)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_block_energy_has_the_bits_of_each_row(self, size, complex_):
+        """The energy of a block, each row an observation as the Monte Carlo
+        scorer holds it, equals each row's energy taken alone, bit for bit."""
+        rng = np.random.default_rng(size)
+        width = 2 * size if complex_ else size
+        form = EnergyForm(rng.random(width), 0.5, 2.0)
+        block = rng.standard_normal((3, width))
+        if complex_:
+            block = block.view(complex)
+        alone = np.array([form.standardize(form.energy(row)) for row in block])
+        np.testing.assert_array_equal(form.standardize(form.energy(block)), alone)
 
 
 # *_test calls whose null sd leaves the float range; the engine refuses the

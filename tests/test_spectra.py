@@ -18,7 +18,6 @@ from seqtest.spectra import (
     first_violated_tail,
     make_tail_alternative,
     project_besov,
-    tail_energy_profile,
 )
 
 # theta_j = j^{-1.6}, J = 512, s = 1; frozen from a direct tail-sum evaluation.
@@ -99,7 +98,7 @@ class TestSeminorm:
 
     def test_tail_profile_starts_at_total_energy(self):
         spec = power_law(j=32)
-        tails = tail_energy_profile(spec)
+        tails = np.cumsum(spec.frequency_energies()[::-1])[::-1]  # energy at frequencies >= k
         assert tails[0] == pytest.approx(spec.norm_sq(), rel=1e-15)
         assert np.all(np.diff(tails) <= 0)
 

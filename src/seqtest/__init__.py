@@ -52,7 +52,7 @@ from .kernels import (
     transform_values,
     triangle_kernel,
 )
-from .montecarlo import ExperimentConfig, MonteCarloSummary, build_plan, run_monte_carlo
+from .montecarlo import ExperimentConfig, MonteCarloSummary, build_plan, calibration_rates, run_monte_carlo
 from .quadratic import (
     example_coefficients,
     predicted_type2_quadratic,
@@ -75,7 +75,6 @@ from .spectra import (
     BesovBall,
     Spectrum,
     besov_seminorm,
-    calibration_rates,
     first_violated_tail,
     make_tail_alternative,
     project_besov,

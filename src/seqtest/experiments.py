@@ -25,11 +25,8 @@ import numpy as np
 
 from . import design as design_mod
 from .errors import ConfigError, NumericError
-from .montecarlo import THETA_BASIS, ExperimentConfig, MonteCarloPlan, build_plan, run_monte_carlo
-from .spectra import (
-    FAMILIES_QUADRATIC_RATE, BesovBall, CalibrationRates, Spectrum,
-    calibration_rates, make_tail_alternative, project_besov,
-)
+from .montecarlo import FAMILIES, ExperimentConfig, MonteCarloPlan, build_plan, calibration_rates, run_monte_carlo
+from .spectra import BesovBall, Spectrum, make_tail_alternative, project_besov
 
 POWER_CURVE_FIELDS = (
     "scale", "power", "empirical_type2", "predicted_type2", "gap",
@@ -80,15 +77,6 @@ def power_curve(config: ExperimentConfig, scales, threads: int = 1) -> list[dict
     return rows
 
 
-def _consistency_params(rates: CalibrationRates, n: int, j_max: int) -> dict:
-    e = rates.tuning_exponent
-    if rates.family == "quadratic":
-        return {"gamma": (1.0 + 4.0 * rates.s) / 2.0, "j_max": j_max}
-    if rates.family == "kernel":
-        return {"kernel": "box", "h": float(n**-e), "j_max": j_max}
-    return {"k": max(2, round(n**e))}
-
-
 def consistency_experiment(
     family: str,
     s: float,
@@ -107,10 +95,10 @@ def consistency_experiment(
     C^{1/(2s)}: a larger radius pushes the same amount of signal to higher
     frequencies, where the test's weights no longer see it.
     """
-    if family not in FAMILIES_QUADRATIC_RATE:
-        raise ConfigError(
-            "the consistency boundary experiment covers the quadratic, kernel, and chisq families"
-        )
+    record = FAMILIES.get(family)
+    if record is None or record.tuned is None:
+        *head, last = [name for name, fam in FAMILIES.items() if fam.tuned is not None]
+        raise ConfigError(f"the consistency boundary experiment covers the {', '.join(head)}, and {last} families")
     c_values = [float(c) for c in c_schedule]
     if len(c_values) < 2 or any(b <= a for a, b in zip(c_values, c_values[1:])):
         raise ConfigError("C schedule must be increasing with at least two points")
@@ -125,18 +113,17 @@ def consistency_experiment(
     if min(n_values) < 1:
         raise ConfigError("sample sizes n must be positive")
     rates = calibration_rates(s, family)
-    basis = THETA_BASIS[family]
     rows = []
     for c_val, n in zip(c_values, n_values):
         energy = (norm_scale * n**-rates.r) ** 2
         m = round((c_val / energy) ** (1.0 / (2.0 * s)))
         if m < 1:
             raise ConfigError(f"schedule infeasible: C={c_val} needs block start m >= 1")
-        theta = make_tail_alternative(m, c_val, s, basis=basis)
+        theta = make_tail_alternative(m, c_val, s, basis=record.basis)
         j_max = max(1024, 2 * m + 8)
         cfg = ExperimentConfig(
             family=family, n=n, reps=reps, seed=seed, alpha=alpha,
-            theta=theta, params=_consistency_params(rates, n, j_max),
+            theta=theta, params=record.tuned(rates, n, j_max),
         )
         plan, rate, std_err = _run(cfg, threads)
         rows.append({

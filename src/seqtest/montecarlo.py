@@ -1,10 +1,15 @@
 """Replication-seeded Monte Carlo engine over the five test families.
 
+``FAMILIES`` holds one ``Family`` record per test family and is the only
+table keyed by family name.  ``ExperimentConfig.validate`` makes the generic
+checks of a run; the first lines of each planner make its family's
+cross-field checks, before any design solve, sampler build or CvM
+calibration.  ``build_plan`` runs both.
+
 Every replication ``rep`` of a run draws from ``rng_for_replication(seed,
 rep)``, so the stream a replication sees is a pure function of (seed, rep):
 rejection counts are identical no matter how replications are sliced across
-workers, and partial counts add associatively.  Wall time is measured but
-kept out of every serialized output for byte-reproducibility.
+workers, and partial counts add associatively.
 
 A plan is data: how many values a replication draws, the ``Generator``
 method that draws them, a block statistic and a threshold.
@@ -34,7 +39,6 @@ import json
 import math
 import numbers
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -51,16 +55,6 @@ from .errors import ConfigError, finite_real
 from .report import normal_type2, upper_quantile
 from .sampling import check_noise_level, complex_pairs, iid_sampler, replication_blocks
 from .spectra import Spectrum
-
-FAMILIES = ("quadratic", "kernel", "chisq", "cvm", "minimax")
-
-THETA_BASIS = {
-    "quadratic": "cosine",
-    "minimax": "cosine",
-    "cvm": "cosine",
-    "kernel": "complex-exponential",
-    "chisq": "complex-exponential",
-}
 
 _REQUIRED = object()
 
@@ -121,34 +115,13 @@ def check_empty(data: dict, what: str) -> None:
         raise ConfigError(f"unknown {what} keys: {sorted(data)}")
 
 
-# family -> param -> (kind, default); _REQUIRED marks a param without a default
-_PARAMS = {
-    "quadratic": {"gamma": (float, None), "j_max": (int, 4096), "kappa_sq": (np.ndarray, None)},
-    "kernel": {"kernel": (str, _REQUIRED), "h": (float, _REQUIRED), "j_max": (int, None)},
-    "chisq": {"k": (int, _REQUIRED)},
-    "cvm": {
-        "calibration_reps": (int, DEFAULT_CALIBRATION_REPS),
-        "calibration_seed": (int, DEFAULT_CALIBRATION_SEED),
-        "cache_dir": (str, None),
-    },
-    "minimax": {
-        "s": (float, _REQUIRED),
-        "p0": (float, _REQUIRED),
-        "rho_n": (float, _REQUIRED),
-        "j_max": (int, None),
-        "lambdas": (np.ndarray, None),
-        "least_favorable": (bool, False),
-    },
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo run: a family, a truth, and replication bookkeeping.
 
     ``theta`` is the true signal/perturbation (None = the null).  Family
-    specifics ride in ``params``; ``_PARAMS`` lists each family's keys, their
-    types and defaults.  ``params`` is stored as given, so the config hash
+    specifics ride in ``params``; ``FAMILIES[family].params`` lists their
+    keys, types and defaults.  ``params`` is stored as given, so the config hash
     sees exactly what the caller wrote.
     """
 
@@ -162,46 +135,35 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def validate(self) -> dict:
-        """Check the run; return its params typed, with defaults filled in."""
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        """Make the generic checks and return the params typed, with defaults
+        filled in.  n, reps and seed must be ints (not bools), alpha and sigma
+        finite reals and theta a Spectrum or None, as ``take`` reads them from
+        JSON.  The family's cross-field checks run in its planner, so only
+        ``build_plan`` makes every check."""
+        family = FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if family is None:
+            raise ConfigError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
+        for key in ("n", "reps", "seed", "alpha", "sigma"):
+            value = getattr(self, key)
+            if key in ("n", "reps", "seed") and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+            finite_real(value, key)
+        if not isinstance(self.theta, (Spectrum, type(None))):
+            raise ConfigError(f"'theta' must be a Spectrum, got {self.theta!r}")
         if self.n < 1 or self.reps < 1:
             raise ConfigError("n and reps must be positive integers")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
         check_noise_level(self.n, self.sigma)
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if self.theta is not None and self.theta.basis != THETA_BASIS[self.family]:
-            raise ConfigError(
-                f"family {self.family!r} expects theta in the {THETA_BASIS[self.family]!r} basis"
-            )
+        if self.theta is not None and self.theta.basis != family.basis:
+            raise ConfigError(f"family {self.family!r} expects theta in the {family.basis!r} basis")
         raw = dict(self.params)
-        p = {key: take(raw, key, kind, default) for key, (kind, default) in _PARAMS[self.family].items()}
+        p = {key: take(raw, key, kind, default) for key, (kind, default) in family.params.items()}
         check_empty(raw, f"{self.family} param")
         if p.get("j_max") is not None and p["j_max"] < 1:
             raise ConfigError("params.j_max must be a positive integer")
-        if self.family == "quadratic":
-            kq = p["kappa_sq"]
-            if (kq is None) == (p["gamma"] is None):
-                raise ConfigError("quadratic family needs exactly one of 'kappa_sq' or 'gamma'")
-            if kq is not None and self.params.get("j_max") is not None:
-                raise ConfigError("quadratic params.j_max applies only with 'gamma'; 'kappa_sq' sets its own length")
-            if kq is not None and (kq.size == 0 or np.any(kq < 0)):
-                raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
-        elif self.family == "kernel":
-            if p["kernel"] not in kernels_mod.KERNELS:
-                raise ConfigError(f"kernel must be one of {sorted(kernels_mod.KERNELS)}")
-            kernels_mod.check_bandwidth(kernels_mod.KERNELS[p["kernel"]], p["h"])
-        elif self.family == "chisq":
-            if p["k"] < 2:
-                raise ConfigError("chisq family needs k >= 2 cells")
-        elif self.family == "cvm":
-            if p["calibration_seed"] < 0:
-                raise ConfigError("params.calibration_seed must be a non-negative integer")
-        elif self.family == "minimax":
-            if p["least_favorable"] and self.theta is not None:
-                raise ConfigError("give either an explicit theta or least_favorable, not both")
         return p
 
     def to_json_dict(self) -> dict:
@@ -245,7 +207,6 @@ class MonteCarloSummary:
     reps: int
     rejections: int
     seed: int
-    wall_time_s: float
 
     @property
     def rate(self) -> float:
@@ -256,7 +217,6 @@ class MonteCarloSummary:
         return math.sqrt(self.rate * (1.0 - self.rate) / self.reps)
 
     def to_json_dict(self) -> dict:
-        # wall_time_s stays out: outputs are byte-identical across machines
         return {
             "experiment": self.experiment,
             "reps": self.reps,
@@ -332,6 +292,12 @@ def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarra
 
 def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     kq = p["kappa_sq"]
+    if (kq is None) == (p["gamma"] is None):
+        raise ConfigError("quadratic family needs exactly one of 'kappa_sq' or 'gamma'")
+    if kq is not None and cfg.params.get("j_max") is not None:
+        raise ConfigError("quadratic params.j_max applies only with 'gamma'; 'kappa_sq' sets its own length")
+    if kq is not None and (kq.size == 0 or np.any(kq < 0)):
+        raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
     if kq is None:
         kq = quad_mod.example_coefficients(cfg.n, p["gamma"], p["j_max"])
     form = quad_mod.energy_form(kq, cfg.n, cfg.sigma)
@@ -339,6 +305,8 @@ def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
 
 
 def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+    if p["least_favorable"] and cfg.theta is not None:
+        raise ConfigError("give either an explicit theta or least_favorable, not both")
     design_args = (p["s"], p["p0"], p["rho_n"], cfg.n, cfg.sigma)
     if p["lambdas"] is not None:
         dsg = design_mod.solve_inverse_design(*design_args, p["lambdas"], j_max=p["j_max"])
@@ -353,8 +321,11 @@ def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
 
 
 def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+    if p["kernel"] not in kernels_mod.KERNELS:
+        raise ConfigError(f"kernel must be one of {sorted(kernels_mod.KERNELS)}")
     kernel = kernels_mod.KERNELS[p["kernel"]]
     h = p["h"]
+    kernels_mod.check_bandwidth(kernel, h)
     theta_support = 0 if cfg.theta is None else cfg.theta.coeffs.size - 1
     j_max = max(1024, theta_support) if p["j_max"] is None else p["j_max"]
     th = _padded(cfg.theta, j_max, "complex-exponential")
@@ -367,6 +338,8 @@ def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     an alternative each row is sorted and counted against the plan's cell
     thresholds (``chisq.cell_thresholds``), so no point is inverted."""
     k, n = p["k"], cfg.n
+    if k < 2:
+        raise ConfigError("chisq family needs k >= 2 cells")
     if cfg.theta is None:
         counts = functools.partial(chisq_mod.binned, k=k)
         drift = 0.0
@@ -387,6 +360,8 @@ def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
 
 
 def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+    if p["calibration_seed"] < 0:
+        raise ConfigError("params.calibration_seed must be a non-negative integer")
     calibration = cvm_mod.calibrate_cvm(
         cfg.n, reps=p["calibration_reps"], seed=p["calibration_seed"], cache_dir=p["cache_dir"]
     )
@@ -403,18 +378,86 @@ def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     return MonteCarloPlan(cfg.seed, n, np.random.Generator.random, score, critical, None, details)
 
 
-_PLANNERS = {
-    "quadratic": _plan_quadratic,
-    "kernel": _plan_kernel,
-    "chisq": _plan_chisq,
-    "cvm": _plan_cvm,
-    "minimax": _plan_minimax,
+@dataclass(frozen=True)
+class CalibrationRates:
+    """Separation rate exponent r and the tuning exponent of a test family.
+
+    The separation radius scales like n^{-r}.  For the quadratically tuned
+    families the tuning parameter follows k_n ~ n^{tuning_exponent} (cell or
+    coefficient counts) or h_n ~ n^{-tuning_exponent} (bandwidths).  The
+    distribution-function family has no tuning parameter.
+    """
+
+    family: str
+    s: float
+    r: float
+    tuning_exponent: float | None
+
+
+def _quadratic_rate(s: float) -> tuple[float, float]:
+    r = 2.0 * s / (1.0 + 4.0 * s)
+    return r, 2.0 - 4.0 * r
+
+
+@dataclass(frozen=True)
+class Family:
+    """One test family.  ``basis`` is the basis of its theta; ``params`` maps
+    each param to (kind, default), ``_REQUIRED`` marking one without a
+    default; ``plan(config, params)`` checks the params' cross-field rules,
+    then builds the plan.  ``rate(s)`` gives (r, tuning exponent), and
+    ``tuned(rates, n, j_max)`` the params of a consistency-experiment run;
+    either is None where the family has none."""
+
+    basis: str
+    params: dict
+    plan: Callable[[ExperimentConfig, dict], MonteCarloPlan]
+    rate: Callable[[float], tuple[float, float | None]] | None = None
+    tuned: Callable[[CalibrationRates, int, int], dict] | None = None
+
+
+FAMILIES = {
+    "quadratic": Family(
+        "cosine", {"gamma": (float, None), "j_max": (int, 4096), "kappa_sq": (np.ndarray, None)},
+        _plan_quadratic, _quadratic_rate,
+        lambda rates, n, j_max: {"gamma": (1.0 + 4.0 * rates.s) / 2.0, "j_max": j_max},
+    ),
+    "kernel": Family(
+        "complex-exponential", {"kernel": (str, _REQUIRED), "h": (float, _REQUIRED), "j_max": (int, None)},
+        _plan_kernel, _quadratic_rate,
+        lambda rates, n, j_max: {"kernel": "box", "h": float(n**-rates.tuning_exponent), "j_max": j_max},
+    ),
+    "chisq": Family(
+        "complex-exponential", {"k": (int, _REQUIRED)}, _plan_chisq, _quadratic_rate,
+        lambda rates, n, j_max: {"k": max(2, round(n**rates.tuning_exponent))},
+    ),
+    "cvm": Family("cosine", {
+        "calibration_reps": (int, DEFAULT_CALIBRATION_REPS),
+        "calibration_seed": (int, DEFAULT_CALIBRATION_SEED),
+        "cache_dir": (str, None),
+    }, _plan_cvm, lambda s: (s / (2.0 + 2.0 * s), None)),
+    "minimax": Family("cosine", {
+        "s": (float, _REQUIRED), "p0": (float, _REQUIRED), "rho_n": (float, _REQUIRED), "j_max": (int, None),
+        "lambdas": (np.ndarray, None), "least_favorable": (bool, False),
+    }, _plan_minimax),
 }
 
 
+def calibration_rates(s: float, family: str) -> CalibrationRates:
+    if s <= 0:
+        raise ConfigError("smoothness index s must be positive")
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}")
+    if FAMILIES[family].rate is None:
+        raise ConfigError(f"family {family!r} has no separation rate")
+    r, tuning_exponent = FAMILIES[family].rate(s)
+    return CalibrationRates(family=family, s=s, r=r, tuning_exponent=tuning_exponent)
+
+
 def build_plan(config: ExperimentConfig) -> MonteCarloPlan:
+    """Make every check of ``config`` (``validate``, then the planner's own
+    first lines) and compile its plan."""
     params = config.validate()
-    return _PLANNERS[config.family](config, params)
+    return FAMILIES[config.family].plan(config, params)
 
 
 def _usable_cpus() -> int:
@@ -443,7 +486,6 @@ def run_monte_carlo(
     the count, and so the summary, is the same at any width."""
     if plan is None:
         plan = build_plan(config)
-    start = time.perf_counter()
     width = pool_width(plan.draws, config.reps, threads)
     if width == 1:
         rejections = plan.count(0, config.reps)
@@ -453,11 +495,9 @@ def run_monte_carlo(
         spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
         with ThreadPoolExecutor(max_workers=width) as pool:
             rejections = sum(pool.map(lambda span: plan.count(*span), spans))
-    wall = time.perf_counter() - start
     return MonteCarloSummary(
         experiment=f"{config.family}-{config.config_hash()}",
         reps=config.reps,
         rejections=int(rejections),
         seed=config.seed,
-        wall_time_s=wall,
     )

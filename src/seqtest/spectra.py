@@ -34,9 +34,6 @@ from .errors import ConfigError, finite_real
 
 BASES = ("cosine", "complex-exponential", "haar")
 
-# Families whose optimal tuning follows the k_n ~ n^{2-4r} schedule.
-FAMILIES_QUADRATIC_RATE = ("quadratic", "kernel", "chisq")
-
 # Relative slack on the budget when testing ball membership.
 CONTAINS_REL_TOL = 1e-12
 
@@ -270,30 +267,3 @@ def make_tail_alternative(m: int, c: float, s: float, basis: str = "cosine") -> 
     else:
         raise ConfigError(f"tail alternatives are not defined for basis {basis!r}")
     return Spectrum(basis=basis, coeffs=coeffs)
-
-
-@dataclass(frozen=True)
-class CalibrationRates:
-    """Separation rate exponent r and the tuning exponent of a test family.
-
-    The separation radius scales like n^{-r}.  For the quadratically tuned
-    families the tuning parameter follows k_n ~ n^{tuning_exponent} (cell or
-    coefficient counts) or h_n ~ n^{-tuning_exponent} (bandwidths).  The
-    distribution-function family has no tuning parameter.
-    """
-
-    family: str
-    s: float
-    r: float
-    tuning_exponent: float | None
-
-
-def calibration_rates(s: float, family: str) -> CalibrationRates:
-    if s <= 0:
-        raise ConfigError("smoothness index s must be positive")
-    if family in FAMILIES_QUADRATIC_RATE:
-        r = 2.0 * s / (1.0 + 4.0 * s)
-        return CalibrationRates(family=family, s=s, r=r, tuning_exponent=2.0 - 4.0 * r)
-    if family == "cvm":
-        return CalibrationRates(family=family, s=s, r=s / (2.0 + 2.0 * s), tuning_exponent=None)
-    raise ConfigError(f"unknown family {family!r}")

@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from seqtest.errors import ConfigError
 from seqtest.kernels import box_kernel, kernel_test, triangle_kernel
 from seqtest.montecarlo import (
     DEFAULT_CALIBRATION_SEED,
+    FAMILIES,
     POOL_MIN_DRAWS,
     ExperimentConfig,
     MonteCarloSummary,
@@ -132,35 +135,72 @@ class TestConfigContract:
         with pytest.raises(ConfigError):
             ExperimentConfig(family="ks", n=10, reps=10, seed=0).validate()
         with pytest.raises(ConfigError):  # both tuning styles at once
-            ExperimentConfig(
+            build_plan(ExperimentConfig(
                 family="quadratic", n=10, reps=10, seed=0,
                 params={"gamma": 2.0, "kappa_sq": [1.0]},
-            ).validate()
+            ))
         with pytest.raises(ConfigError):  # neither
-            ExperimentConfig(family="quadratic", n=10, reps=10, seed=0).validate()
+            build_plan(ExperimentConfig(family="quadratic", n=10, reps=10, seed=0))
         with pytest.raises(ConfigError):
-            ExperimentConfig(family="kernel", n=10, reps=10, seed=0,
-                             params={"kernel": "gauss", "h": 0.1}).validate()
+            build_plan(ExperimentConfig(family="kernel", n=10, reps=10, seed=0,
+                                        params={"kernel": "gauss", "h": 0.1}))
         with pytest.raises(ConfigError):
-            ExperimentConfig(family="kernel", n=10, reps=10, seed=0,
-                             params={"kernel": "box", "h": 1.5}).validate()
+            build_plan(ExperimentConfig(family="kernel", n=10, reps=10, seed=0,
+                                        params={"kernel": "box", "h": 1.5}))
         with pytest.raises(ConfigError):
-            ExperimentConfig(family="chisq", n=10, reps=10, seed=0, params={"k": 1}).validate()
+            build_plan(ExperimentConfig(family="chisq", n=10, reps=10, seed=0, params={"k": 1}))
         with pytest.raises(ConfigError):
             ExperimentConfig(family="minimax", n=10, reps=10, seed=0,
                              params={"s": 1.0, "p0": 1.0}).validate()
         with pytest.raises(ConfigError):  # explicit theta and least_favorable together
-            ExperimentConfig(
+            build_plan(ExperimentConfig(
                 family="minimax", n=10, reps=10, seed=0,
                 theta=Spectrum(basis="cosine", coeffs=np.array([0.1])),
                 params={"s": 1.0, "p0": 1.0, "rho_n": 1e-3, "least_favorable": True},
-            ).validate()
+            ))
         with pytest.raises(ConfigError):  # unknown key
             ExperimentConfig(family="chisq", n=10, reps=10, seed=0,
                              params={"k": 4, "cells": 4}).validate()
 
+    @pytest.mark.parametrize("field", [
+        {"n": 1000.5}, {"reps": 10.5}, {"n": True}, {"seed": True},
+        {"alpha": "0.05"}, {"sigma": "1"}, {"theta": {"basis": "cosine"}}, {"family": ["chisq"]},
+    ])
+    def test_python_config_typed_as_json(self, field):
+        """A config built in Python is typed as ``take`` types a JSON one:
+        each of these is a ConfigError, not a traceback from the engine."""
+        cfg = ExperimentConfig(**{"family": "chisq", "n": 1000, "reps": 10, "seed": 1, "params": {"k": 5}, **field})
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("family,params,theta,costly", [
+        ("cvm", {"calibration_seed": -1}, None, ["seqtest.cvm.calibrate_cvm"]),
+        ("minimax", {"s": 1.0, "p0": 1.0, "rho_n": 1e-3, "least_favorable": True}, [0.1],
+         ["seqtest.design.solve_design", "seqtest.design.solve_inverse_design"]),
+        ("kernel", {"kernel": "box", "h": 1.5}, None, ["seqtest.kernels.energy_form"]),
+    ])
+    def test_checks_run_before_costly_work(self, monkeypatch, family, params, theta, costly):
+        def fail(*args, **kwargs):
+            raise AssertionError("a costly step ran before the config checks")
+
+        for target in costly:
+            monkeypatch.setattr(target, fail)
+        basis = FAMILIES[family].basis
+        cfg = ExperimentConfig(family=family, n=100, reps=10, seed=0, params=params,
+                               theta=None if theta is None else Spectrum(basis, np.array(theta)))
+        with pytest.raises(ConfigError):
+            build_plan(cfg)
+
+    def test_readme_lists_every_param(self):
+        """Each row of the README's params table names exactly the family's
+        params, each in backticks."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| (\w+) +\| (.*) \|$", readme, flags=re.M))
+        for name, family in FAMILIES.items():
+            assert set(re.findall(r"`([^`]+)`", rows[name])) == set(family.params), name
+
     def test_summary_arithmetic_and_serialization(self):
-        s = MonteCarloSummary(experiment="x", reps=400, rejections=100, seed=3, wall_time_s=1.23)
+        s = MonteCarloSummary(experiment="x", reps=400, rejections=100, seed=3)
         assert s.rate == 0.25
         assert s.std_err == pytest.approx(math.sqrt(0.25 * 0.75 / 400))
         payload = s.to_json_dict()

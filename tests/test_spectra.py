@@ -9,12 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import direct_seminorm, kkt_residual, signed_pairs, slsqp_tail_projection
+from seqtest import calibration_rates
 from seqtest.errors import ConfigError
 from seqtest.spectra import (
     BesovBall,
     Spectrum,
     besov_seminorm,
-    calibration_rates,
     first_violated_tail,
     make_tail_alternative,
     project_besov,
@@ -368,5 +368,7 @@ class TestCalibrationRates:
     def test_rejections(self):
         with pytest.raises(ConfigError):
             calibration_rates(1.0, "anderson")
+        with pytest.raises(ConfigError, match="no separation rate"):
+            calibration_rates(1.0, "minimax")
         with pytest.raises(ConfigError):
             calibration_rates(-0.5, "quadratic")

@@ -5,8 +5,11 @@ Every row carries the resolved seed and a 12-hex config hash so any line of
 any table can be replayed exactly.  CSV files start with ``# schema=v1`` and
 format floats with ``repr``, which is shortest-roundtrip and platform-stable;
 together with the replication-seeded engine this makes outputs byte-identical
-across thread counts.  ``threads`` bounds each run's pool width, and a plan
-with small replications runs on one thread (``montecarlo.pool_width``).
+across thread counts.  A driver builds the plans of its call, then runs them
+together (``montecarlo.run_plans``): plans that draw alike, as a power
+curve's, a decomposition's and a consistency run's do, share one pass over
+the replication stream.  ``threads`` bounds each group's pool width, and a
+group with small replications runs on one thread (``montecarlo.pool_width``).
 
 Prior membership scores its draws in blocks.  Each draw reads only the
 prior's support, min(j_max, floor(k_n / delta)) normals, the prefix of the
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import design as design_mod
 from .errors import ConfigError, NumericError
-from .montecarlo import FAMILIES, ExperimentConfig, MonteCarloPlan, build_plan, calibration_rates, run_monte_carlo
+from .montecarlo import FAMILIES, ExperimentConfig, build_plan, calibration_rates, run_plans
 from .spectra import BesovBall, Spectrum, make_tail_alternative, project_besov
 
 POWER_CURVE_FIELDS = (
@@ -43,12 +46,6 @@ DECOMPOSITION_FIELDS = (
 )
 
 
-def _run(config: ExperimentConfig, threads: int) -> tuple[MonteCarloPlan, float, float]:
-    plan = build_plan(config)
-    summary = run_monte_carlo(config, threads=threads, plan=plan)
-    return plan, summary.rate, summary.std_err
-
-
 def power_curve(config: ExperimentConfig, scales, threads: int = 1) -> list[dict]:
     """Empirical vs. predicted type II error along a signal-scale schedule."""
     if config.theta is None:
@@ -57,19 +54,19 @@ def power_curve(config: ExperimentConfig, scales, threads: int = 1) -> list[dict
     if not s_values:
         raise ConfigError("power_curve needs at least one scale")
     base = config.theta
+    configs = [replace(config, theta=Spectrum(base.basis, np.asarray(base.coeffs) * scale)) for scale in s_values]
+    plans = [build_plan(cfg) for cfg in configs]
     rows = []
-    for scale in s_values:
-        cfg = replace(config, theta=Spectrum(base.basis, np.asarray(base.coeffs) * scale))
-        plan, rate, std_err = _run(cfg, threads)
+    for scale, cfg, plan, summary in zip(s_values, configs, plans, run_plans(configs, plans, threads)):
         predicted = plan.predicted_type2
-        empirical_beta = 1.0 - rate
+        empirical_beta = 1.0 - summary.rate
         rows.append({
             "scale": scale,
-            "power": rate,
+            "power": summary.rate,
             "empirical_type2": empirical_beta,
             "predicted_type2": predicted,
             "gap": None if predicted is None else abs(empirical_beta - predicted),
-            "std_err": std_err,
+            "std_err": summary.std_err,
             "reps": cfg.reps,
             "seed": cfg.seed,
             "config_hash": cfg.config_hash(),
@@ -113,7 +110,7 @@ def consistency_experiment(
     if min(n_values) < 1:
         raise ConfigError("sample sizes n must be positive")
     rates = calibration_rates(s, family)
-    rows = []
+    points, configs, plans = [], [], []
     for c_val, n in zip(c_values, n_values):
         energy = (norm_scale * n**-rates.r) ** 2
         m = round((c_val / energy) ** (1.0 / (2.0 * s)))
@@ -125,19 +122,23 @@ def consistency_experiment(
             family=family, n=n, reps=reps, seed=seed, alpha=alpha,
             theta=theta, params=record.tuned(rates, n, j_max),
         )
-        plan, rate, std_err = _run(cfg, threads)
-        rows.append({
+        points.append((c_val, m, n))
+        configs.append(cfg)
+        plans.append(build_plan(cfg))
+    return [
+        {
             "C": c_val,
             "m": m,
             "n": n,
-            "power": rate,
+            "power": summary.rate,
             "predicted_drift": plan.details["drift"],
-            "std_err": std_err,
+            "std_err": summary.std_err,
             "reps": reps,
             "seed": seed,
             "config_hash": cfg.config_hash(),
-        })
-    return rows
+        }
+        for (c_val, m, n), cfg, plan, summary in zip(points, configs, plans, run_plans(configs, plans, threads))
+    ]
 
 
 def maxiset_decomposition_experiment(
@@ -163,28 +164,30 @@ def maxiset_decomposition_experiment(
     if len(g_values) < 2 or any(b <= a for a, b in zip(g_values, g_values[1:])):
         raise ConfigError("gamma schedule must be increasing with at least two points")
     f_n = config.theta
-    rows = []
+    configs, plans = [], []
     for gamma in g_values:
         ball = BesovBall(s, gamma**2)
         f_proj = project_besov(f_n, ball)
         residual = Spectrum(f_n.basis, np.asarray(f_n.coeffs) - np.asarray(f_proj.coeffs))
-        triple = {}
-        for label, spec in (("f", f_n), ("projected", f_proj), ("residual", residual)):
-            cfg = replace(config, theta=spec)
-            _, rate, std_err = _run(cfg, threads)
-            triple[label] = (rate, std_err, cfg.config_hash())
+        for spec in (f_n, f_proj, residual):
+            configs.append(replace(config, theta=spec))
+            plans.append(build_plan(configs[-1]))
+    summaries = run_plans(configs, plans, threads)
+    rows = []
+    for gamma, i in zip(g_values, range(0, len(configs), 3)):
+        f_run, projected_run, residual_run = summaries[i : i + 3]
         rows.append({
             "gamma": gamma,
-            "power_f": triple["f"][0],
-            "power_projected": triple["projected"][0],
-            "power_residual": triple["residual"][0],
-            "gap": abs(triple["f"][0] - triple["projected"][0]),
-            "std_err_f": triple["f"][1],
-            "std_err_projected": triple["projected"][1],
-            "std_err_residual": triple["residual"][1],
+            "power_f": f_run.rate,
+            "power_projected": projected_run.rate,
+            "power_residual": residual_run.rate,
+            "gap": abs(f_run.rate - projected_run.rate),
+            "std_err_f": f_run.std_err,
+            "std_err_projected": projected_run.std_err,
+            "std_err_residual": residual_run.std_err,
             "reps": config.reps,
             "seed": config.seed,
-            "config_hash": triple["f"][2],
+            "config_hash": configs[i].config_hash(),
         })
     return rows
 

@@ -12,10 +12,12 @@ rejection counts are identical no matter how replications are sliced across
 workers, and partial counts add associatively.
 
 A plan is data: how many values a replication draws, the ``Generator``
-method that draws them, a block statistic and a threshold.
-``MonteCarloPlan.count`` is the one loop: it scores the blocks of
+method that draws them, a block statistic and a threshold.  Plans with the
+same seed, replication count, draw count and draw method form a group;
+``group_counts`` is the one loop, one pass over the blocks of
 ``sampling.replication_blocks`` (each replication's draws in a row of one
-reused buffer) and counts the rows above the threshold.  Every statistic
+reused buffer) in which every plan of the group counts the rows above its
+threshold.  ``run_monte_carlo`` runs a group of one.  Every statistic
 calls the same core as its ``*_test`` function and has the bits of a
 replication scored alone.  The quadratic, kernel and minimax plans differ
 only in the ``EnergyForm`` and theta they build, and share one scorer and
@@ -25,10 +27,11 @@ draw the uniforms that ``sample_iid`` draws and read them through cell
 counts and ``omega_sq``.
 
 ``threads`` is an upper bound on the pool width; ``pool_width`` sets the
-width from the plan.  A plan whose replications each draw fewer than
-``POOL_MIN_DRAWS`` values, or that has fewer than 4 replications, runs on the
-calling thread, since the pool would cost more than it saves; a larger one is
-split into spans over at most as many threads as the CPUs the process may use.
+width from the group.  A group of K plans whose K * ``draws`` values a
+replication fall below ``POOL_MIN_DRAWS``, or that has fewer than 4
+replications, runs on the calling thread, since the pool would cost more
+than it saves; a larger one is split into spans over at most as many threads
+as the CPUs the process may use.
 """
 
 from __future__ import annotations
@@ -197,8 +200,17 @@ class ExperimentConfig:
         return config
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        """The first 12 hex digits of the sha256 of the canonical config JSON;
+        a numpy scalar or array in it hashes as the Python numbers it holds."""
+        canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"), default=_json_numpy)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+def _json_numpy(value):
+    """``json.dumps``'s fallback: a numpy scalar or array as its Python value."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    return json.JSONEncoder().default(value)  # the usual TypeError
 
 
 @dataclass(frozen=True)
@@ -243,10 +255,25 @@ class MonteCarloPlan:
     predicted_type2: float | None
     details: dict
 
-    def count(self, lo: int, hi: int) -> int:
-        """Rejections among replications lo..hi-1."""
-        blocks = replication_blocks(self.seed, lo, hi, self.draws, self.draw)
-        return sum(int(np.count_nonzero(self.score(block) > self.threshold)) for block in blocks)
+
+def group_counts(plans: list[MonteCarloPlan], lo: int, hi: int) -> np.ndarray:
+    """The rejections of each plan among replications lo..hi-1, in one pass
+    over the blocks of the plans' common seed, ``draws`` and ``draw``.  The
+    sequence scorer scales its block and the density scorers sort theirs, so
+    in a larger group each plan scores a copy of the block in one scratch
+    buffer; a plan alone scores the block in place."""
+    head = plans[0]
+    counts = np.zeros(len(plans), dtype=np.int64)
+    scratch = None
+    for block in replication_blocks(head.seed, lo, hi, head.draws, head.draw):
+        for k, plan in enumerate(plans):
+            rows = block
+            if len(plans) > 1:
+                scratch = np.empty_like(block) if scratch is None else scratch
+                rows = scratch[: len(block)]
+                rows[...] = block
+            counts[k] += np.count_nonzero(plan.score(rows) > plan.threshold)
+    return counts
 
 
 def _padded(theta: Spectrum | None, j_max: int, basis: str) -> np.ndarray:
@@ -476,28 +503,47 @@ def pool_width(draws: int, reps: int, threads: int) -> int:
     return min(threads, _usable_cpus(), reps)
 
 
+def run_plans(
+    configs: list[ExperimentConfig],
+    plans: list[MonteCarloPlan],
+    threads: int = 1,
+) -> list[MonteCarloSummary]:
+    """The summary of each config's ``reps`` replications under its plan.
+    Plans that share (seed, reps, draws, draw) make one pass over the stream
+    (``group_counts``), and each counts what it counts alone.  ``pool_width``
+    sets a group's width from its K plans' K * draws values a replication;
+    each span counts all K plans."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (config, plan) in enumerate(zip(configs, plans)):
+        groups.setdefault((plan.seed, config.reps, plan.draws, plan.draw), []).append(i)
+    rejections = [0] * len(plans)
+    for (_, reps, draws, _), members in groups.items():
+        group = [plans[i] for i in members]
+        width = pool_width(len(group) * draws, reps, threads)
+        if width == 1:
+            counts = group_counts(group, 0, reps)
+        else:
+            pieces = min(4 * width, reps)
+            edges = np.linspace(0, reps, pieces + 1).astype(int)
+            spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+            with ThreadPoolExecutor(max_workers=width) as pool:
+                counts = sum(pool.map(lambda span: group_counts(group, *span), spans))
+        for i, count in zip(members, counts):
+            rejections[i] = int(count)
+    return [
+        MonteCarloSummary(f"{config.family}-{config.config_hash()}", config.reps, count, config.seed)
+        for config, count in zip(configs, rejections)
+    ]
+
+
 def run_monte_carlo(
     config: ExperimentConfig,
     threads: int = 1,
     plan: MonteCarloPlan | None = None,
 ) -> MonteCarloSummary:
-    """Count the rejections of ``config.reps`` replications.  ``threads`` is
-    an upper bound on the pool width, which ``pool_width`` sets from the plan:
-    the count, and so the summary, is the same at any width."""
-    if plan is None:
-        plan = build_plan(config)
-    width = pool_width(plan.draws, config.reps, threads)
-    if width == 1:
-        rejections = plan.count(0, config.reps)
-    else:
-        pieces = min(4 * width, config.reps)
-        edges = np.linspace(0, config.reps, pieces + 1).astype(int)
-        spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            rejections = sum(pool.map(lambda span: plan.count(*span), spans))
-    return MonteCarloSummary(
-        experiment=f"{config.family}-{config.config_hash()}",
-        reps=config.reps,
-        rejections=int(rejections),
-        seed=config.seed,
-    )
+    """Count the rejections of ``config.reps`` replications, as a group of
+    one.  ``threads`` is an upper bound on the pool width, which
+    ``pool_width`` sets from the plan: the count, and so the summary, is the
+    same at any width."""
+    plan = build_plan(config) if plan is None else plan
+    return run_plans([config], [plan], threads)[0]

@@ -358,9 +358,11 @@ def _inverse_cdf(x: np.ndarray, cdf: np.ndarray, step: np.ndarray):
     # bucket M holds u = 1 alone
     first_edge = np.clip(np.ceil(cdf * buckets), 0, buckets + 1).astype(np.intp)
     guide = np.cumsum(np.bincount(first_edge, minlength=buckets + 2))[: buckets + 1]
-    upper = np.append(cdf, np.inf)  # node s, the first one above u's bucket edge
+    # one array holds both: anchor[s] = cdf[s-1] opens segment s, upper[s] =
+    # cdf[s] is node s, the first one above u's bucket edge
+    padded = np.concatenate((cdf[:1], cdf, [np.inf]))
+    anchor, upper = padded[:-1], padded[1:]
     slope = np.concatenate(([0.0], np.diff(x) / step, [0.0]))
-    anchor = np.concatenate((cdf[:1], cdf))
     value = np.concatenate((x[:1], x))
 
     def inverse(u):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from seqtest.sampling import (
     cdf_grid,
     draw_sequence_observation,
     iid_sampler,
+    replication_blocks,
     rng_for_replication,
     sample_iid,
 )
@@ -103,6 +105,20 @@ class TestConfigContract:
             theta=base.theta, params=dict(base.params),
         )
         assert bumped.config_hash() != base.config_hash()
+
+    @pytest.mark.parametrize("numpy_fields, plain_fields", [
+        ({"alpha": np.float32(0.05)}, {"alpha": float(np.float32(0.05))}),
+        ({"params": {"k": np.int64(5)}}, {"params": {"k": 5}}),
+        ({"family": "quadratic", "params": {"kappa_sq": np.array([1.0, 0.5])}},
+         {"family": "quadratic", "params": {"kappa_sq": [1.0, 0.5]}}),
+    ])
+    def test_hash_reads_numpy_values(self, numpy_fields, plain_fields):
+        """A config built in Python with a numpy scalar or array runs, and
+        hashes and counts as the config with the Python numbers."""
+        fields = {"family": "chisq", "n": 1000, "reps": 10, "seed": 1, "params": {"k": 5}}
+        got = run_monte_carlo(ExperimentConfig(**{**fields, **numpy_fields}))
+        want = run_monte_carlo(ExperimentConfig(**{**fields, **plain_fields}))
+        assert got.to_json_dict() == want.to_json_dict()
 
     def test_json_round_trip(self):
         cfg = _reference_config()
@@ -616,14 +632,134 @@ class TestScheduling:
     def test_partial_counts_add_up(self):
         cfg = ExperimentConfig(family="chisq", n=100, reps=40, seed=12, params={"k": 4})
         plan = build_plan(cfg)
-        total = plan.count(0, 40)
-        assert total == plan.count(0, 13) + plan.count(13, 40)
+        alternative = build_plan(replace(cfg, theta=Spectrum("complex-exponential", np.array([0.0, 0.2]))))
+        for group in ([plan], [plan, alternative]):
+            parts = montecarlo.group_counts(group, 0, 13) + montecarlo.group_counts(group, 13, 40)
+            assert montecarlo.group_counts(group, 0, 40).tolist() == parts.tolist()
 
     def test_experiment_id_carries_family_and_hash(self):
         cfg = _reference_config()
         summary = run_monte_carlo(cfg)
         assert summary.experiment == f"quadratic-{REFERENCE_HASH}"
         assert summary.seed == 7
+
+
+# per family, three configs whose plans share (seed, reps, draws, draw): the
+# null and two alternatives
+_GROUPS = {
+    "quadratic": (400, {"gamma": 2.0, "j_max": 64},
+                  [None, Spectrum("cosine", np.array([0.1])), Spectrum("cosine", np.array([0.0, 0.15]))]),
+    "kernel": (800, {"kernel": "box", "h": 0.1, "j_max": 48},
+               [None, Spectrum("complex-exponential", np.array([0.0, 0.05])),
+                Spectrum("complex-exponential", np.array([0.0, 0.0, 0.04 + 0.03j]))]),
+    "minimax": (2000, {"s": 1.0, "p0": 1.0, "rho_n": 2e-3, "j_max": 300},
+                [None, "least_favorable", Spectrum("cosine", np.array([0.0, 0.06]))]),
+    "chisq": (300, {"k": 8},
+              [None, Spectrum("complex-exponential", np.array([0.0, 0.1 + 0.05j])),
+               Spectrum("complex-exponential", np.array([0.0, 0.0, 0.15]))]),
+    "cvm": (200, {"calibration_reps": 200},
+            [None, Spectrum("cosine", np.array([0.15])), Spectrum("cosine", np.array([0.0, 0.2]))]),
+}
+
+
+def _group_configs(family, reps=48, seed=31):
+    n, params, thetas = _GROUPS[family]
+    return [
+        ExperimentConfig(family=family, n=n, reps=reps, seed=seed, params={**params, "least_favorable": True})
+        if theta == "least_favorable" else
+        ExperimentConfig(family=family, n=n, reps=reps, seed=seed, theta=theta, params=params)
+        for theta in thetas
+    ]
+
+
+class TestGroupedRunner:
+    @pytest.mark.parametrize("family", sorted(_GROUPS))
+    def test_group_counts_match_each_plan_alone(self, family, monkeypatch):
+        """The plans of a group make one pass over the stream, and each
+        counts what it counts alone, at one thread and at two."""
+        configs = _group_configs(family)
+        alone = [run_monte_carlo(cfg).to_json_dict() for cfg in configs]
+        assert len({a["rejections"] for a in alone}) > 1
+        passes = []
+        real = montecarlo.group_counts
+
+        def counted(plans, lo, hi):
+            passes.append(len(plans))
+            return real(plans, lo, hi)
+
+        monkeypatch.setattr(montecarlo, "group_counts", counted)
+        for threads in (1, 2):
+            grouped = montecarlo.run_plans(configs, [build_plan(cfg) for cfg in configs], threads)
+            assert [summary.to_json_dict() for summary in grouped] == alone
+        assert passes == [len(configs), len(configs)]
+
+    def test_plans_group_by_stream(self):
+        """Plans of other seeds, draws or draw methods run apart, and the
+        summaries come back in the order of the configs."""
+        configs = _group_configs("chisq") + _group_configs("cvm") + _group_configs("chisq", seed=32)
+        configs.insert(2, _group_configs("quadratic")[1])
+        alone = [run_monte_carlo(cfg).to_json_dict() for cfg in configs]
+        grouped = montecarlo.run_plans(configs, [build_plan(cfg) for cfg in configs])
+        assert [summary.to_json_dict() for summary in grouped] == alone
+
+    def test_group_reaches_the_pool(self, monkeypatch):
+        """Two plans of POOL_MIN_DRAWS / 2 draws each run on one thread alone,
+        but as a group of 2 * (POOL_MIN_DRAWS / 2) draws on the pool, with the
+        one-thread counts."""
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+        widths = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        half = POOL_MIN_DRAWS // 2
+        configs = [
+            ExperimentConfig(family="quadratic", n=2000, reps=8, seed=5, theta=theta,
+                             params={"gamma": 2.0, "j_max": half})
+            for theta in (None, Spectrum("cosine", np.array([0.0, 0.05])))
+        ]
+        plans = [build_plan(cfg) for cfg in configs]
+        assert [plan.draws for plan in plans] == [half, half]
+        alone = [run_monte_carlo(cfg, 2, plan).to_json_dict() for cfg, plan in zip(configs, plans)]
+        assert widths == []
+        grouped = montecarlo.run_plans(configs, plans, 2)
+        assert widths == [2]
+        assert [summary.to_json_dict() for summary in grouped] == alone
+
+    def test_group_of_one_scores_the_block_in_place(self, monkeypatch):
+        """A plan alone scores the very block the runner drew; in a group of
+        two each plan scores a copy, and the drawn block stays as drawn."""
+        blocks = []
+
+        def recorded(*args):
+            for block in replication_blocks(*args):
+                blocks.append(block)
+                yield block
+
+        monkeypatch.setattr(montecarlo, "replication_blocks", recorded)
+        configs = _group_configs("quadratic", reps=8)[:2]
+        scored = []
+
+        def recording(plan):
+            def score(block):
+                scored.append((block, block.copy()))
+                return plan.score(block)
+            return replace(plan, score=score)
+
+        plans = [recording(build_plan(cfg)) for cfg in configs]
+        montecarlo.run_plans(configs[:1], plans[:1])
+        assert len(blocks) == len(scored) == 1
+        assert scored[0][0] is blocks[0]
+        blocks.clear()
+        scored.clear()
+        montecarlo.run_plans(configs, plans)
+        assert len(blocks) == 1 and len(scored) == 2
+        for block, drawn in scored:
+            assert not np.shares_memory(block, blocks[0])
+            assert np.array_equal(drawn, blocks[0])
 
 
 class TestPlansAndRates:

@@ -16,6 +16,7 @@ seed) at any thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -225,7 +226,9 @@ def _cmd_calibrate_cvm(args) -> None:
     _write_out(args, {"calibration": calibration.to_json_dict()})
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; its handlers look names up when they run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument(

@@ -30,8 +30,9 @@ the test suite keeps it as a cross-check of the tables.
 
 Replications are scored a block at a time: the table and the Monte Carlo
 engine's CvM plans score the uniform blocks of ``sampling.replication_blocks``
-with ``omega_sq_scorer``, which sorts the rows and scores them all with one
-call of ``omega_sq``, with the bits of a replication scored alone.
+with ``omega_sq_scorer``, which reads rows that its caller sorted (once per
+block for a group of plans) and scores them all with one call of
+``omega_sq``, with the bits of a replication scored alone.
 """
 
 from __future__ import annotations
@@ -85,16 +86,19 @@ def omega_sq(x_sorted: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def omega_sq_scorer(n: int, inverse=None):
-    """The map from a block of n uniforms a row to each row's n T^2.  The
-    rows are sorted in place and, with ``inverse = iid_sampler(theta)``,
-    mapped through it and sorted again: the sorted ``sample_iid`` sample."""
+    """The map from a block of n sorted uniforms a row, left as it is, to each
+    row's n T^2.  With ``inverse = iid_sampler(theta)`` the rows map to the
+    sorted ``sample_iid`` sample; the map is nondecreasing but for ulps at a
+    grid node (``chisq.cell_thresholds``), so only a row that steps back is
+    sorted again."""
     grid = order_grid(n)
 
     def score(block: np.ndarray) -> np.ndarray:
-        block.sort(axis=1)
         if inverse is not None:
             block = inverse(block)
-            block.sort(axis=1)
+            back = np.any(block[:, 1:] < block[:, :-1], axis=1)
+            if back.any():
+                block[back] = np.sort(block[back], axis=1)
         return omega_sq(block, grid)
 
     return score
@@ -103,8 +107,12 @@ def omega_sq_scorer(n: int, inverse=None):
 def omega_sq_blocks(n: int, seed: int, lo: int, hi: int, inverse=None):
     """n T^2 of replications lo..hi-1, one array per block of
     ``replication_blocks``: replication r scores the n uniforms of
-    ``rng_for_replication(seed, r)`` through ``omega_sq_scorer(n, inverse)``."""
-    return map(omega_sq_scorer(n, inverse), replication_blocks(seed, lo, hi, n, np.random.Generator.random))
+    ``rng_for_replication(seed, r)``, sorted, through ``omega_sq_scorer(n,
+    inverse)``."""
+    score = omega_sq_scorer(n, inverse)
+    for block in replication_blocks(seed, lo, hi, n, np.random.Generator.random):
+        block.sort(axis=1)
+        yield score(block)
 
 
 def cvm_statistic(sample: np.ndarray) -> float:

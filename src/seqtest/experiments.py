@@ -9,7 +9,8 @@ across thread counts.  A driver builds the plans of its call, then runs them
 together (``montecarlo.run_plans``): plans that draw alike, as a power
 curve's, a decomposition's and a consistency run's do, share one pass over
 the replication stream.  ``threads`` bounds each group's pool width, and a
-group with small replications runs on one thread (``montecarlo.pool_width``).
+group with small replications runs on one thread (``montecarlo.pool_width``);
+a decomposition plans and scores its f once for all its gammas.
 
 Prior membership scores its draws in blocks.  Each draw reads only the
 prior's support, min(j_max, floor(k_n / delta)) normals, the prefix of the
@@ -164,14 +165,17 @@ def maxiset_decomposition_experiment(
     if len(g_values) < 2 or any(b <= a for a, b in zip(g_values, g_values[1:])):
         raise ConfigError("gamma schedule must be increasing with at least two points")
     f_n = config.theta
-    configs, plans = [], []
+    configs, plans, built = [], [], {}
     for gamma in g_values:
         ball = BesovBall(s, gamma**2)
         f_proj = project_besov(f_n, ball)
         residual = Spectrum(f_n.basis, np.asarray(f_n.coeffs) - np.asarray(f_proj.coeffs))
         for spec in (f_n, f_proj, residual):
             configs.append(replace(config, theta=spec))
-            plans.append(build_plan(configs[-1]))
+            key = configs[-1].config_hash()
+            if key not in built:
+                built[key] = build_plan(configs[-1])
+            plans.append(built[key])
     summaries = run_plans(configs, plans, threads)
     rows = []
     for gamma, i in zip(g_values, range(0, len(configs), 3)):

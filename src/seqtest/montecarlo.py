@@ -12,19 +12,22 @@ rejection counts are identical no matter how replications are sliced across
 workers, and partial counts add associatively.
 
 A plan is data: how many values a replication draws, the ``Generator``
-method that draws them, a block statistic and a threshold.  Plans with the
-same seed, replication count, draw count and draw method form a group;
-``group_counts`` is the one loop, one pass over the blocks of
-``sampling.replication_blocks`` (each replication's draws in a row of one
-reused buffer) in which every plan of the group counts the rows above its
-threshold.  ``run_monte_carlo`` runs a group of one.  Every statistic
-calls the same core as its ``*_test`` function and has the bits of a
-replication scored alone.  The quadratic, kernel and minimax plans differ
-only in the ``EnergyForm`` and theta they build, and share one scorer and
-one drift, the form's; the scorer forms y = theta + noise in the block and
-takes the energy of all its rows in one call.  The chi-square and CvM plans
-draw the uniforms that ``sample_iid`` draws and read them through cell
-counts and ``omega_sq``.
+method that draws them, a block statistic, a threshold, and whether the
+statistic reads each row sorted.  Plans with the same seed, replication
+count, draw count and draw method form a group; ``group_counts`` is the one
+loop, one pass over the blocks of ``sampling.replication_blocks`` (each
+replication's draws in a row of one reused buffer) in which every plan of
+the group counts the rows above its threshold.  No scorer writes its block,
+so every plan reads the block as drawn, or sorted once for all of them when
+any plan reads sorted rows.  ``run_plans`` scores a repeated config once,
+and ``run_monte_carlo`` runs a group of one.  Every statistic calls the same
+core as its ``*_test`` function and has the bits of a replication scored
+alone.  The quadratic, kernel and minimax plans differ only in the
+``EnergyForm`` and theta they build, and share one scorer and one drift, the
+form's; the scorer forms y = theta + noise in a new array and takes the
+energy of all its rows in one call.  The chi-square and CvM plans draw the
+uniforms that ``sample_iid`` draws and read them through cell counts and
+``omega_sq``.
 
 ``threads`` is an upper bound on the pool width; ``pool_width`` sets the
 width from the group.  A group of K plans whose K * ``draws`` values a
@@ -245,7 +248,8 @@ class MonteCarloPlan:
     row)`` with the generator of (``seed``, r), into a row of a block of
     ``sampling.replication_blocks``; ``score`` maps a block to one statistic
     a row, and a replication rejects when its statistic exceeds
-    ``threshold``.  ``draws`` also sets the pool width."""
+    ``threshold``.  ``draws`` also sets the pool width.  ``score`` never
+    writes its block, and reads each row sorted when ``sorted_rows``."""
 
     seed: int
     draws: int
@@ -254,25 +258,23 @@ class MonteCarloPlan:
     threshold: float
     predicted_type2: float | None
     details: dict
+    sorted_rows: bool
 
 
 def group_counts(plans: list[MonteCarloPlan], lo: int, hi: int) -> np.ndarray:
     """The rejections of each plan among replications lo..hi-1, in one pass
-    over the blocks of the plans' common seed, ``draws`` and ``draw``.  The
-    sequence scorer scales its block and the density scorers sort theirs, so
-    in a larger group each plan scores a copy of the block in one scratch
-    buffer; a plan alone scores the block in place."""
+    over the blocks of the plans' common seed, ``draws`` and ``draw``.  No
+    scorer writes its block, so every plan scores the drawn block itself,
+    sorted along its rows once when any plan reads sorted rows (a plan that
+    does not, the chi-square null, bins a row in any order)."""
     head = plans[0]
     counts = np.zeros(len(plans), dtype=np.int64)
-    scratch = None
+    sort = any(plan.sorted_rows for plan in plans)
     for block in replication_blocks(head.seed, lo, hi, head.draws, head.draw):
+        if sort:
+            block.sort(axis=1)
         for k, plan in enumerate(plans):
-            rows = block
-            if len(plans) > 1:
-                scratch = np.empty_like(block) if scratch is None else scratch
-                rows = scratch[: len(block)]
-                rows[...] = block
-            counts[k] += np.count_nonzero(plan.score(rows) > plan.threshold)
+            counts[k] += np.count_nonzero(plan.score(block) > plan.threshold)
     return counts
 
 
@@ -289,14 +291,18 @@ def _padded(theta: Spectrum | None, j_max: int, basis: str) -> np.ndarray:
 
 def _sequence_scorer(form: quad_mod.EnergyForm, th: np.ndarray, n: int, sigma: float):
     """The standardized energy of y = theta + (sigma / sqrt(n)) xi for each
-    row of normals, drawn as ``draw_sequence_observation`` draws them."""
+    row of normals, drawn as ``draw_sequence_observation`` draws them, in a
+    new array."""
     noise_scale = sigma / math.sqrt(n)
-    pairs = complex_pairs if np.iscomplexobj(th) else None
+    complex_ = np.iscomplexobj(th)
     mean = th.view(float)
 
     def score(block: np.ndarray) -> np.ndarray:
-        v = block if pairs is None else pairs(block)
-        v *= noise_scale
+        if complex_:
+            v = complex_pairs(block)
+            v *= noise_scale
+        else:
+            v = block * noise_scale
         v += mean
         return form.standardize(form.energy(v))
 
@@ -314,7 +320,7 @@ def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarra
         raise ConfigError(f"{cfg.family} plan: drift={drift}; theta, n or 1/sigma is too large for a float")
     score = _sequence_scorer(form, th, cfg.n, cfg.sigma)
     return MonteCarloPlan(cfg.seed, form.weights.size, np.random.Generator.standard_normal, score,
-                          upper_quantile(cfg.alpha), normal_type2(drift, cfg.alpha), details)
+                          upper_quantile(cfg.alpha), normal_type2(drift, cfg.alpha), details, False)
 
 
 def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -360,30 +366,36 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     return _plan_energy(cfg, form, th, {"j_max": j_max, "h": h})
 
 
+def _perturbed(theta: Spectrum | None) -> bool:
+    """Whether 1 + f is not the uniform density.  A zero f samples as the null:
+    its inverse CDF has slope 1, and (u - a) + a = u at grid nodes a = m/8192."""
+    return theta is not None and bool(np.any(theta.coeffs))
+
+
 def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     """Null uniforms are binned as they are, faster than sorting them; under
-    an alternative each row is sorted and counted against the plan's cell
-    thresholds (``chisq.cell_thresholds``), so no point is inverted."""
+    an alternative each row is read sorted and counted against the plan's
+    cell thresholds (``chisq.cell_thresholds``), so no point is inverted.  A
+    zero perturbation bins as the null, with the same counts."""
     k, n = p["k"], cfg.n
     if k < 2:
         raise ConfigError("chisq family needs k >= 2 cells")
-    if cfg.theta is None:
-        counts = functools.partial(chisq_mod.binned, k=k)
-        drift = 0.0
-    else:
+    sorted_rows = _perturbed(cfg.theta)
+    if sorted_rows:
         thresholds = chisq_mod.cell_thresholds(iid_sampler(cfg.theta), k)
 
         def counts(block: np.ndarray) -> np.ndarray:
-            block.sort(axis=1)
             return np.diff([np.searchsorted(row, thresholds) for row in block], axis=1)
 
-        drift = chisq_mod.chisq_drift(cfg.theta, k, n)
+    else:
+        counts = functools.partial(chisq_mod.binned, k=k)
+    drift = 0.0 if cfg.theta is None else chisq_mod.chisq_drift(cfg.theta, k, n)
 
     def score(block: np.ndarray) -> np.ndarray:
         return chisq_mod.standardized_chisq(chisq_mod.statistic_from_counts(counts(block), n, k), k)
 
     return MonteCarloPlan(cfg.seed, n, np.random.Generator.random, score, upper_quantile(cfg.alpha),
-                          normal_type2(drift, cfg.alpha), {"k": k, "drift": drift})
+                          normal_type2(drift, cfg.alpha), {"k": k, "drift": drift}, sorted_rows)
 
 
 def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -394,7 +406,7 @@ def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     )
     critical = calibration.critical_value(cfg.alpha)
     n = cfg.n
-    omega_sq = cvm_mod.omega_sq_scorer(n, None if cfg.theta is None else iid_sampler(cfg.theta))
+    omega_sq = cvm_mod.omega_sq_scorer(n, iid_sampler(cfg.theta) if _perturbed(cfg.theta) else None)
 
     def score(block: np.ndarray) -> np.ndarray:
         # n * (omega^2 / n) is n T^2 as cvm_test forms it, rounding included
@@ -402,7 +414,7 @@ def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
 
     margin = 0.0 if cfg.theta is None else n * cvm_mod.cvm_population(cfg.theta)
     details = {"critical_value": critical, "margin": margin, "calibration_reps": calibration.reps}
-    return MonteCarloPlan(cfg.seed, n, np.random.Generator.random, score, critical, None, details)
+    return MonteCarloPlan(cfg.seed, n, np.random.Generator.random, score, critical, None, details, True)
 
 
 @dataclass(frozen=True)
@@ -510,12 +522,17 @@ def run_plans(
 ) -> list[MonteCarloSummary]:
     """The summary of each config's ``reps`` replications under its plan.
     Plans that share (seed, reps, draws, draw) make one pass over the stream
-    (``group_counts``), and each counts what it counts alone.  ``pool_width``
-    sets a group's width from its K plans' K * draws values a replication;
-    each span counts all K plans."""
+    (``group_counts``), and each counts what it counts alone; a repeated
+    (``config_hash``, plan) is scored once.  ``pool_width`` sets a group's
+    width from its K plans' K * draws values a replication; each span counts
+    all K plans."""
+    hashes = [config.config_hash() for config in configs]
+    first: dict[tuple, int] = {}
+    source = [first.setdefault((digest, id(plan)), i) for i, (digest, plan) in enumerate(zip(hashes, plans))]
     groups: dict[tuple, list[int]] = {}
     for i, (config, plan) in enumerate(zip(configs, plans)):
-        groups.setdefault((plan.seed, config.reps, plan.draws, plan.draw), []).append(i)
+        if source[i] == i:
+            groups.setdefault((plan.seed, config.reps, plan.draws, plan.draw), []).append(i)
     rejections = [0] * len(plans)
     for (_, reps, draws, _), members in groups.items():
         group = [plans[i] for i in members]
@@ -531,8 +548,8 @@ def run_plans(
         for i, count in zip(members, counts):
             rejections[i] = int(count)
     return [
-        MonteCarloSummary(f"{config.family}-{config.config_hash()}", config.reps, count, config.seed)
-        for config, count in zip(configs, rejections)
+        MonteCarloSummary(f"{config.family}-{digest}", config.reps, rejections[i], config.seed)
+        for config, digest, i in zip(configs, hashes, source)
     ]
 
 

@@ -311,11 +311,12 @@ def iid_sampler(spec: Spectrum, grid_points: int = 8193):
     O(step^2).  The density floor, the grid and the lookup table of
     ``_inverse_cdf`` are settled here, once.  The map takes an array of any
     shape with values in [0, 1] and returns the bits of ``np.interp(u, cdf,
-    x)``.  The grid must increase strictly, so the map is nondecreasing.  The
-    Monte Carlo engine relies on that twice: its CvM replications invert
-    sorted uniforms, which gives the sorted sample, and its chi-square plans
-    invert only the cell thresholds of ``chisq.cell_thresholds``, once per
-    plan.
+    x)`` in a new array.  The grid must increase strictly, so the map is
+    nondecreasing but for ulps at a grid node.  The Monte Carlo engine relies
+    on that twice: its CvM replications invert uniforms sorted once a group
+    (a row that steps back is sorted again), and its chi-square plans invert
+    only the cell thresholds of ``chisq.cell_thresholds``, once per plan.
+    The engine samples a spectrum of zeros as the null, with no map.
     """
     floor = min_density(spec, points=2 * grid_points - 1)
     if floor < MIN_DENSITY:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqtest import cli
 from seqtest.cli import SUMMARY_FIELDS, main
 from seqtest.design import solve_design
 from seqtest.errors import NumericError
@@ -497,6 +498,38 @@ class TestExitCodes:
             main(["simulate", "--config", cfg, "--threads", threads])
         assert excinfo.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; a later call must parse, print help
+    and fail on bad usage exactly as a fresh parser does."""
+
+    @staticmethod
+    def _exit(argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out = capsys.readouterr()
+        return excinfo.value.code, out.out, out.err
+
+    def test_help_and_usage_errors_repeat(self, tmp_path, capsys):
+        argvs = (["--help"], ["power-curve", "--help"], ["experiment", "decomposition", "--help"],
+                 ["simulate", "--threads", "0"], ["calibrate"], ["bogus"])
+        first = [self._exit(argv, capsys) for argv in argvs]
+        assert [code for code, *_ in first] == [0, 0, 0, 2, 2, 2]
+        cfg = _config(tmp_path, "sim.json", _simulate_payload(reps=10))
+        assert main(["simulate", "--config", cfg, "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert [self._exit(argv, capsys) for argv in reversed(argvs)] == first[::-1]
+        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parser.__wrapped__().format_help() == first[0][1]
+
+    def test_defaults_do_not_leak_between_calls(self, tmp_path):
+        cfg = _config(tmp_path, "sim.json", _simulate_payload(reps=10))
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["simulate", "--config", cfg, "--seed", "3", "--reps", "20", "--out", str(first)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(second)]) == 0
+        rows = [dict(zip(SUMMARY_FIELDS, _rows(path)[1].split(","))) for path in (first, second)]
+        assert [(row["reps"], row["seed"]) for row in rows] == [("20", "3"), ("10", "7")]
 
 
 class TestOverrideFlags:

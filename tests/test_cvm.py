@@ -28,7 +28,10 @@ from seqtest.cvm import (
     cvm_population,
     cvm_statistic,
     cvm_test,
+    omega_sq,
     omega_sq_blocks,
+    omega_sq_scorer,
+    order_grid,
 )
 from seqtest.cli import main
 from seqtest.errors import ConfigError
@@ -308,6 +311,31 @@ class TestBlockScores:
         cvm._simulate.cache_clear()
         table = calibrate_cvm(n, reps=reps, seed=12)
         assert table.values.tobytes() == simulate_reference(n, reps, 12).tobytes()
+
+
+class TestScorer:
+    def test_row_that_steps_back_is_sorted_again(self, monkeypatch):
+        """An inverse that steps back by an ulp in one row: that row is scored
+        sorted, the others as mapped, and the block passed in is untouched."""
+        n = 50
+        block = np.sort(rng_for_replication(5).random((4, n)), axis=1)
+        mapped = block.copy()
+        mapped[2, 7] = np.nextafter(mapped[2, 6], 0.0)
+        seen = []
+
+        def recorded(x, grid):
+            seen.append(x.copy())
+            return omega_sq(x, grid)
+
+        monkeypatch.setattr(cvm, "omega_sq", recorded)
+        drawn = block.copy()
+        drawn.setflags(write=False)
+        got = omega_sq_scorer(n, lambda u: mapped.copy())(drawn)
+        assert np.array_equal(drawn, block)
+        (scored,) = seen
+        assert np.all(np.diff(scored, axis=1) >= 0)
+        assert np.array_equal(scored, np.sort(mapped, axis=1))
+        assert got.tobytes() == omega_sq(np.sort(mapped, axis=1), order_grid(n)).tobytes()
 
 
 class TestCvmTest:

@@ -6,12 +6,15 @@ the exact text the writers emit.  Engine correctness lives in
 test_montecarlo.py.
 """
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import prior_members
+from seqtest import experiments
 from seqtest.design import solve_design, solve_inverse_design
 from seqtest.errors import ConfigError, NumericError
 from seqtest.experiments import (
@@ -164,6 +167,36 @@ class TestDecompositionExperiment:
             assert row["power_f"] == row["power_projected"]
             assert row["gap"] == 0.0
             assert row["power_residual"] <= 0.2
+
+    def test_repeated_configs_are_scored_once(self, monkeypatch, tmp_path):
+        """f repeats once per gamma, and at the widest gamma its projection is
+        f: each distinct config is planned and scored once, and the table
+        has the bytes it had when every config was scored."""
+        config = _quadratic_config(reps=300, seed=3, coeffs=(0.15, 0.05, 0.04))
+        g = float(np.sqrt(besov_seminorm(config.theta, 1.0)))
+        built, scored = [], []
+
+        def counting(cfg):
+            plan = build_plan(cfg)
+            built.append(cfg.config_hash())
+
+            def score(block):
+                scored.append(cfg.config_hash())
+                return plan.score(block)
+
+            return replace(plan, score=score)
+
+        build_plan = experiments.build_plan
+        monkeypatch.setattr(experiments, "build_plan", counting)
+        rows = maxiset_decomposition_experiment(config, s=1.0, gammas=[0.4 * g, 0.7 * g, 2.0 * g])
+        assert len(built) == len(set(built)) == 6
+        assert sorted(scored) == sorted(built * 2)  # 300 replications: blocks of 256 and 44
+        assert rows[2]["power_projected"] == rows[2]["power_f"]
+        path = tmp_path / "decomposition.csv"
+        write_csv(path, DECOMPOSITION_FIELDS, rows)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "311fc79ba15d7318d8b3574b06be6e61ea21a350f2beee7ce88fd98eeb21e890"
+        )
 
     def test_hash_column_is_the_unprojected_config(self):
         config = _quadratic_config(reps=20, seed=3, coeffs=(0.05, 0.02))

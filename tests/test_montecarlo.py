@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import exact_power, imhof_sf, valid_spectra
+from seqtest import chisq as chisq_mod
 from seqtest import design as design_mod
 from seqtest import kernels as kernels_mod
 from seqtest import montecarlo
@@ -729,37 +730,118 @@ class TestGroupedRunner:
         assert widths == [2]
         assert [summary.to_json_dict() for summary in grouped] == alone
 
-    def test_group_of_one_scores_the_block_in_place(self, monkeypatch):
-        """A plan alone scores the very block the runner drew; in a group of
-        two each plan scores a copy, and the drawn block stays as drawn."""
-        blocks = []
+    @pytest.mark.parametrize("family", sorted(_GROUPS))
+    def test_no_scorer_writes_its_block(self, family):
+        """Every plan scores a read-only block, sorted along its rows when the
+        plan reads them sorted, as it scores a writable copy of it."""
+        for cfg in _group_configs(family, reps=8):
+            plan = build_plan(cfg)
+            (block,) = replication_blocks(plan.seed, 0, cfg.reps, plan.draws, plan.draw)
+            if plan.sorted_rows:
+                block.sort(axis=1)
+            writable = block.copy()
+            block.setflags(write=False)
+            assert plan.score(block).tobytes() == plan.score(writable).tobytes()
+            assert np.array_equal(writable, block)
+
+    def test_group_sorts_each_block_once(self, monkeypatch):
+        """A group with a plan that reads sorted rows sorts each drawn block
+        once, for all its plans; a group without one sorts none."""
+        sorted_blocks = []
+
+        class Counted(np.ndarray):
+            def sort(self, *args, **kwargs):
+                sorted_blocks.append(self)
+                super().sort(*args, **kwargs)
+
+        drawn = []
 
         def recorded(*args):
             for block in replication_blocks(*args):
-                blocks.append(block)
-                yield block
+                drawn.append(block.view(Counted))
+                yield drawn[-1]
 
         monkeypatch.setattr(montecarlo, "replication_blocks", recorded)
-        configs = _group_configs("quadratic", reps=8)[:2]
-        scored = []
+        configs = _density_group(reps=150)
+        plans = [build_plan(cfg) for cfg in configs]
+        assert [plan.sorted_rows for plan in plans] == [False, True, True, True]
+        montecarlo.group_counts(plans, 0, 150)
+        assert len(drawn) > 1
+        assert [id(b) for b in sorted_blocks] == [id(b) for b in drawn]
+        for group in (plans[:1], [build_plan(cfg) for cfg in _group_configs("quadratic")]):
+            drawn.clear()
+            sorted_blocks.clear()
+            montecarlo.group_counts(group, 0, 48)
+            assert drawn and not sorted_blocks
 
-        def recording(plan):
-            def score(block):
-                scored.append((block, block.copy()))
-                return plan.score(block)
-            return replace(plan, score=score)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mixed_density_group(self, threads, monkeypatch):
+        """Chi-square and CvM plans, null and alternative, of one n share a
+        pass over the sorted blocks and count what each counts alone, also
+        when the group runs on the pool."""
+        configs = _density_group(reps=150)
+        alone = [run_monte_carlo(cfg).to_json_dict() for cfg in configs]
+        assert len({a["rejections"] for a in alone}) > 1
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "POOL_MIN_DRAWS", 4000)
+        passes = []
+        real = montecarlo.group_counts
 
-        plans = [recording(build_plan(cfg)) for cfg in configs]
-        montecarlo.run_plans(configs[:1], plans[:1])
-        assert len(blocks) == len(scored) == 1
-        assert scored[0][0] is blocks[0]
-        blocks.clear()
-        scored.clear()
-        montecarlo.run_plans(configs, plans)
-        assert len(blocks) == 1 and len(scored) == 2
-        for block, drawn in scored:
-            assert not np.shares_memory(block, blocks[0])
-            assert np.array_equal(drawn, blocks[0])
+        def counted(plans, lo, hi):
+            passes.append((len(plans), hi - lo))
+            return real(plans, lo, hi)
+
+        monkeypatch.setattr(montecarlo, "group_counts", counted)
+        grouped = montecarlo.run_plans(configs, [build_plan(cfg) for cfg in configs], threads)
+        assert [summary.to_json_dict() for summary in grouped] == alone
+        assert {size for size, _ in passes} == {4}
+        assert len(passes) == (1 if threads == 1 else 8)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("family,params,basis", [
+        ("cvm", {"calibration_reps": 200}, "cosine"),
+        ("chisq", {"k": 16}, "complex-exponential"),
+    ])
+    def test_zero_theta_samples_as_the_null(self, seed, family, params, basis):
+        """A theta of zeros, as a power curve's scale 0 makes, counts what the
+        null counts, with the details and prediction it always had; the
+        chi-square plan still warns that its drift leaves the normal window."""
+        null = ExperimentConfig(family=family, n=1000, reps=150, seed=seed, params=params)
+        zero = replace(null, theta=Spectrum(basis, np.zeros(3)))
+        if family == "chisq":
+            with pytest.warns(UserWarning, match="outside"):
+                plan = build_plan(zero)
+        else:
+            plan = build_plan(zero)
+        null_plan = build_plan(null)
+        # a zero theta's drift and margin are 0.0, as the null's
+        assert plan.details == null_plan.details
+        assert plan.predicted_type2 == null_plan.predicted_type2
+        assert plan.sorted_rows == null_plan.sorted_rows
+        assert run_monte_carlo(zero, plan=plan).rejections == run_monte_carlo(null).rejections
+        # the sampler's map of a zero perturbation is the identity, so the
+        # alternative path would have scored the same bits
+        inverse = iid_sampler(zero.theta)
+        for block in replication_blocks(seed, 0, null.reps, null.n, np.random.Generator.random):
+            block.sort(axis=1)
+            assert inverse(block).tobytes() == block.tobytes()
+            if family == "chisq":
+                t = cell_thresholds(inverse, params["k"])
+                counts = np.diff([np.searchsorted(row, t) for row in block], axis=1)
+                assert np.array_equal(counts, chisq_mod.binned(block, params["k"]))
+
+
+def _density_group(reps, n=1000, seed=31):
+    """A chi-square null and alternative and a CvM null and alternative at
+    one (n, seed, reps): plans of one draw count and method."""
+    return [
+        ExperimentConfig(family="chisq", n=n, reps=reps, seed=seed, params={"k": 16}),
+        ExperimentConfig(family="chisq", n=n, reps=reps, seed=seed, params={"k": 16},
+                         theta=Spectrum("complex-exponential", np.array([0.0, 0.04 + 0.02j]))),
+        ExperimentConfig(family="cvm", n=n, reps=reps, seed=seed, params={"calibration_reps": 200}),
+        ExperimentConfig(family="cvm", n=n, reps=reps, seed=seed, params={"calibration_reps": 200},
+                         theta=Spectrum("cosine", np.array([0.0, 0.05]))),
+    ]
 
 
 class TestPlansAndRates:

@@ -63,7 +63,6 @@ from .quadratic import (
 from .report import TestReport, normal_cdf, upper_quantile
 from .sampling import (
     SequenceObservation,
-    density_grid,
     draw_sequence_observation,
     min_density,
     replication_blocks,

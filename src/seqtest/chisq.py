@@ -91,12 +91,12 @@ def cell_thresholds(inverse, k: int) -> np.ndarray:
     # holds for ``np.interp`` below holds for it.  ``np.interp`` is
     # monotone within a grid segment, since each of its float operations is;
     # it can step back, by a few ulps, only where u reaches a CDF grid node
-    # m/8192 (the default grid) and the value snaps to the node exactly.  A
-    # cell boundary i/k either equals such a node (then the values on both
-    # sides of the step lie in cell i or above) or lies at least 1/(8192 k)
-    # away from every node, far beyond those ulps for any k whose counts fit
-    # in memory.  So no boundary falls inside a step, and the cell never
-    # steps back.
+    # m/M, M = ``sampling.GRID_POINTS`` - 1, and the value snaps to the node
+    # exactly.  A cell boundary i/k either equals such a node (then the
+    # values on both sides of the step lie in cell i or above) or lies at
+    # least 1/(M k) away from every node, far beyond those ulps for any k
+    # whose counts fit in memory.  So no boundary falls inside a step, and
+    # the cell never steps back.
     targets = np.arange(1, k)
     lo = np.zeros(k - 1, dtype=np.int64)  # 0.0 maps to 0.0, in cell 0
     hi = np.full(k - 1, 1.0).view(np.int64)
@@ -141,7 +141,6 @@ def chisq_test(sample: np.ndarray, k: int, alpha: float) -> TestReport:
         standardized=z,
         threshold=x_alpha,
         alpha=alpha,
-        reject=bool(z > x_alpha),
         n=n,
     )
 

@@ -30,9 +30,10 @@ the test suite keeps it as a cross-check of the tables.
 
 Replications are scored a block at a time: the table and the Monte Carlo
 engine's CvM plans score the uniform blocks of ``sampling.replication_blocks``
-with ``omega_sq_scorer``, which reads rows that its caller sorted (once per
-block for a group of plans) and scores them all with one call of
-``omega_sq``, with the bits of a replication scored alone.
+with ``omega_sq_scorer``, which reads rows that its caller sorted (the table
+sorts its own blocks, the engine once per block for a group of plans) and
+scores them all with one call of ``omega_sq``, with the bits of a
+replication scored alone.
 """
 
 from __future__ import annotations
@@ -102,17 +103,6 @@ def omega_sq_scorer(n: int, inverse=None):
         return omega_sq(block, grid)
 
     return score
-
-
-def omega_sq_blocks(n: int, seed: int, lo: int, hi: int, inverse=None):
-    """n T^2 of replications lo..hi-1, one array per block of
-    ``replication_blocks``: replication r scores the n uniforms of
-    ``rng_for_replication(seed, r)``, sorted, through ``omega_sq_scorer(n,
-    inverse)``."""
-    score = omega_sq_scorer(n, inverse)
-    for block in replication_blocks(seed, lo, hi, n, np.random.Generator.random):
-        block.sort(axis=1)
-        yield score(block)
 
 
 def cvm_statistic(sample: np.ndarray) -> float:
@@ -201,7 +191,12 @@ def _write_cache(path: Path, table: CvmCalibration) -> None:
 def _simulate(n: int, reps: int, seed: int) -> CvmCalibration:
     """The null table of n T^2 from reps seeded replications, read-only,
     since every later call with the same (n, reps, seed) shares it."""
-    values = np.concatenate(list(omega_sq_blocks(n, seed, 0, reps)))
+    score = omega_sq_scorer(n)
+    scores = []
+    for block in replication_blocks(seed, 0, reps, n, np.random.Generator.random):
+        block.sort(axis=1)
+        scores.append(score(block))
+    values = np.concatenate(scores)
     values.sort()
     values.setflags(write=False)
     return CvmCalibration(n=n, reps=reps, seed=seed, values=values)
@@ -248,7 +243,6 @@ def cvm_test(sample: np.ndarray, alpha: float, calibration: CvmCalibration) -> T
         standardized=scaled,  # n T^2, the scale the critical value lives on
         threshold=threshold,
         alpha=alpha,
-        reject=bool(scaled > threshold),
         n=x.size,
         details={"calibration_reps": calibration.reps, "calibration_seed": calibration.seed},
     )

@@ -260,7 +260,6 @@ def minimax_test(obs: SequenceObservation, design: DetectionDesign, alpha: float
         standardized=z,
         threshold=x_alpha,
         alpha=alpha,
-        reject=bool(z > x_alpha),
         n=design.n,
         predicted_type2=predicted_type2_minimax(design, alpha),
         details={"k_n": design.k_n, "a_n": design.a_n, "c_n": design.c_n},

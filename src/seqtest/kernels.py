@@ -180,6 +180,5 @@ def kernel_test(obs: SequenceObservation, kernel: Kernel, h: float, alpha: float
         standardized=t_n,  # the statistic is already studentized
         threshold=x_alpha,
         alpha=alpha,
-        reject=bool(t_n > x_alpha),
         n=obs.n,
     )

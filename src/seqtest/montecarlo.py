@@ -368,7 +368,8 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
 
 def _perturbed(theta: Spectrum | None) -> bool:
     """Whether 1 + f is not the uniform density.  A zero f samples as the null:
-    its inverse CDF has slope 1, and (u - a) + a = u at grid nodes a = m/8192."""
+    its inverse CDF has slope 1, and (u - a) + a = u at its grid nodes a,
+    m / (``sampling.GRID_POINTS`` - 1)."""
     return theta is not None and bool(np.any(theta.coeffs))
 
 
@@ -376,7 +377,7 @@ def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     """Null uniforms are binned as they are, faster than sorting them; under
     an alternative each row is read sorted and counted against the plan's
     cell thresholds (``chisq.cell_thresholds``), so no point is inverted.  A
-    zero perturbation bins as the null, with the same counts."""
+    zero perturbation bins and predicts as the null (drift 0, no warning)."""
     k, n = p["k"], cfg.n
     if k < 2:
         raise ConfigError("chisq family needs k >= 2 cells")
@@ -389,7 +390,7 @@ def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
 
     else:
         counts = functools.partial(chisq_mod.binned, k=k)
-    drift = 0.0 if cfg.theta is None else chisq_mod.chisq_drift(cfg.theta, k, n)
+    drift = chisq_mod.chisq_drift(cfg.theta, k, n) if sorted_rows else 0.0
 
     def score(block: np.ndarray) -> np.ndarray:
         return chisq_mod.standardized_chisq(chisq_mod.statistic_from_counts(counts(block), n, k), k)

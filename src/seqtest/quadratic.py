@@ -146,6 +146,5 @@ def quadratic_test(y, kappa_sq: np.ndarray, n: int, sigma: float, alpha: float) 
         standardized=standardized,
         threshold=x_alpha,
         alpha=alpha,
-        reject=bool(standardized > x_alpha),
         n=n,
     )

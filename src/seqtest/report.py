@@ -47,10 +47,10 @@ class TestReport:
     """Outcome of one test applied to one dataset.
 
     ``statistic`` is the raw family statistic, ``standardized`` the quantity
-    compared against ``threshold``; ``reject`` is the alpha-level decision.
-    ``predicted_type2`` is filled by ``minimax_test``, whose design fixes the
-    signal it is tuned against; the other families leave it None, and their
-    ``predicted_type2_*`` functions give the prediction for a signal.
+    compared against ``threshold``; ``reject``, whether it exceeds it, is the
+    alpha-level decision.  ``predicted_type2`` is filled by ``minimax_test``,
+    whose design fixes the signal it is tuned against; the other families
+    leave it None, and their ``predicted_type2_*`` give it for a signal.
     """
 
     family: str
@@ -58,7 +58,10 @@ class TestReport:
     standardized: float
     threshold: float
     alpha: float
-    reject: bool
     n: int
     predicted_type2: float | None = None
     details: dict | None = None
+
+    @property
+    def reject(self) -> bool:
+        return bool(self.standardized > self.threshold)

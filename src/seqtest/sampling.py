@@ -8,7 +8,8 @@ Two data-generating mechanisms share the Spectrum conventions:
   negative-j components follow by conjugate symmetry);
 * i.i.d. draws from the density 1 + f on (0, 1), where f is the expansion of
   the stored spectrum, via exact antiderivatives and inverse-CDF lookup
-  (an indexed search, with the bits of ``np.interp``).
+  (an indexed search, with the bits of ``np.interp``) on one grid: the CDF at
+  ``GRID_POINTS`` nodes, the floor (``min_density``) at nodes and midpoints.
 
 All randomness flows through numpy Generators.  ``rng_for_replication``
 derives one generator per (seed, replication) pair with a splittable mix, so
@@ -33,12 +34,15 @@ from .spectra import Spectrum
 
 # Densities are rejected as sampling targets below this pointwise floor.
 MIN_DENSITY = 1e-9
+# nodes m / 8192, m = 0..8192, of the sampler's exact CDF; the floor is
+# checked at twice the resolution, on 2 * GRID_POINTS - 1 points
+GRID_POINTS = 8193
 # largest block of draws that ``replication_blocks`` yields: with the few
 # arrays that score it, a block stays in a core's L2 cache (2**19 ran 25 %
 # slower on a Xeon with 2 MB of L2 per core)
 BLOCK_BYTES = 2**17
 # most buckets of an inverse-CDF guide table; a CDF that needs more (a
-# density below about 1/8 somewhere, at the default grid) is searched by
+# density below about 1/8 somewhere, at the sampler's grid) is searched by
 # ``np.interp`` instead
 MAX_GUIDE_BUCKETS = 2**16
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -284,46 +288,43 @@ def cumulative_perturbation(spec: Spectrum, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def density_grid(spec: Spectrum, points: int = 2049) -> tuple[np.ndarray, np.ndarray]:
-    x = np.linspace(0.0, 1.0, points)
-    return x, 1.0 + evaluate_perturbation(spec, x)
+def min_density(spec: Spectrum) -> float:
+    """The least of 1 + f on the ``2 * GRID_POINTS - 1`` points where
+    ``iid_sampler`` checks the density floor."""
+    x = np.linspace(0.0, 1.0, 2 * GRID_POINTS - 1)
+    return float(np.min(1.0 + evaluate_perturbation(spec, x)))
 
 
-def min_density(spec: Spectrum, points: int = 4097) -> float:
-    _, dens = density_grid(spec, points)
-    return float(np.min(dens))
-
-
-def cdf_grid(spec: Spectrum, points: int = 8193) -> tuple[np.ndarray, np.ndarray]:
-    """Exact CDF F(x) = x + int_0^x f of the density 1 + f on a uniform grid."""
-    x = np.linspace(0.0, 1.0, points)
+def cdf_grid(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Exact CDF F(x) = x + int_0^x f of the density 1 + f at the sampler's nodes."""
+    x = np.linspace(0.0, 1.0, GRID_POINTS)
     cdf = x + cumulative_perturbation(spec, x)
     return x, cdf
 
 
-def iid_sampler(spec: Spectrum, grid_points: int = 8193):
+def iid_sampler(spec: Spectrum):
     """The inverse-CDF map ``u -> x`` that turns uniforms on [0, 1) into
     i.i.d. points from the density 1 + f.
 
-    The CDF is exact on the grid; between nodes the inverse is linear, so the
-    sampled density is a fine piecewise-constant approximation whose cell
-    masses on any interval wider than the grid step match the target to
-    O(step^2).  The density floor, the grid and the lookup table of
-    ``_inverse_cdf`` are settled here, once.  The map takes an array of any
-    shape with values in [0, 1] and returns the bits of ``np.interp(u, cdf,
-    x)`` in a new array.  The grid must increase strictly, so the map is
+    The CDF is exact at the nodes of ``cdf_grid``; between them the inverse
+    is linear, so the sampled density is a fine piecewise-constant
+    approximation whose cell masses on any interval wider than the grid step
+    match the target to O(step^2).  The floor (``min_density``), the grid and
+    the lookup table of ``_inverse_cdf`` are settled here, once.  The map
+    takes an array of any shape with values in [0, 1] and returns the bits of
+    ``np.interp(u, cdf, x)`` in a new array.  The grid must increase strictly, so the map is
     nondecreasing but for ulps at a grid node.  The Monte Carlo engine relies
     on that twice: its CvM replications invert uniforms sorted once a group
     (a row that steps back is sorted again), and its chi-square plans invert
     only the cell thresholds of ``chisq.cell_thresholds``, once per plan.
     The engine samples a spectrum of zeros as the null, with no map.
     """
-    floor = min_density(spec, points=2 * grid_points - 1)
+    floor = min_density(spec)
     if floor < MIN_DENSITY:
         raise ConfigError(
             f"1 + f is not bounded away from zero (min {floor:.3e}); not a usable density"
         )
-    x, cdf = cdf_grid(spec, grid_points)
+    x, cdf = cdf_grid(spec)
     step = np.diff(cdf)
     if not np.all(step > 0):
         raise ConfigError("the CDF of 1 + f does not increase strictly on the sampling grid")

@@ -21,11 +21,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.optimize import minimize
 
-from seqtest.cvm import cvm_population, omega_sq, order_grid
+from seqtest.cvm import cvm_population, omega_sq, omega_sq_scorer, order_grid
 from seqtest.design import prior_profile
 from seqtest.errors import ConfigError
 from seqtest.report import upper_quantile
-from seqtest.sampling import density_grid, replication_rngs, rng_for_replication
+from seqtest.sampling import evaluate_perturbation, replication_blocks, replication_rngs, rng_for_replication
 from seqtest.spectra import BesovBall, Spectrum, besov_seminorm
 
 # Regularity thresholds: neighbor-step bound a3 <= A3_STEP_OVER_KN / k_n in the
@@ -211,7 +211,7 @@ def consistency_margin(theta, n: int, delta: float = 0.0, grid: int = 4096) -> M
     if n < 1:
         raise ConfigError("n must be positive")
     margin = n * cvm_population(theta)
-    _, dens = density_grid(theta, grid + 1)
+    dens = 1.0 + evaluate_perturbation(theta, np.linspace(0.0, 1.0, grid + 1))
     return MarginReport(margin=float(margin), min_density=float(dens.min()), delta=delta)
 
 
@@ -366,6 +366,17 @@ def simulate_reference(n: int, reps: int, seed: int) -> np.ndarray:
         values[rep] = omega_sq(np.sort(rng.random(n)), grid)
     values.sort()
     return values
+
+
+def omega_sq_blocks(n: int, seed: int, lo: int, hi: int, inverse=None):
+    """n T^2 of replications lo..hi-1, one array per block of
+    ``replication_blocks``: replication r scores the n uniforms of
+    ``rng_for_replication(seed, r)``, sorted, through ``omega_sq_scorer(n,
+    inverse)``, as the engine's CvM plans and the calibration table do."""
+    score = omega_sq_scorer(n, inverse)
+    for block in replication_blocks(seed, lo, hi, n, np.random.Generator.random):
+        block.sort(axis=1)
+        yield score(block)
 
 
 # densities 1 + f with |f| <= 0.85: up to six cosines with |coeff| <= 0.1, four

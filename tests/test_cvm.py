@@ -17,6 +17,7 @@ from helpers import (
     cvm_population_quadrature,
     consistency_margin,
     cvm_statistic_quadrature,
+    omega_sq_blocks,
     primitive_mean,
     simulate_reference,
 )
@@ -29,7 +30,6 @@ from seqtest.cvm import (
     cvm_statistic,
     cvm_test,
     omega_sq,
-    omega_sq_blocks,
     omega_sq_scorer,
     order_grid,
 )
@@ -287,8 +287,9 @@ BLOCK_SPANS = {
 
 
 class TestBlockScores:
-    """Each entry of ``omega_sq_blocks`` is the statistic of its replication's
-    sample scored alone, and the calibration table is the table of the
+    """Each entry of ``omega_sq_scorer`` on the sorted uniform blocks of
+    ``replication_blocks`` is the statistic of its replication's sample scored
+    alone, and the calibration table is the table of the
     one-replication-at-a-time loop."""
 
     @pytest.mark.parametrize("n, lo, hi", BLOCK_SPANS.values(), ids=BLOCK_SPANS.keys())

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import exact_power, imhof_sf, valid_spectra
+from helpers import exact_power, imhof_sf, omega_sq_blocks, valid_spectra
 from seqtest import chisq as chisq_mod
 from seqtest import design as design_mod
 from seqtest import kernels as kernels_mod
@@ -26,7 +27,7 @@ from seqtest import quadratic as quad_mod
 
 from seqtest.chisq import cell_index, cell_thresholds, chisq_test, population_chisq_functional
 from seqtest.cli import main as cli_main
-from seqtest.cvm import calibrate_cvm, cvm_test, omega_sq, omega_sq_blocks, order_grid
+from seqtest.cvm import calibrate_cvm, cvm_test, omega_sq, order_grid
 from seqtest.design import least_favorable, minimax_test, solve_design
 from seqtest.errors import ConfigError
 from seqtest.kernels import box_kernel, kernel_test, triangle_kernel
@@ -804,14 +805,12 @@ class TestGroupedRunner:
     ])
     def test_zero_theta_samples_as_the_null(self, seed, family, params, basis):
         """A theta of zeros, as a power curve's scale 0 makes, counts what the
-        null counts, with the details and prediction it always had; the
-        chi-square plan still warns that its drift leaves the normal window."""
+        null counts, with the details and prediction it always had, and warns
+        no more than the null does: its drift 0 is the null's."""
         null = ExperimentConfig(family=family, n=1000, reps=150, seed=seed, params=params)
         zero = replace(null, theta=Spectrum(basis, np.zeros(3)))
-        if family == "chisq":
-            with pytest.warns(UserWarning, match="outside"):
-                plan = build_plan(zero)
-        else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             plan = build_plan(zero)
         null_plan = build_plan(null)
         # a zero theta's drift and margin are 0.0, as the null's

@@ -15,6 +15,7 @@ from scipy.stats import norm
 
 import seqtest
 from seqtest.cli import main
+from seqtest import report as report_mod
 from seqtest.report import normal_cdf, normal_type2, upper_quantile
 
 _SRC = str(Path(seqtest.__file__).resolve().parent.parent)
@@ -60,6 +61,17 @@ class TestNormalCdf:
     def test_type2_is_phi_of_quantile_minus_drift(self):
         assert normal_type2(0.0, 0.05) == normal_cdf(upper_quantile(0.05))
         assert normal_type2(1.3, 0.01) == normal_cdf(upper_quantile(0.01) - 1.3)
+
+
+class TestDecision:
+    @pytest.mark.parametrize("standardized, reject", [(1.5, False), (np.nextafter(1.5, 2.0), True), (-3.0, False)])
+    def test_reject_is_read_off_the_statistic(self, standardized, reject):
+        """A report rejects when its standardized statistic exceeds the
+        threshold, strictly; no caller sets the decision."""
+        report = report_mod.TestReport("chisq", 0.0, standardized, 1.5, 0.05, 100)
+        assert report.reject is reject
+        with pytest.raises(TypeError):
+            report_mod.TestReport("chisq", 0.0, standardized, 1.5, 0.05, 100, reject=not reject)
 
 
 class TestNoScipyAtRunTime:

@@ -16,10 +16,10 @@ from seqtest.errors import ConfigError
 from seqtest.sampling import (
     BLOCK_BYTES,
     MAX_GUIDE_BUCKETS,
+    MIN_DENSITY,
     cdf_grid,
     complex_pairs,
     cumulative_perturbation,
-    density_grid,
     draw_sequence_observation,
     evaluate_perturbation,
     iid_sampler,
@@ -268,13 +268,15 @@ class TestDensitySampling:
             "8241b9f16484300331d203e7f9d9ed3ec73689ee0f1c789f18226282044725a6"
         )
 
-    def test_cdf_grid_must_increase(self):
+    def test_cdf_grid_must_increase(self, monkeypatch):
         # frequency 7 aliases to frequency 1 on the 5-point floor grid, so f
         # vanishes at every node there, yet F(1/2) > F(1) on the 3-point CDF grid
+        monkeypatch.setattr(sampling, "GRID_POINTS", 3)
         spec = Spectrum(basis="cosine", coeffs=np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]))
-        assert min_density(spec, points=5) == pytest.approx(1.0)
+        assert cdf_grid(spec)[0].size == 3
+        assert min_density(spec) == pytest.approx(1.0)
         with pytest.raises(ConfigError, match="increase"):
-            iid_sampler(spec, grid_points=3)
+            iid_sampler(spec)
 
     def test_sample_matches_target_cdf(self):
         spec = Spectrum(basis="cosine", coeffs=np.array([0.35, -0.15, 0.1]))
@@ -294,11 +296,23 @@ class TestDensitySampling:
         with pytest.raises(ConfigError):
             sample_iid(spec, -1, rng_for_replication(0))
 
-    def test_density_grid_shape(self):
-        spec = Spectrum(basis="cosine", coeffs=np.array([0.2]))
-        x, dens = density_grid(spec, points=129)
-        assert x.shape == dens.shape == (129,)
-        np.testing.assert_allclose(dens, 1.0 + evaluate_perturbation(spec, x))
+    @pytest.mark.parametrize("frequency", [1, 16384])
+    @pytest.mark.parametrize("gap", [0.0, 0.5, 0.99, 1.01, 2.0])
+    def test_min_density_is_the_floor_check(self, frequency, gap):
+        """1 + (1 - gap MIN_DENSITY) cos(pi j x) has least value gap
+        MIN_DENSITY, at x = 1 and, for j = 16384, at every odd node m/16384
+        of the floor grid, none of which lies on a coarser grid: the sampler
+        refuses it exactly when ``min_density`` reads it below the floor."""
+        coeffs = np.zeros(frequency)
+        coeffs[-1] = (1.0 - gap * MIN_DENSITY) / math.sqrt(2.0)
+        spec = Spectrum("cosine", coeffs)
+        below = min_density(spec) < MIN_DENSITY
+        assert below == (gap < 1.0)
+        if below:
+            with pytest.raises(ConfigError, match="bounded away from zero"):
+                iid_sampler(spec)
+        else:
+            iid_sampler(spec)
 
 
 def _bits(values) -> bytes:

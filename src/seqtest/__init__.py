@@ -49,7 +49,6 @@ from .kernels import (
     kernel_statistic,
     kernel_test,
     predicted_type2_kernel,
-    transform_values,
     triangle_kernel,
 )
 from .montecarlo import ExperimentConfig, MonteCarloSummary, build_plan, calibration_rates, run_monte_carlo

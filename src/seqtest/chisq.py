@@ -1,4 +1,5 @@
-"""Chi-square goodness-of-fit tests on equal cells of [0, 1).
+"""Chi-square goodness-of-fit tests on k equal cells of [0, 1], the last
+one closed, so a point at 1 counts in cell k - 1.
 
 The statistic is T_n = k n sum_i (phat_i - 1/k)^2 over k equal cells, with
 null mean k - 1; the test rejects when (T_n - k + 1) / sqrt(2 k) exceeds
@@ -41,29 +42,21 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import TestReport, normal_type2, upper_quantile
-from .sampling import cumulative_perturbation
+from .sampling import cumulative_perturbation, validate_sample
 from .spectra import Spectrum
 
 # validity window for the normal type II approximation, as multiples of sqrt(k)
 DRIFT_WINDOW = (0.1, 10.0)
 
 
-def _validate_sample(sample: np.ndarray) -> np.ndarray:
-    x = np.asarray(sample, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ConfigError("sample must be a non-empty 1-d array")
-    if np.any(x < 0.0) or np.any(x >= 1.0):
-        raise ConfigError("observations must lie in [0, 1)")
-    return x
-
-
 def cell_index(x: np.ndarray, k: int) -> np.ndarray:
     """The equal cell of [0, 1] that each point falls in, 0..k-1, unchecked."""
-    return np.minimum((x * k).astype(np.int64), k - 1)  # guard x*k rounding up to k
+    # for x < 1, fl(x k) < k, so the clamp only places a point at 1 in the last cell
+    return np.minimum((x * k).astype(np.int64), k - 1)
 
 
 def binned(x: np.ndarray, k: int) -> np.ndarray:
-    """Counts of the points of [0, 1) in k equal cells along the last axis,
+    """Counts of the points of [0, 1] in k equal cells along the last axis,
     unchecked: each row's cells are offset by k times its index, and one
     bincount counts them all."""
     lead = x.shape[:-1]
@@ -118,7 +111,7 @@ def statistic_from_counts(counts: np.ndarray, n: int, k: int) -> np.ndarray:
 def cell_counts(sample: np.ndarray, k: int) -> np.ndarray:
     if k < 2:
         raise ConfigError("need at least k = 2 cells")
-    return binned(_validate_sample(sample), k)
+    return binned(validate_sample(sample), k)
 
 
 def chisq_statistic(sample: np.ndarray, k: int) -> float:
@@ -152,7 +145,7 @@ def haar_statistic(sample: np.ndarray, level: int) -> float:
     """
     if level < 1:
         raise ConfigError("level must be a positive integer")
-    x = _validate_sample(sample)
+    x = validate_sample(sample)
     n = x.size
     total = 0.0
     for i in range(level):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import TestReport
-from .sampling import replication_blocks
+from .sampling import replication_blocks, validate_sample
 from .spectra import Spectrum
 
 # calibration tables must not share streams with test replications: a table
@@ -61,15 +61,6 @@ DEFAULT_CALIBRATION_REPS = 20000
 # null tables kept in process: a power curve asks for the same table once per
 # scale, and a run rarely needs more than a few (n, reps, seed)
 MEMO_TABLES = 8
-
-
-def _validate_sample(sample: np.ndarray) -> np.ndarray:
-    x = np.asarray(sample, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ConfigError("sample must be a non-empty 1-d array")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ConfigError("observations must lie in [0, 1]")
-    return x
 
 
 def order_grid(n: int) -> np.ndarray:
@@ -107,7 +98,7 @@ def omega_sq_scorer(n: int, inverse=None):
 
 def cvm_statistic(sample: np.ndarray) -> float:
     """T^2 = int (Fhat_n - x)^2 dx via the exact order-statistic formula."""
-    x = np.sort(_validate_sample(sample))
+    x = np.sort(validate_sample(sample))
     return float(omega_sq(x, order_grid(x.size))) / x.size
 
 
@@ -231,7 +222,7 @@ def calibrate_cvm(
 
 
 def cvm_test(sample: np.ndarray, alpha: float, calibration: CvmCalibration) -> TestReport:
-    x = _validate_sample(sample)
+    x = validate_sample(sample)
     if x.size != calibration.n:
         raise ConfigError(f"calibration is for n={calibration.n}, sample has n={x.size}")
     t_sq = cvm_statistic(x)

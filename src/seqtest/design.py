@@ -38,7 +38,7 @@ since no closed-form centering constant is available here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -88,23 +88,15 @@ class DetectionDesign:
         return (2.0 * self.s + 1.0) / self.k_n
 
     def to_json_dict(self) -> dict:
-        out = {
-            "s": self.s,
-            "p0": self.p0,
-            "rho_n": self.rho_n,
-            "n": self.n,
-            "sigma": self.sigma,
-            "k_n": self.k_n,
-            "kappa_n2": self.kappa_n2,
-            "kappa_j2": [float(v) for v in self.kappa_j2],
-            "a_n": self.a_n,
-            "c_n": self.c_n,
-            "j_max": self.j_max,
-            "eq_budget_residual": self.eq_budget_residual,
-            "eq_radius_residual": self.eq_radius_residual,
-        }
-        if self.lambdas is not None:
-            out["lambdas"] = [float(v) for v in self.lambdas]
+        """Every field in declaration order, arrays as lists of floats;
+        ``lambdas`` only for an inverse design."""
+        out = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                out[field.name] = [float(v) for v in value]
+            elif value is not None:
+                out[field.name] = value
         return out
 
 

@@ -25,7 +25,7 @@ class InfeasibleDesignError(SeqtestError):
 class NumericError(SeqtestError):
     """A computed result fails a numeric check: a design's radius residual
     exceeds its rounding bound, or an output holds a number (inf, NaN) that
-    JSON cannot represent.  No iterative routine is left in the library."""
+    JSON cannot represent."""
 
 
 def finite_real(value, key: str) -> float:

@@ -2,7 +2,8 @@
 projection decomposition, and prior membership — plus the CSV/JSON writers.
 
 Every row carries the resolved seed and a 12-hex config hash so any line of
-any table can be replayed exactly.  CSV files start with ``# schema=v1`` and
+any table can be replayed exactly.  CSV files start with
+``# schema=<OUTPUT_SCHEMA>`` and JSON files hold it under ``"schema"``; CSVs
 format floats with ``repr``, which is shortest-roundtrip and platform-stable;
 together with the replication-seeded engine this makes outputs byte-identical
 across thread counts.  A driver builds the plans of its call, then runs them
@@ -31,6 +32,9 @@ from . import design as design_mod
 from .errors import ConfigError, NumericError
 from .montecarlo import FAMILIES, ExperimentConfig, build_plan, calibration_rates, run_plans
 from .spectra import BesovBall, Spectrum, make_tail_alternative, project_besov
+
+# version of every CSV and JSON output; a change to the random streams bumps it
+OUTPUT_SCHEMA = "v1"
 
 POWER_CURVE_FIELDS = (
     "scale", "power", "empirical_type2", "predicted_type2", "gap",
@@ -237,7 +241,7 @@ def _fmt(value) -> str:
 
 def write_csv(path, fieldnames, rows) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("# schema=v1\n")
+        fh.write(f"# schema={OUTPUT_SCHEMA}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
@@ -247,7 +251,7 @@ def write_csv(path, fieldnames, rows) -> None:
 def write_json(path, payload) -> None:
     """Write ``payload`` under the schema tag; a NaN or infinity in it, which
     JSON cannot hold, is a NumericError and leaves ``path`` untouched."""
-    body = {"schema": "v1"}
+    body = {"schema": OUTPUT_SCHEMA}
     body.update(payload)
     try:
         text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)

@@ -49,16 +49,13 @@ MASS_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric density kernel on [-halfwidth, halfwidth].
-
-    ``transform`` is the closed form of Khat(omega); ``l2_norm_sq`` = int K^2
-    and ``kappa_sq`` = 2 int (K * K)^2 are the kernel's exact constants.
-    ``fn`` is K itself, for checks in the space domain.  A kernel whose mass
-    Khat(0) is not 1 is refused.
+    """Symmetric density kernel K on [-halfwidth, halfwidth], held as the
+    closed forms the library evaluates: ``transform`` is Khat(omega), and
+    ``l2_norm_sq`` = int K^2 and ``kappa_sq`` = 2 int (K * K)^2 are its exact
+    constants.  A kernel whose mass Khat(0) is not 1 is refused.
     """
 
     name: str
-    fn: Callable[[np.ndarray], np.ndarray]
     transform: Callable[[np.ndarray], np.ndarray]
     l2_norm_sq: float
     kappa_sq: float
@@ -70,29 +67,14 @@ class Kernel:
             raise ConfigError(f"kernel {self.name!r} does not integrate to 1 (got {mass!r})")
 
 
-def _box(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0, 0.5, 0.0)
-
-
 def _box_transform(w: np.ndarray) -> np.ndarray:
     """sin(2 pi w) / (2 pi w), with np.sinc(x) = sin(pi x) / (pi x)."""
     return np.sinc(2.0 * np.asarray(w, dtype=float))
 
 
-def _triangle(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    return np.maximum(0.0, 1.0 - np.abs(t))
-
-
 def _triangle_transform(w: np.ndarray) -> np.ndarray:
     """(sin(pi w) / (pi w))^2."""
     return np.sinc(np.asarray(w, dtype=float)) ** 2
-
-
-def _epanechnikov(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t**2), 0.0)
 
 
 def _epanechnikov_transform(w: np.ndarray) -> np.ndarray:
@@ -107,15 +89,15 @@ def _epanechnikov_transform(w: np.ndarray) -> np.ndarray:
 # K * K is a piecewise polynomial of degree 1, 3 and 5 for the box, triangle
 # and Epanechnikov kernels, so both constants are rationals.
 def box_kernel() -> Kernel:
-    return Kernel("box", _box, _box_transform, 1.0 / 2.0, 2.0 / 3.0)
+    return Kernel("box", _box_transform, 1.0 / 2.0, 2.0 / 3.0)
 
 
 def triangle_kernel() -> Kernel:
-    return Kernel("triangle", _triangle, _triangle_transform, 2.0 / 3.0, 302.0 / 315.0)
+    return Kernel("triangle", _triangle_transform, 2.0 / 3.0, 302.0 / 315.0)
 
 
 def epanechnikov_kernel() -> Kernel:
-    return Kernel("epanechnikov", _epanechnikov, _epanechnikov_transform, 3.0 / 5.0, 334.0 / 385.0)
+    return Kernel("epanechnikov", _epanechnikov_transform, 3.0 / 5.0, 334.0 / 385.0)
 
 
 # the stock kernels by name, as a config names them
@@ -126,11 +108,6 @@ def _require_complex(spec: Spectrum) -> Spectrum:
     if spec.basis != "complex-exponential":
         raise ConfigError("kernel tests operate on complex-exponential spectra")
     return spec
-
-
-def transform_values(kernel: Kernel, h: float, j_max: int) -> np.ndarray:
-    """Khat(j h) for j = 0..j_max; precompute once per (kernel, h) in loops."""
-    return kernel.transform(np.arange(j_max + 1, dtype=float) * h)
 
 
 def check_bandwidth(kernel: Kernel, h: float) -> None:
@@ -147,7 +124,7 @@ def energy_form(kernel: Kernel, h: float, j_max: int, n: int, sigma: float) -> E
     conjugate frequency -j).  The sd is 1 / (n h^{1/2} sigma^{-2} kappa^{-1})."""
     check_bandwidth(kernel, h)
     scale = n * math.sqrt(h) / sigma**2 / math.sqrt(kernel.kappa_sq)
-    w = transform_values(kernel, h, j_max) ** 2
+    w = kernel.transform(np.arange(j_max + 1, dtype=float) * h) ** 2
     w[1:] *= 2.0
     center = sigma**2 / (n * h) * kernel.l2_norm_sq
     return EnergyForm(np.repeat(w, 2), center, 1.0 / scale)

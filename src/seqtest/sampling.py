@@ -194,19 +194,6 @@ class SequenceObservation:
     sigma: float
 
 
-def sequence_noise(rng: np.random.Generator, size: int, complex_: bool) -> np.ndarray:
-    """Standard Gaussian coordinates xi_1..xi_size of the sequence model.
-
-    Complex coordinates take independent real and imaginary parts of
-    variance 1/2, except the j = 0 coordinate, which is real with unit
-    variance.  The real parts are drawn first, then the imaginary parts
-    (``complex_pairs``).
-    """
-    if not complex_:
-        return rng.standard_normal(size)
-    return complex_pairs(rng.standard_normal(2 * size)).view(complex)
-
-
 def complex_pairs(raw: np.ndarray) -> np.ndarray:
     """The (re, im) pairs of complex noise coordinates from 2 m standard
     normals along the last axis, the m real parts first: each part times
@@ -227,10 +214,16 @@ def draw_sequence_observation(
     sigma: float,
     rng: np.random.Generator,
 ) -> SequenceObservation:
+    """One draw of the sequence model; complex noise draws its real parts
+    first, then its imaginary parts (``complex_pairs``)."""
     if n < 1 or sigma <= 0:
         raise ConfigError("sequence model needs n >= 1 and sigma > 0")
-    complex_ = signal.basis == "complex-exponential"
-    y = signal.coeffs + sigma / math.sqrt(n) * sequence_noise(rng, signal.coeffs.size, complex_)
+    size = signal.coeffs.size
+    if signal.basis == "complex-exponential":
+        xi = complex_pairs(rng.standard_normal(2 * size)).view(complex)
+    else:
+        xi = rng.standard_normal(size)
+    y = signal.coeffs + sigma / math.sqrt(n) * xi
     return SequenceObservation(y=Spectrum(signal.basis, y), n=n, sigma=sigma)
 
 
@@ -304,7 +297,8 @@ def cdf_grid(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
 
 def iid_sampler(spec: Spectrum):
     """The inverse-CDF map ``u -> x`` that turns uniforms on [0, 1) into
-    i.i.d. points from the density 1 + f.
+    i.i.d. points from the density 1 + f, on [0, 1]: where 1 + f exceeds 2
+    near x = 1, a u just below 1 maps to 1.0.
 
     The CDF is exact at the nodes of ``cdf_grid``; between them the inverse
     is linear, so the sampled density is a fine piecewise-constant
@@ -380,7 +374,20 @@ def _inverse_cdf(x: np.ndarray, cdf: np.ndarray, step: np.ndarray):
 
 
 def sample_iid(spec: Spectrum, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw i.i.d. points from the density 1 + f by inverse-CDF lookup."""
+    """Draw i.i.d. points from the density 1 + f by inverse-CDF lookup: the
+    uniforms lie in [0, 1), and their points in [0, 1], 1.0 included."""
     if size < 0:
         raise ConfigError("sample size must be non-negative")
     return iid_sampler(spec)(rng.random(size))
+
+
+def validate_sample(sample: np.ndarray) -> np.ndarray:
+    """``sample`` as a float array, if it is a non-empty 1-d array of finite
+    points of [0, 1], the range of ``sample_iid``; a ConfigError if not.
+    Both density families, chi-square and CvM, read their samples here."""
+    x = np.asarray(sample, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ConfigError("sample must be a non-empty 1-d array")
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # false for NaN too
+        raise ConfigError("observations must be finite points of [0, 1]")
+    return x

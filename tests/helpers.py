@@ -10,6 +10,8 @@ prior membership one full-length draw at a time, the reference for the
 block-scored count, and ``simulate_reference`` draws a CvM null table one
 replication at a time, the reference for the block-scored table.
 ``valid_spectra`` generates sampling targets for hypothesis.
+``KERNEL_DENSITIES`` holds the stock kernels' K in the space domain, which
+the library, working from closed forms, does not keep.
 """
 
 import math
@@ -35,6 +37,15 @@ A5_MASS_FRACTION = 0.5
 
 # limiting distribution of omega^2 = n T^2: classical upper 5% point
 ASYMPTOTIC_Q95 = 0.46136
+
+
+# K itself for each stock kernel, by name, the integrand of the quadrature
+# checks of its closed forms
+KERNEL_DENSITIES = {
+    "box": lambda t: np.where(np.abs(t) <= 1.0, 0.5, 0.0),
+    "triangle": lambda t: np.maximum(0.0, 1.0 - np.abs(t)),
+    "epanechnikov": lambda t: np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - np.asarray(t) ** 2), 0.0),
+}
 
 
 # Gauss-Legendre nodes per panel of Imhof's integral, each panel spanning at
@@ -282,7 +293,7 @@ def space_domain_energy(y, kernel, h: float, grid: int = 2048) -> float:
     for shift in (-1.0, 0.0, 1.0):  # h < 1/2 keeps at most one wrap relevant
         sel = np.abs(d + shift) <= width
         if np.any(sel):
-            wrapped[sel] += kernel.fn((d[sel] + shift) / h) / h
+            wrapped[sel] += KERNEL_DENSITIES[kernel.name]((d[sel] + shift) / h) / h
     smoothed = wrapped @ field / grid
     return float(np.mean(smoothed**2))
 
@@ -293,7 +304,7 @@ def kernel_transform_quadrature(kernel, omega: np.ndarray) -> np.ndarray:
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     out = np.empty_like(omega)
     for i, w in enumerate(omega):
-        val, _ = integrate.quad(kernel.fn, 0.0, kernel.halfwidth, weight="cos", wvar=2.0 * math.pi * abs(w), limit=200)
+        val, _ = integrate.quad(KERNEL_DENSITIES[kernel.name], 0.0, kernel.halfwidth, weight="cos", wvar=2.0 * math.pi * abs(w), limit=200)
         out[i] = 2.0 * val
     return out
 

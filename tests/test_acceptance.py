@@ -20,6 +20,7 @@ import pytest
 from scipy.integrate import quad
 
 from helpers import (
+    KERNEL_DENSITIES,
     cross_frequency_sum,
     cvm_population_quadrature,
     direct_seminorm,
@@ -221,13 +222,15 @@ def test_criterion_05_kernel_power_and_constant(capsys):
     gap = (1.0 - summary.rate) - beta_limit
 
     # kappa^2 = 2 ||K * K||_2^2 by independent nested quadrature, against 2/3
+    box_fn = KERNEL_DENSITIES[box.name]
+
     def conv(y: float) -> float:
         lo = max(-box.halfwidth, y - box.halfwidth)
         hi = min(box.halfwidth, y + box.halfwidth)
         if hi <= lo:
             return 0.0
         val, _ = quad(
-            lambda t: float(box.fn(np.array([t]))[0] * box.fn(np.array([y - t]))[0]),
+            lambda t: float(box_fn(np.array([t]))[0] * box_fn(np.array([y - t]))[0]),
             lo,
             hi,
             limit=100,

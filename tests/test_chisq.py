@@ -10,6 +10,7 @@ from helpers import aliasing_sum, cross_frequency_sum
 from seqtest.chisq import (
     cell_counts,
     cell_integrals,
+    cell_thresholds,
     chisq_statistic,
     chisq_test,
     haar_statistic,
@@ -19,7 +20,7 @@ from seqtest.chisq import (
 )
 from seqtest.errors import ConfigError
 from seqtest.report import upper_quantile
-from seqtest.sampling import evaluate_perturbation, rng_for_replication, sample_iid
+from seqtest.sampling import evaluate_perturbation, iid_sampler, rng_for_replication, sample_iid
 from seqtest.spectra import Spectrum
 
 HAAR_IDENTITY_ATOL = 1e-9
@@ -56,8 +57,8 @@ class TestStatistic:
         np.testing.assert_array_equal(counts, want)
 
     def test_sample_validation(self):
-        with pytest.raises(ConfigError):
-            cell_counts(np.array([0.5, 1.0]), 4)  # right endpoint excluded
+        # the last cell is closed: a point at 1 counts there
+        np.testing.assert_array_equal(cell_counts(np.array([0.5, 1.0]), 4), [0, 0, 1, 1])
         with pytest.raises(ConfigError):
             cell_counts(np.array([-0.1]), 4)
         with pytest.raises(ConfigError):
@@ -73,6 +74,23 @@ class TestStatistic:
 
     def test_standardization(self):
         assert standardized_chisq(11.0, 8) == pytest.approx((11.0 - 7.0) / 4.0)
+
+
+class TestSampledEndpoint:
+    def test_a_sampled_one_counts_in_the_last_cell(self):
+        """1 + f is 2.41 at x = 1, so the last uniform below 1 maps to 1.0:
+        the functions that read a sample count it in the last cell, as the
+        engine does by counting its uniform below the threshold t_k = 1."""
+        inverse = iid_sampler(Spectrum(basis="cosine", coeffs=np.array([-0.7, 0.3])))
+        u = np.array([0.25, 0.5, 1.0 - 2.0**-53])
+        x = inverse(u)
+        assert x[-1] == 1.0
+        for k in (2, 7, 16):
+            engine = np.diff(np.searchsorted(u, cell_thresholds(inverse, k)))
+            np.testing.assert_array_equal(cell_counts(x, k), engine)
+            np.testing.assert_array_equal(cell_counts(x[-1:], k), np.eye(k, dtype=int)[-1])
+            assert chisq_test(x, k, 0.05).statistic == chisq_statistic(x, k)
+        assert haar_statistic(x, 4) == pytest.approx(chisq_statistic(x, 16), abs=HAAR_IDENTITY_ATOL)
 
 
 class TestHaarIdentity:

@@ -120,6 +120,17 @@ class TestInverseSolver:
         with pytest.raises(InfeasibleDesignError):
             solve_inverse_design(1.0, 1.0, 1e-12, 100, 1.0, np.ones(50))
 
+    def test_json_keys(self):
+        """Every field in order, arrays as float lists, lambdas only when inverse."""
+        keys = ["s", "p0", "rho_n", "n", "sigma", "k_n", "kappa_n2", "kappa_j2", "a_n", "c_n",
+                "j_max", "eq_budget_residual", "eq_radius_residual"]
+        d = solve_design(**ORACLE)
+        di = solve_inverse_design(ORACLE["s"], ORACLE["p0"], ORACLE["rho_n"], ORACLE["n"], 1.0, np.ones(d.j_max))
+        assert list(d.to_json_dict()) == keys
+        assert list(di.to_json_dict()) == keys + ["lambdas"]
+        assert di.to_json_dict()["lambdas"] == [1.0] * d.j_max
+        assert d.to_json_dict()["kappa_j2"] == [float(v) for v in d.kappa_j2]
+
     def test_eigenvalue_validation(self):
         with pytest.raises(ConfigError):
             solve_inverse_design(1.0, 1.0, 1e-3, 100, 1.0, np.array([1.0, 0.0]))

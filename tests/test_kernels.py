@@ -20,7 +20,6 @@ from seqtest.kernels import (
     kernel_statistic,
     kernel_test,
     predicted_type2_kernel,
-    transform_values,
     triangle_kernel,
 )
 from seqtest.report import upper_quantile
@@ -54,7 +53,6 @@ class TestConstants:
         with pytest.raises(ConfigError, match="does not integrate to 1"):
             Kernel(
                 "double-box",
-                lambda t: np.where(np.abs(t) <= 1.0, 1.0, 0.0),
                 lambda w: 2.0 * box_kernel().transform(w),
                 2.0,
                 32.0 / 3.0,
@@ -97,7 +95,7 @@ class TestTransforms:
         # quartic sums fold K*K*K*K at +-1/h (support 4*halfwidth), so the
         # identities need h < 1/4, not just the h < 1/2 the squared sum needs
         h = 0.2
-        kh = transform_values(kern, h, j_sum)
+        kh = kern.transform(np.arange(j_sum + 1, dtype=float) * h)
         sum_sq = kh[0] ** 2 + 2.0 * np.sum(kh[1:] ** 2)
         sum_quad = kh[0] ** 4 + 2.0 * np.sum(kh[1:] ** 4)
         assert sum_sq == pytest.approx(kern.l2_norm_sq / h, rel=rtol)
@@ -158,12 +156,15 @@ class TestPrediction:
 def test_import_leaves_scipy_integrate_out():
     """The library evaluates every kernel transform and constant in closed
     form, so importing it loads neither scipy's quadrature package nor
-    numpy's polynomial (Gauss-Legendre) one."""
+    numpy's polynomial (Gauss-Legendre) one.  Nor does it load numpy.random,
+    which ``sampling._seed_state_type`` defers to first use: importing it
+    costs milliseconds that every run's start-up would pay."""
     src = str(Path(seqtest.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
         "import sys, seqtest; "
-        "print('scipy.integrate' in sys.modules, any(m.startswith('numpy.polynomial') for m in sys.modules))"
+        "print('scipy.integrate' in sys.modules, any(m.startswith('numpy.polynomial') for m in sys.modules), "
+        "any(m.startswith('numpy.random') for m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from scipy import stats
 
 from helpers import valid_spectra
 from seqtest import sampling
+from seqtest.chisq import cell_counts, chisq_test, haar_statistic
+from seqtest.cvm import calibrate_cvm, cvm_statistic, cvm_test
 from seqtest.errors import ConfigError
 from seqtest.sampling import (
     BLOCK_BYTES,
@@ -327,6 +330,35 @@ def _probes(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
     ])
     return u[(u >= 0.0) & (u <= 1.0)]
+
+
+class TestSampleValidation:
+    """Both density families read a sample through ``validate_sample``."""
+
+    READERS = {
+        "cell_counts": lambda x: cell_counts(x, 4),
+        "chisq_test": lambda x: chisq_test(x, 4, 0.05),
+        "haar_statistic": lambda x: haar_statistic(x, 2),
+        "cvm_statistic": cvm_statistic,
+        "cvm_test": lambda x: cvm_test(x, 0.05, calibrate_cvm(x.size, reps=100, seed=5)),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_nan_is_a_config_error(self, reader, where):
+        x = np.linspace(0.0, 1.0, 5)
+        x[where] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite points of"):
+                self.READERS[reader](x)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_range_is_the_closed_unit_interval(self, reader):
+        self.READERS[reader](np.array([0.0, 0.5, 1.0, 1.0, 0.25]))
+        for bad in (-0.1, 1.0 + 2.0**-52, np.inf):
+            with pytest.raises(ConfigError):
+                self.READERS[reader](np.array([0.5, bad, 0.25, 0.75, 0.1]))
 
 
 class TestInverseCdf:

@@ -38,13 +38,35 @@ from .experiments import (
     write_csv,
     write_json,
 )
-from .montecarlo import ExperimentConfig, check_empty, run_monte_carlo, take
+from .montecarlo import CONFIG_KEYS, REQUIRED, ExperimentConfig, read_keys, run_monte_carlo, take
 from .spectra import BesovBall, Spectrum, besov_seminorm, first_violated_tail, project_besov
 
 SUMMARY_FIELDS = ("experiment", "reps", "rejections", "rate", "std_err", "seed", "config_hash")
 
-# the integer flags that override a config key of the same name
+# the integer flags that override a config key of the same name; a command
+# has each flag whose key is in its table
 _OVERRIDES = {"seed": "override the config seed", "reps": "override the replication count"}
+
+# Each command's config keys in reading order, key -> (kind, default).  The
+# commands that read an ExperimentConfig read CONFIG_KEYS, after the keys
+# they add to it.
+_DESIGN_KEYS = {
+    "s": (float, REQUIRED), "p0": (float, REQUIRED), "rho_n": (float, REQUIRED), "n": (int, REQUIRED),
+    "sigma": (float, 1.0), "j_max": (int, None),
+}
+MINIMAX_DESIGN_KEYS = {**_DESIGN_KEYS, "alpha": (float, 0.05), "lambdas": (np.ndarray, None)}
+MEMBERSHIP_KEYS = {**_DESIGN_KEYS, "delta": (float, REQUIRED), "draws": (int, REQUIRED), "seed": (int, REQUIRED)}
+# a config gives either n or n_schedule; the handler drops the other one
+CONSISTENCY_KEYS = {
+    "family": (str, REQUIRED), "s": (float, REQUIRED), "c_schedule": (list[float], REQUIRED),
+    "n_schedule": (list[int], REQUIRED), "n": (int, REQUIRED), "reps": (int, REQUIRED), "seed": (int, REQUIRED),
+    "alpha": (float, 0.05), "norm_scale": (float, math.sqrt(8.0)),
+}
+PROJECTION_KEYS = {"theta": (Spectrum, REQUIRED), "s": (float, REQUIRED), "p0": (float, REQUIRED)}
+CALIBRATION_KEYS = {
+    "n": (int, REQUIRED), "reps": (int, DEFAULT_CALIBRATION_REPS), "seed": (int, DEFAULT_CALIBRATION_SEED),
+    "cache_dir": (str, None),
+}
 
 
 def _load_config(args) -> dict:
@@ -93,7 +115,7 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_power_curve(args) -> None:
     data = _load_config(args)
-    scales = take(data, "scales", many=True)
+    scales = take(data, "scales", list[float])
     config = ExperimentConfig.from_json_dict(data)
     rows = power_curve(config, scales, threads=args.threads)
     for row in rows:
@@ -106,20 +128,11 @@ def _cmd_consistency(args) -> None:
     data = _load_config(args)
     if "n" in data and "n_schedule" in data:
         raise ConfigError("consistency config has both 'n' and 'n_schedule'; give only one")
-    rows = consistency_experiment(
-        family=take(data, "family", str),
-        s=take(data, "s"),
-        c_schedule=take(data, "c_schedule", many=True),
-        n_schedule=(
-            take(data, "n_schedule", int, many=True) if "n_schedule" in data else take(data, "n", int)
-        ),
-        reps=take(data, "reps", int),
-        seed=take(data, "seed", int),
-        alpha=take(data, "alpha", default=0.05),
-        threads=args.threads,
-        norm_scale=take(data, "norm_scale", default=math.sqrt(8.0)),
-    )
-    check_empty(data, "consistency config")
+    keys = dict(CONSISTENCY_KEYS)
+    del keys["n" if "n_schedule" in data else "n_schedule"]
+    kwargs = read_keys(data, keys, "consistency config")
+    kwargs.setdefault("n_schedule", kwargs.pop("n", None))
+    rows = consistency_experiment(**kwargs, threads=args.threads)
     for row in rows:
         print(
             f"C={row['C']:g} m={row['m']} n={row['n']} power={row['power']:.4f} "
@@ -131,7 +144,7 @@ def _cmd_consistency(args) -> None:
 def _cmd_decomposition(args) -> None:
     data = _load_config(args)
     s = take(data, "s")
-    gammas = take(data, "gammas", many=True)
+    gammas = take(data, "gammas", list[float])
     config = ExperimentConfig.from_json_dict(data)
     rows = maxiset_decomposition_experiment(config, s, gammas, threads=args.threads)
     for row in rows:
@@ -143,25 +156,9 @@ def _cmd_decomposition(args) -> None:
     _write_out(args, {"decomposition": rows}, DECOMPOSITION_FIELDS, rows)
 
 
-def _design_kwargs(data: dict) -> dict:
-    """The direct-design arguments shared by ``minimax-design`` and
-    ``experiment bayes-membership``, popped from the config."""
-    return {
-        "s": take(data, "s"),
-        "p0": take(data, "p0"),
-        "rho_n": take(data, "rho_n"),
-        "n": take(data, "n", int),
-        "sigma": take(data, "sigma", default=1.0),
-        "j_max": take(data, "j_max", int, default=None),
-    }
-
-
 def _cmd_minimax_design(args) -> None:
-    data = _load_config(args)
-    kwargs = _design_kwargs(data)
-    alpha = take(data, "alpha", default=0.05)
-    lambdas = take(data, "lambdas", np.ndarray, default=None)
-    check_empty(data, "design config")
+    kwargs = read_keys(_load_config(args), MINIMAX_DESIGN_KEYS, "design config")
+    alpha, lambdas = kwargs.pop("alpha"), kwargs.pop("lambdas")
     if lambdas is not None:
         design = design_mod.solve_inverse_design(lambdas=lambdas, **kwargs)
     else:
@@ -175,12 +172,9 @@ def _cmd_minimax_design(args) -> None:
 
 
 def _cmd_bayes_membership(args) -> None:
-    data = _load_config(args)
-    kwargs = _design_kwargs(data)
-    delta, draws, seed = take(data, "delta"), take(data, "draws", int), take(data, "seed", int)
-    check_empty(data, "bayes-membership config")
-    design = design_mod.solve_design(**kwargs)
-    row = bayes_membership_rate(design, delta, draws, seed)
+    kwargs = read_keys(_load_config(args), MEMBERSHIP_KEYS, "bayes-membership config")
+    design = design_mod.solve_design(**{key: kwargs.pop(key) for key in _DESIGN_KEYS})
+    row = bayes_membership_rate(design, **kwargs)
     print(
         f"k_n={design.k_n}: {row['members']}/{row['draws']} draws in the "
         f"alternative set (rate {row['rate']:.4f}, std_err {row['std_err']:.4f})"
@@ -189,11 +183,7 @@ def _cmd_bayes_membership(args) -> None:
 
 
 def _cmd_project_besov(args) -> None:
-    data = _load_config(args)
-    theta = Spectrum.from_json_dict(take(data, "theta", dict))
-    s = take(data, "s")
-    p0 = take(data, "p0")
-    check_empty(data, "projection config")
+    theta, s, p0 = read_keys(_load_config(args), PROJECTION_KEYS, "projection config").values()
     ball = BesovBall(s, p0)
     projected = project_besov(theta, ball)
     before = besov_seminorm(theta, s)
@@ -211,14 +201,7 @@ def _cmd_project_besov(args) -> None:
 
 
 def _cmd_calibrate_cvm(args) -> None:
-    data = _load_config(args)
-    calibration = calibrate_cvm(
-        n=take(data, "n", int),
-        reps=take(data, "reps", int, default=DEFAULT_CALIBRATION_REPS),
-        seed=take(data, "seed", int, default=DEFAULT_CALIBRATION_SEED),
-        cache_dir=take(data, "cache_dir", str, default=None),
-    )
-    check_empty(data, "calibration config")
+    calibration = calibrate_cvm(**read_keys(_load_config(args), CALIBRATION_KEYS, "calibration config"))
     print(
         f"n={calibration.n} reps={calibration.reps} seed={calibration.seed} "
         f"q95={calibration.critical_value(0.05):.6f}"
@@ -237,28 +220,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", help="output path; JSON if it ends in .json, else CSV")
 
-    def command(subparsers, name, handler, overrides=(), json_only=False):
+    def command(subparsers, name, handler, keys, json_only=False):
         cmd = subparsers.add_parser(name, parents=[common])
-        for key in overrides:
+        for key in [key for key in _OVERRIDES if key in keys]:
             cmd.add_argument(f"--{key}", type=int, help=_OVERRIDES[key])
         cmd.set_defaults(handler=handler, json_only=json_only)
 
-    both = ("seed", "reps")
     parser = argparse.ArgumentParser(prog="seqtest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    command(sub, "simulate", _cmd_simulate, both)
-    command(sub, "power-curve", _cmd_power_curve, both)
+    command(sub, "simulate", _cmd_simulate, CONFIG_KEYS)
+    command(sub, "power-curve", _cmd_power_curve, CONFIG_KEYS)
 
     kinds = sub.add_parser("experiment").add_subparsers(dest="kind", required=True)
-    command(kinds, "consistency", _cmd_consistency, both)
-    command(kinds, "decomposition", _cmd_decomposition, both)
-    command(kinds, "bayes-membership", _cmd_bayes_membership, ("seed",))
+    command(kinds, "consistency", _cmd_consistency, CONSISTENCY_KEYS)
+    command(kinds, "decomposition", _cmd_decomposition, CONFIG_KEYS)
+    command(kinds, "bayes-membership", _cmd_bayes_membership, MEMBERSHIP_KEYS)
 
-    command(sub, "minimax-design", _cmd_minimax_design, json_only=True)
-    command(sub, "project-besov", _cmd_project_besov, json_only=True)
+    command(sub, "minimax-design", _cmd_minimax_design, MINIMAX_DESIGN_KEYS, json_only=True)
+    command(sub, "project-besov", _cmd_project_besov, PROJECTION_KEYS, json_only=True)
 
     targets = sub.add_parser("calibrate").add_subparsers(dest="target", required=True)
-    command(targets, "cvm", _cmd_calibrate_cvm, both, json_only=True)
+    command(targets, "cvm", _cmd_calibrate_cvm, CALIBRATION_KEYS, json_only=True)
     return parser
 
 

@@ -222,18 +222,16 @@ def calibrate_cvm(
 
 
 def cvm_test(sample: np.ndarray, alpha: float, calibration: CvmCalibration) -> TestReport:
-    x = validate_sample(sample)
-    if x.size != calibration.n:
-        raise ConfigError(f"calibration is for n={calibration.n}, sample has n={x.size}")
-    t_sq = cvm_statistic(x)
-    scaled = x.size * t_sq
-    threshold = calibration.critical_value(alpha)
+    t_sq = cvm_statistic(sample)  # reads the sample through validate_sample
+    n = len(sample)
+    if n != calibration.n:
+        raise ConfigError(f"calibration is for n={calibration.n}, sample has n={n}")
     return TestReport(
         family="cvm",
         statistic=t_sq,
-        standardized=scaled,  # n T^2, the scale the critical value lives on
-        threshold=threshold,
+        standardized=n * t_sq,  # n T^2, the scale the critical value lives on
+        threshold=calibration.critical_value(alpha),
         alpha=alpha,
-        n=x.size,
+        n=n,
         details={"calibration_reps": calibration.reps, "calibration_seed": calibration.seed},
     )

@@ -16,7 +16,8 @@ spectral form is exact: for 0 < h <= 1 / (4b) the Poisson summation identities
 
 hold exactly (the quartic sum folds K*K*K*K, of support 4b, at +-1/h), so
 T_n has mean 0 and variance 1 under the null up to the truncation of the
-stored frequencies.  A wider bandwidth inflates the null variance, so every
+stored frequencies, whose shift of the null mean a Monte Carlo plan bounds by
+``MAX_NULL_SHIFT`` sd.  A wider bandwidth inflates the null variance, so every
 function that standardizes refuses it.  The type II error against theta is
 Phi(x_alpha - kappa^{-1} sigma^{-2} n h^{1/2} T1n(theta)) with
 T1n(theta) = sum_j |Khat(j h) theta_j|^2, the energy S of theta.
@@ -45,6 +46,8 @@ from .spectra import Spectrum
 
 # how far the mass Khat(0) of a kernel may sit from 1
 MASS_TOL = 1e-8
+# how far, in null sd, a Monte Carlo plan's truncation may shift T_n's null mean
+MAX_NULL_SHIFT = 0.1
 
 
 @dataclass(frozen=True)

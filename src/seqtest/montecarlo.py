@@ -46,8 +46,8 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, get_args, get_origin
 
 import numpy as np
 
@@ -62,7 +62,8 @@ from .report import normal_type2, upper_quantile
 from .sampling import check_noise_level, complex_pairs, iid_sampler, replication_blocks
 from .spectra import Spectrum
 
-_REQUIRED = object()
+# a table's default for a key that must be given
+REQUIRED = object()
 
 # A plan whose replications each draw fewer values than this runs on one
 # thread.  In the 1 -> 2 thread curve of BENCH_17.json, 2^14 is the least
@@ -72,53 +73,64 @@ _REQUIRED = object()
 POOL_MIN_DRAWS = 2**14
 
 
-def take(data: dict, key: str, kind: type = float, default=_REQUIRED, many: bool = False):
-    """Pop ``key`` from a config dict as a ``kind``, or as a list of them
-    when ``many``.  A key that is missing or null falls back to ``default``
-    (a ConfigError when there is none).
+def take(data: dict, key: str, kind: type = float, default=REQUIRED):
+    """Pop ``key`` from a config dict as a ``kind``.  A key that is missing
+    or null falls back to ``default`` (a ConfigError when it is
+    ``REQUIRED``).
 
     int and float mean a finite number (not a string or a boolean; an int
-    must be integral, so 2.0 reads as 2 and 1.5 is an error); ``np.ndarray``
-    means a list of finite numbers, read as a float array; any other kind is
-    an isinstance check.
+    must be integral, so 2.0 reads as 2 and 1.5 is an error); ``list[kind]``
+    means a list of them; ``np.ndarray`` means a list of finite numbers, read
+    as a float array; any other kind is an isinstance check.
     """
     value = data.pop(key, None)
     if value is None:
-        if default is _REQUIRED:
+        if default is REQUIRED:
             raise ConfigError(f"config needs key {key!r}")
         return default
-    if many:
-        return [_typed(v, key, kind) for v in _listed(value, key)]
     return _typed(value, key, kind)
 
 
-def _listed(value, key: str):
-    if not isinstance(value, (list, np.ndarray)):
-        raise ConfigError(f"{key!r} must be a list, got {value!r}")
-    return value
+def read_keys(data: dict, keys: dict, what: str) -> dict:
+    """Pop every key of ``keys``, a table {key: (kind, default)}, from
+    ``data`` through ``take``, in table order; a key left over in ``data``
+    is a ConfigError that names the ``what`` keys."""
+    values = {key: take(data, key, kind, default) for key, (kind, default) in keys.items()}
+    if data:
+        raise ConfigError(f"unknown {what} keys: {sorted(data)}")
+    return values
 
 
 def _typed(value, key: str, kind: type):
-    if kind is np.ndarray:
-        return np.array([_typed(v, key, float) for v in _listed(value, key)], dtype=float)
-    if kind not in (int, float):
-        if not isinstance(value, kind):
-            raise ConfigError(f"{key!r} must be a {kind.__name__}, got {value!r}")
-        return value
     if kind is int and isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    number = finite_real(value, key)
-    if kind is int:
-        if not number.is_integer():
-            raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-        return int(number)
-    return number
+    if kind in (int, float):
+        number = finite_real(value, key)
+        if kind is int:
+            if not number.is_integer():
+                raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+            return int(number)
+        return number
+    if get_origin(kind) is list:
+        if not isinstance(value, (list, np.ndarray)):
+            raise ConfigError(f"{key!r} must be a list, got {value!r}")
+        item = get_args(kind)[0]
+        return [_typed(v, key, item) for v in value]
+    if kind is np.ndarray:
+        return np.array(_typed(value, key, list[float]), dtype=float)
+    if kind is Spectrum:
+        return Spectrum.from_json_dict(_typed(value, key, dict))
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
-def check_empty(data: dict, what: str) -> None:
-    """Reject the keys left in ``data`` after every known one was taken."""
-    if data:
-        raise ConfigError(f"unknown {what} keys: {sorted(data)}")
+# ExperimentConfig's JSON keys in reading order, key -> (kind, default); an
+# optional key reads as None when absent and then takes the field's default
+CONFIG_KEYS = {
+    "theta": (Spectrum, None), "family": (str, REQUIRED), "n": (int, REQUIRED), "reps": (int, REQUIRED),
+    "seed": (int, REQUIRED), "alpha": (float, None), "sigma": (float, None), "params": (dict, None),
+}
 
 
 @dataclass(frozen=True)
@@ -142,18 +154,19 @@ class ExperimentConfig:
 
     def validate(self) -> dict:
         """Make the generic checks and return the params typed, with defaults
-        filled in.  n, reps and seed must be ints (not bools), alpha and sigma
-        finite reals and theta a Spectrum or None, as ``take`` reads them from
-        JSON.  The family's cross-field checks run in its planner, so only
-        ``build_plan`` makes every check."""
+        filled in.  The int and float keys of ``CONFIG_KEYS`` must be ints
+        (not bools) and finite reals, as ``take`` reads them from JSON, and
+        theta a Spectrum or None.  The family's cross-field checks run in its
+        planner, so only ``build_plan`` makes every check."""
         family = FAMILIES.get(self.family) if isinstance(self.family, str) else None
         if family is None:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
-        for key in ("n", "reps", "seed", "alpha", "sigma"):
+        for key, (kind, _) in CONFIG_KEYS.items():
             value = getattr(self, key)
-            if key in ("n", "reps", "seed") and (isinstance(value, bool) or not isinstance(value, int)):
+            if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-            finite_real(value, key)
+            if kind in (int, float):
+                finite_real(value, key)
         if not isinstance(self.theta, (Spectrum, type(None))):
             raise ConfigError(f"'theta' must be a Spectrum, got {self.theta!r}")
         if self.n < 1 or self.reps < 1:
@@ -165,42 +178,24 @@ class ExperimentConfig:
             raise ConfigError("seed must be a non-negative integer")
         if self.theta is not None and self.theta.basis != family.basis:
             raise ConfigError(f"family {self.family!r} expects theta in the {family.basis!r} basis")
-        raw = dict(self.params)
-        p = {key: take(raw, key, kind, default) for key, (kind, default) in family.params.items()}
-        check_empty(raw, f"{self.family} param")
+        p = read_keys(dict(self.params), family.params, f"{self.family} param")
         if p.get("j_max") is not None and p["j_max"] < 1:
             raise ConfigError("params.j_max must be a positive integer")
         return p
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "sigma": self.sigma,
-            "theta": None if self.theta is None else self.theta.to_json_dict(),
-            "params": dict(self.params),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["theta"] = None if self.theta is None else self.theta.to_json_dict()
+        out["params"] = dict(self.params)
+        return out
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
-        """Read every key through ``take``; a key left over is a ConfigError."""
-        data = dict(data)
-        theta = take(data, "theta", dict, default=None)
-        config = ExperimentConfig(
-            family=take(data, "family", str),
-            n=take(data, "n", int),
-            reps=take(data, "reps", int),
-            seed=take(data, "seed", int),
-            alpha=take(data, "alpha", default=0.05),
-            sigma=take(data, "sigma", default=1.0),
-            theta=None if theta is None else Spectrum.from_json_dict(theta),
-            params=take(data, "params", dict, default={}),
-        )
-        check_empty(data, "experiment config")
-        return config
+        """Read every key of ``CONFIG_KEYS`` through ``take``; a key left
+        over is a ConfigError, and an optional key left out takes the
+        field's default."""
+        values = read_keys(dict(data), CONFIG_KEYS, "experiment config")
+        return ExperimentConfig(**{key: value for key, value in values.items() if value is not None})
 
     def config_hash(self) -> str:
         """The first 12 hex digits of the sha256 of the canonical config JSON;
@@ -218,28 +213,22 @@ def _json_numpy(value):
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
+    """The rejections of a run; ``rate`` and ``std_err`` follow from them."""
+
     experiment: str
     reps: int
     rejections: int
+    rate: float = field(init=False)
+    std_err: float = field(init=False)
     seed: int
 
-    @property
-    def rate(self) -> float:
-        return self.rejections / self.reps
-
-    @property
-    def std_err(self) -> float:
-        return math.sqrt(self.rate * (1.0 - self.rate) / self.reps)
+    def __post_init__(self):
+        rate = self.rejections / self.reps
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "std_err", math.sqrt(rate * (1.0 - rate) / self.reps))
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "reps": self.reps,
-            "rejections": self.rejections,
-            "rate": self.rate,
-            "std_err": self.std_err,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -278,13 +267,10 @@ def group_counts(plans: list[MonteCarloPlan], lo: int, hi: int) -> np.ndarray:
     return counts
 
 
-def _padded(theta: Spectrum | None, j_max: int, basis: str) -> np.ndarray:
-    complex_ = basis == "complex-exponential"
-    size = j_max + 1 if complex_ else j_max
-    out = np.zeros(size, dtype=complex if complex_ else float)
+def _padded(theta: Spectrum | None, size: int, dtype: type) -> np.ndarray:
+    out = np.zeros(size, dtype)
     if theta is not None:
-        if theta.coeffs.size > size:
-            raise ConfigError(f"signal support {theta.coeffs.size} exceeds the run's truncation {size}")
+        quad_mod.check_support(theta.coeffs, size)
         out[: theta.coeffs.size] = theta.coeffs
     return out
 
@@ -334,7 +320,7 @@ def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     if kq is None:
         kq = quad_mod.example_coefficients(cfg.n, p["gamma"], p["j_max"])
     form = quad_mod.energy_form(kq, cfg.n, cfg.sigma)
-    return _plan_energy(cfg, form, _padded(cfg.theta, kq.size, "cosine"), {"j_max": kq.size})
+    return _plan_energy(cfg, form, _padded(cfg.theta, kq.size, float), {"j_max": kq.size})
 
 
 def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
@@ -348,7 +334,7 @@ def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     if p["least_favorable"]:
         th = design_mod.least_favorable(dsg).coeffs
     else:
-        th = _padded(cfg.theta, dsg.j_max, "cosine")
+        th = _padded(cfg.theta, dsg.j_max, float)
     details = {"k_n": dsg.k_n, "a_n": dsg.a_n, "c_n": dsg.c_n, "j_max": dsg.j_max}
     return _plan_energy(cfg, design_mod.energy_form(dsg), th, details)
 
@@ -361,8 +347,14 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     kernels_mod.check_bandwidth(kernel, h)
     theta_support = 0 if cfg.theta is None else cfg.theta.coeffs.size - 1
     j_max = max(1024, theta_support) if p["j_max"] is None else p["j_max"]
-    th = _padded(cfg.theta, j_max, "complex-exponential")
+    th = _padded(cfg.theta, j_max + 1, complex)
     form = kernels_mod.energy_form(kernel, h, j_max, cfg.n, cfg.sigma)
+    # The form is centred by the infinite sum sigma^2 ||K||^2 / (n h); the
+    # mean of its truncation, in null sd, does not depend on n or sigma.
+    shift = (cfg.sigma**2 / cfg.n * form.weights[0::2].sum() - form.offset) / form.sd
+    if not abs(shift) <= kernels_mod.MAX_NULL_SHIFT:
+        raise ConfigError(f"kernel plan: at h={h!r} the truncation j_max={j_max} shifts the null mean of T_n "
+                          f"by {shift:+.3g} sd, past +-{kernels_mod.MAX_NULL_SHIFT}; raise j_max")
     return _plan_energy(cfg, form, th, {"j_max": j_max, "h": h})
 
 
@@ -442,7 +434,7 @@ def _quadratic_rate(s: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class Family:
     """One test family.  ``basis`` is the basis of its theta; ``params`` maps
-    each param to (kind, default), ``_REQUIRED`` marking one without a
+    each param to (kind, default), ``REQUIRED`` marking one without a
     default; ``plan(config, params)`` checks the params' cross-field rules,
     then builds the plan.  ``rate(s)`` gives (r, tuning exponent), and
     ``tuned(rates, n, j_max)`` the params of a consistency-experiment run;
@@ -462,12 +454,12 @@ FAMILIES = {
         lambda rates, n, j_max: {"gamma": (1.0 + 4.0 * rates.s) / 2.0, "j_max": j_max},
     ),
     "kernel": Family(
-        "complex-exponential", {"kernel": (str, _REQUIRED), "h": (float, _REQUIRED), "j_max": (int, None)},
+        "complex-exponential", {"kernel": (str, REQUIRED), "h": (float, REQUIRED), "j_max": (int, None)},
         _plan_kernel, _quadratic_rate,
         lambda rates, n, j_max: {"kernel": "box", "h": float(n**-rates.tuning_exponent), "j_max": j_max},
     ),
     "chisq": Family(
-        "complex-exponential", {"k": (int, _REQUIRED)}, _plan_chisq, _quadratic_rate,
+        "complex-exponential", {"k": (int, REQUIRED)}, _plan_chisq, _quadratic_rate,
         lambda rates, n, j_max: {"k": max(2, round(n**rates.tuning_exponent))},
     ),
     "cvm": Family("cosine", {
@@ -476,7 +468,7 @@ FAMILIES = {
         "cache_dir": (str, None),
     }, _plan_cvm, lambda s: (s / (2.0 + 2.0 * s), None)),
     "minimax": Family("cosine", {
-        "s": (float, _REQUIRED), "p0": (float, _REQUIRED), "rho_n": (float, _REQUIRED), "j_max": (int, None),
+        "s": (float, REQUIRED), "p0": (float, REQUIRED), "rho_n": (float, REQUIRED), "j_max": (int, None),
         "lambdas": (np.ndarray, None), "least_favorable": (bool, False),
     }, _plan_minimax),
 }

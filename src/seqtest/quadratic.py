@@ -113,11 +113,19 @@ def quadratic_statistic(y, kappa_sq: np.ndarray, n: int, sigma: float) -> float:
     return _energy(y, form) - form.offset
 
 
+def check_support(coeffs: np.ndarray, size: int) -> None:
+    """Refuse a signal longer than a run's ``size`` weights, whose tail they
+    would drop; a shorter signal reads as zero-padded."""
+    if coeffs.size > size:
+        raise ConfigError(f"signal support {coeffs.size} exceeds the run's truncation {size}")
+
+
 def drift(theta, kappa_sq: np.ndarray, n: int, sigma: float) -> float:
-    """Standardized mean shift A_n(theta) / sqrt(2 A_n), over the indices
-    that the weights and the signal share."""
+    """Standardized mean shift A_n(theta) / sqrt(2 A_n) of a signal read as a
+    Monte Carlo plan reads it (``check_support``), over its own indices."""
     form = energy_form(kappa_sq, n, sigma)
-    th = _as_coeff_array(theta)[: form.weights.size]
+    th = _as_coeff_array(theta)
+    check_support(th, form.weights.size)
     return EnergyForm(form.weights[: th.size], form.offset, form.sd).drift(th)
 
 

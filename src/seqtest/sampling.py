@@ -311,8 +311,12 @@ def iid_sampler(spec: Spectrum):
     on that twice: its CvM replications invert uniforms sorted once a group
     (a row that steps back is sorted again), and its chi-square plans invert
     only the cell thresholds of ``chisq.cell_thresholds``, once per plan.
-    The engine samples a spectrum of zeros as the null, with no map.
+    The engine samples a spectrum of zeros as the null, with no map.  A
+    complex spectrum whose j = 0 coefficient is not 0 is a ConfigError,
+    since 1 + f would integrate to 1 + coeffs[0].
     """
+    if spec.basis == "complex-exponential" and spec.coeffs[0] != 0:
+        raise ConfigError(f"not a density: the j = 0 coefficient must be 0, got {spec.coeffs[0].real:g}")
     floor = min_density(spec)
     if floor < MIN_DENSITY:
         raise ConfigError(

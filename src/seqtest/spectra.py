@@ -8,8 +8,8 @@ orthonormal systems on (0, 1):
   ``coeffs[p]`` belongs to frequency j = p + 1.
 * ``complex-exponential``:  e_j(x) = exp(2 pi i j x), j in Z; only j = 0..J is
   stored (``coeffs[p]`` belongs to j = p) and the negative half is implied by
-  conjugate symmetry theta_{-j} = conj(theta_j).  ``coeffs[0]`` must be real
-  and is zero for density perturbations.
+  conjugate symmetry theta_{-j} = conj(theta_j).  ``coeffs[0]`` must be real,
+  and for a density perturbation zero (``iid_sampler`` refuses any other).
 * ``haar``:  psi_{i,q}(x) = 2^{i/2} psi(2^i x - q) with psi = 1 on (0, 1/2)
   and -1 on (1/2, 1); level-major order, ``coeffs[2^i - 1 + q]`` belongs to
   (i, q).

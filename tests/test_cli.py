@@ -5,6 +5,7 @@ counts; the statistical content of what the commands compute is covered by
 the per-module tests.
 """
 
+import argparse
 import contextlib
 import copy
 import io
@@ -13,13 +14,14 @@ import math
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtest import cli
+from seqtest import cli, montecarlo
 from seqtest.cli import SUMMARY_FIELDS, main
 from seqtest.design import solve_design
 from seqtest.errors import NumericError
@@ -137,6 +139,20 @@ class TestExperimentCommands:
             "n": 300, "reps": 10, "seed": 11, "bogus": 1,
         })
         assert main(["experiment", "consistency", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("argv,payload,runner", [
+        (["experiment", "consistency"], {
+            "family": "quadratic", "s": 1.0, "c_schedule": [1.0, 4.0], "n": 300, "reps": 10, "seed": 11, "bogus": 1,
+        }, "consistency_experiment"),
+        (["calibrate", "cvm"], {"n": 40, "reps": 100, "bogus": 1}, "calibrate_cvm"),
+    ])
+    def test_unknown_keys_are_refused_before_the_run(self, argv, payload, runner, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("the command ran before its config was read")
+
+        monkeypatch.setattr(cli, runner, fail)
+        assert main(argv + ["--config", _config(tmp_path, "cfg.json", payload)]) == 2
+        assert "keys: ['bogus']" in capsys.readouterr().err
 
     def test_consistency_rejects_both_n_forms(self, tmp_path, capsys):
         # a scalar n and an n_schedule together are ambiguous; the error says so
@@ -373,6 +389,13 @@ BAD_CONFIGS = {
     "design overflowing A_n": (["minimax-design"], {"s": 1, "p0": 1e160, "rho_n": 1e160, "n": 300}),
     # ... or underflows to zero, which leaves the test a null sd of 0
     "minimax vanishing A_n": (["simulate"], _params("minimax", p0=1e-300, rho_n=1e-300)),
+    # a complex density perturbation integrates to coeffs[0], which must be 0
+    "chisq nonzero mean": (
+        ["simulate"],
+        {**_params("chisq", k=8), "theta": {"basis": "complex-exponential", "coeffs": [[-0.1, 0], [0, 0], [0.05, 0]]}},
+    ),
+    # the default j_max = 1024 at h = 1e-3 shifts the null mean by -0.97 sd
+    "kernel truncation past its bound": (["simulate"], _params("kernel", h=1e-3, j_max=None)),
     "cvm negative calibration_seed": (
         ["simulate"], _params("cvm", calibration_reps=100, calibration_seed=-1, cache_dir="cache"),
     ),
@@ -414,6 +437,64 @@ class TestBadConfigValues:
     def test_integral_float_counts_still_read(self, tmp_path):
         cfg = _config(tmp_path, "sim.json", _simulate_payload(n=400.0, reps=20.0, seed=7.0))
         assert main(["simulate", "--config", cfg]) == 0
+
+
+class TestPlanRefusals:
+    """Configs whose plan would run and report a rate that means nothing."""
+
+    @pytest.mark.parametrize("name,message", [
+        ("chisq nonzero mean", "the j = 0 coefficient must be 0, got -0.1"),
+        ("kernel truncation past its bound", "at h=0.001 the truncation j_max=1024 shifts the null mean of T_n by -0.969 sd"),
+    ])
+    def test_exits_2_with_the_reason(self, name, message, tmp_path, capsys):
+        argv, payload = BAD_CONFIGS[name]
+        assert main(argv + ["--config", _config(tmp_path, "bad.json", payload)]) == 2
+        assert message in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _cli_section() -> str:
+    text = README.read_text()
+    return text[text.index("## CLI"):text.index("## Library")]
+
+
+def _commands(parser, prefix=()):
+    """Each leaf command of ``parser`` as (its words, its parser)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+class TestKeyTables:
+    """Each command declares its config keys once, in a table that reads the
+    config and gives the command its --seed/--reps; the README follows."""
+
+    TABLES = {"CONFIG_KEYS": montecarlo.CONFIG_KEYS} | {
+        name: table for name, table in vars(cli).items() if name.endswith("_KEYS")
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_readme_names_every_key(self, name):
+        code = re.findall(r"```.*?```|`[^`\n]+`", _cli_section(), flags=re.S)
+        words = set(re.findall(r"\w+", " ".join(code)))
+        assert set(self.TABLES[name]) <= words, set(self.TABLES[name]) - words
+
+    def test_readme_flag_table_matches_the_parser(self):
+        rows = re.findall(r"^\| (`.*`) +\| (yes|no) +\| (yes|no) +\|$", _cli_section(), flags=re.M)
+        readme = {
+            command: {flag for flag, has in (("--seed", seed), ("--reps", reps)) if has == "yes"}
+            for names, seed, reps in rows for command in re.findall(r"`([^`]+)`", names)
+        }
+        parsed = {
+            command: {flag for action in sub._actions for flag in action.option_strings} & {"--seed", "--reps"}
+            for command, sub in _commands(cli._build_parser.__wrapped__())
+        }
+        assert readme == parsed
 
 
 class TestOutRule:

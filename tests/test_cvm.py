@@ -67,6 +67,19 @@ class TestStatistic:
             cvm_statistic_quadrature(x), abs=STATISTIC_PATHS_ATOL
         )
 
+    def test_cvm_test_reads_its_sample_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cvm, "validate_sample", lambda x: calls.append(x) or sampling.validate_sample(x))
+        sample = list(np.linspace(0.05, 0.95, 40))
+        calibration = calibrate_cvm(40, reps=100, seed=5)
+        report = cvm_test(sample, 0.05, calibration)
+        assert len(calls) == 1
+        assert (report.statistic, report.standardized, report.n) == (
+            cvm_statistic(np.array(sample)), 40 * cvm_statistic(np.array(sample)), 40,
+        )
+        with pytest.raises(ConfigError, match="calibration is for n=40, sample has n=39"):
+            cvm_test(sample[:39], 0.05, calibration)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             cvm_statistic(np.array([1.2]))

@@ -209,6 +209,15 @@ class TestConfigContract:
         with pytest.raises(ConfigError):
             build_plan(cfg)
 
+    def test_kernel_truncation_bounds_the_null_shift(self):
+        """The box kernel at h = 1e-3 and the default j_max = 1024 centres
+        T_n at -0.97 null sd (a size of 0.004 at alpha = 0.05); at j_max =
+        65 536 the shift is -0.015, inside kernels.MAX_NULL_SHIFT."""
+        cfg = ExperimentConfig("kernel", 2000, 10, 1, params={"kernel": "box", "h": 1e-3})
+        with pytest.raises(ConfigError, match=r"h=0\.001 the truncation j_max=1024 .* by -0\.969 sd"):
+            build_plan(cfg)
+        assert build_plan(replace(cfg, params={**cfg.params, "j_max": 65536})).details["j_max"] == 65536
+
     def test_readme_lists_every_param(self):
         """Each row of the README's params table names exactly the family's
         params, each in backticks."""

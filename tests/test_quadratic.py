@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import check_regularity, half_mass_index
 from seqtest.errors import ConfigError
 from seqtest.kernels import box_kernel, kernel_test
+from seqtest.montecarlo import ExperimentConfig, build_plan
 from seqtest.quadratic import (
     EnergyForm,
     drift,
@@ -154,6 +155,26 @@ class TestDrift:
         shape = Spectrum(basis="cosine", coeffs=np.zeros(2))
         with pytest.raises(ConfigError):
             scale_to_drift(shape, kq, 10, 1.0, 1.0)
+
+    def test_longer_signal_is_refused_as_a_plan_refuses_it(self):
+        # 0.5 at j = 22 against 16 weights: a drift of its first 16 entries
+        # would describe another signal
+        kq = example_coefficients(1000, 2.0, 16)
+        theta = Spectrum("cosine", np.r_[np.zeros(21), 0.5])
+        message = "signal support 22 exceeds the run's truncation 16"
+        with pytest.raises(ConfigError, match=message):
+            drift(theta, kq, 1000, 1.0)
+        with pytest.raises(ConfigError, match=message):
+            predicted_type2_quadratic(theta, kq, 1000, 1.0, 0.05)
+        with pytest.raises(ConfigError, match=message):
+            scale_to_drift(theta, kq, 1000, 1.0, 2.0)
+        with pytest.raises(ConfigError, match=message):
+            build_plan(ExperimentConfig("quadratic", 1000, 10, 1, theta=theta, params={"kappa_sq": kq}))
+
+    def test_shorter_signal_reads_zero_padded(self):
+        kq = example_coefficients(1000, 2.0, 16)
+        theta = np.linspace(0.1, 0.02, 5)
+        assert drift(theta, kq, 1000, 1.0) == pytest.approx(drift(np.r_[theta, np.zeros(11)], kq, 1000, 1.0))
 
     def test_predicted_type2_endpoints(self):
         kq = example_coefficients(100, 2.0, 32)

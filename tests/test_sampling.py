@@ -20,6 +20,7 @@ from seqtest.sampling import (
     BLOCK_BYTES,
     MAX_GUIDE_BUCKETS,
     MIN_DENSITY,
+    _inverse_cdf,
     cdf_grid,
     complex_pairs,
     cumulative_perturbation,
@@ -294,6 +295,13 @@ class TestDensitySampling:
         with pytest.raises(ConfigError):
             sample_iid(spec, 10, rng_for_replication(0))
 
+    @pytest.mark.parametrize("mean", [-0.1, 0.2])
+    def test_nonzero_mean_is_not_a_density(self, mean):
+        # 1 + f integrates to 1 + mean, so its CDF grid ends at 1 + mean
+        spec = Spectrum("complex-exponential", np.array([mean, 0.0, 0.05]))
+        with pytest.raises(ConfigError, match="j = 0 coefficient must be 0"):
+            sample_iid(spec, 10, rng_for_replication(0))
+
     def test_negative_size_rejected(self):
         spec = Spectrum(basis="cosine", coeffs=np.array([0.0]))
         with pytest.raises(ConfigError):
@@ -373,11 +381,12 @@ class TestInverseCdf:
     @pytest.mark.parametrize("mean", [0.01, -0.01], ids=["above", "below"])
     def test_last_node_either_side_of_one(self, mean):
         # a complex spectrum's j = 0 coefficient is the mean of f, so F(1) = 1 + mean
+        # (iid_sampler refuses such a spectrum, so the map is built from its grid)
         spec = Spectrum("complex-exponential", np.array([mean, 0.02 - 0.01j]))
         x, cdf = cdf_grid(spec)
         assert (cdf[-1] > 1.0) if mean > 0 else (cdf[-1] < 1.0)
         u = _probes(cdf, np.linspace(0.95, 1.0, 4001))
-        assert _bits(iid_sampler(spec)(u)) == _bits(np.interp(u, cdf, x))
+        assert _bits(_inverse_cdf(x, cdf, np.diff(cdf))(u)) == _bits(np.interp(u, cdf, x))
 
     def test_rows_map_as_one_array(self):
         spec = Spectrum("cosine", np.array([0.2, -0.1]))

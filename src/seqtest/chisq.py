@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import TestReport, normal_type2, upper_quantile
-from .sampling import cumulative_perturbation, validate_sample
+from .sampling import check_zero_mean, cumulative_perturbation, validate_sample
 from .spectra import Spectrum
 
 # validity window for the normal type II approximation, as multiples of sqrt(k)
@@ -158,9 +158,13 @@ def haar_statistic(sample: np.ndarray, level: int) -> float:
 
 
 def cell_integrals(theta: Spectrum, k: int) -> np.ndarray:
-    """p_l = int_{l/k}^{(l+1)/k} f for the perturbation f with spectrum theta."""
+    """p_l = int_{l/k}^{(l+1)/k} f for the perturbation f with spectrum theta,
+    which must be a density's: a j = 0 coefficient other than 0 is refused as
+    ``iid_sampler`` refuses it (``sampling.check_zero_mean``), so
+    ``population_chisq_functional`` and ``predicted_type2_chisq`` refuse it too."""
     if theta.basis != "complex-exponential":
         raise ConfigError("cell integrals are computed from the complex-exponential basis")
+    check_zero_mean(theta)
     if k < 2:
         raise ConfigError("need at least k = 2 cells")
     return np.diff(cumulative_perturbation(theta, np.arange(k + 1) / k))

@@ -27,10 +27,6 @@ from . import design as design_mod
 from .cvm import DEFAULT_CALIBRATION_REPS, DEFAULT_CALIBRATION_SEED, calibrate_cvm
 from .errors import ConfigError, InfeasibleDesignError, NumericError
 from .experiments import (
-    CONSISTENCY_FIELDS,
-    DECOMPOSITION_FIELDS,
-    MEMBERSHIP_FIELDS,
-    POWER_CURVE_FIELDS,
     bayes_membership_rate,
     consistency_experiment,
     maxiset_decomposition_experiment,
@@ -40,8 +36,6 @@ from .experiments import (
 )
 from .montecarlo import CONFIG_KEYS, REQUIRED, ExperimentConfig, read_keys, run_monte_carlo, take
 from .spectra import BesovBall, Spectrum, besov_seminorm, first_violated_tail, project_besov
-
-SUMMARY_FIELDS = ("experiment", "reps", "rejections", "rate", "std_err", "seed", "config_hash")
 
 # the integer flags that override a config key of the same name; a command
 # has each flag whose key is in its table
@@ -89,15 +83,16 @@ def _load_config(args) -> dict:
     return data
 
 
-def _write_out(args, payload: dict, fieldnames=(), rows=()) -> None:
+def _write_out(args, payload: dict, rows=()) -> None:
     """Write --out, if given: ``payload`` as JSON when the path ends in
-    .json, else ``rows`` as CSV (``main`` keeps JSON-only commands off CSV)."""
+    .json, else ``rows`` as CSV, whose columns are the first row's keys
+    (``main`` keeps JSON-only commands off CSV)."""
     if args.out is None:
         return
     if args.out.endswith(".json"):
         write_json(args.out, payload)
     else:
-        write_csv(args.out, fieldnames, rows)
+        write_csv(args.out, list(rows[0]), rows)
     print(f"wrote {args.out}")
 
 
@@ -110,7 +105,7 @@ def _cmd_simulate(args) -> None:
         f"({summary.rejections}/{summary.reps}), std_err={summary.std_err:.6f}, "
         f"hash={config.config_hash()}"
     )
-    _write_out(args, {"summary": row, "config": config.to_json_dict()}, SUMMARY_FIELDS, [row])
+    _write_out(args, {"summary": row, "config": config.to_json_dict()}, [row])
 
 
 def _cmd_power_curve(args) -> None:
@@ -121,7 +116,7 @@ def _cmd_power_curve(args) -> None:
     for row in rows:
         gap = "n/a" if row["gap"] is None else f"{row['gap']:.4f}"
         print(f"scale={row['scale']:g} power={row['power']:.4f} gap={gap}")
-    _write_out(args, {"power_curve": rows}, POWER_CURVE_FIELDS, rows)
+    _write_out(args, {"power_curve": rows}, rows)
 
 
 def _cmd_consistency(args) -> None:
@@ -138,7 +133,7 @@ def _cmd_consistency(args) -> None:
             f"C={row['C']:g} m={row['m']} n={row['n']} power={row['power']:.4f} "
             f"drift={row['predicted_drift']:.3f}"
         )
-    _write_out(args, {"consistency": rows}, CONSISTENCY_FIELDS, rows)
+    _write_out(args, {"consistency": rows}, rows)
 
 
 def _cmd_decomposition(args) -> None:
@@ -153,7 +148,7 @@ def _cmd_decomposition(args) -> None:
             f"power_projected={row['power_projected']:.4f} "
             f"power_residual={row['power_residual']:.4f} gap={row['gap']:.4f}"
         )
-    _write_out(args, {"decomposition": rows}, DECOMPOSITION_FIELDS, rows)
+    _write_out(args, {"decomposition": rows}, rows)
 
 
 def _cmd_minimax_design(args) -> None:
@@ -179,7 +174,7 @@ def _cmd_bayes_membership(args) -> None:
         f"k_n={design.k_n}: {row['members']}/{row['draws']} draws in the "
         f"alternative set (rate {row['rate']:.4f}, std_err {row['std_err']:.4f})"
     )
-    _write_out(args, {"bayes_membership": [row]}, MEMBERSHIP_FIELDS, [row])
+    _write_out(args, {"bayes_membership": [row]}, [row])
 
 
 def _cmd_project_besov(args) -> None:

@@ -2,7 +2,8 @@
 projection decomposition, and prior membership — plus the CSV/JSON writers.
 
 Every row carries the resolved seed and a 12-hex config hash so any line of
-any table can be replayed exactly.  CSV files start with
+any table can be replayed exactly; a driver's rows share their keys, in
+order, and a CSV's columns are those keys.  CSV files start with
 ``# schema=<OUTPUT_SCHEMA>`` and JSON files hold it under ``"schema"``; CSVs
 format floats with ``repr``, which is shortest-roundtrip and platform-stable;
 together with the replication-seeded engine this makes outputs byte-identical
@@ -35,20 +36,6 @@ from .spectra import BesovBall, Spectrum, make_tail_alternative, project_besov
 
 # version of every CSV and JSON output; a change to the random streams bumps it
 OUTPUT_SCHEMA = "v1"
-
-POWER_CURVE_FIELDS = (
-    "scale", "power", "empirical_type2", "predicted_type2", "gap",
-    "std_err", "reps", "seed", "config_hash",
-)
-CONSISTENCY_FIELDS = (
-    "C", "m", "n", "power", "predicted_drift", "std_err", "reps", "seed", "config_hash",
-)
-MEMBERSHIP_FIELDS = ("draws", "members", "rate", "std_err", "delta", "seed")
-DECOMPOSITION_FIELDS = (
-    "gamma", "power_f", "power_projected", "power_residual", "gap",
-    "std_err_f", "std_err_projected", "std_err_residual",
-    "reps", "seed", "config_hash",
-)
 
 
 def power_curve(config: ExperimentConfig, scales, threads: int = 1) -> list[dict]:

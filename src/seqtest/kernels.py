@@ -16,8 +16,10 @@ spectral form is exact: for 0 < h <= 1 / (4b) the Poisson summation identities
 
 hold exactly (the quartic sum folds K*K*K*K, of support 4b, at +-1/h), so
 T_n has mean 0 and variance 1 under the null up to the truncation of the
-stored frequencies, whose shift of the null mean a Monte Carlo plan bounds by
-``MAX_NULL_SHIFT`` sd.  A wider bandwidth inflates the null variance, so every
+stored frequencies.  ``null_shifts`` gives that truncation's shift of the
+null mean, in null sd; a Monte Carlo plan bounds it by ``MAX_NULL_SHIFT``,
+and a tuned consistency run takes ``least_j_max``, the least truncation
+within that bound.  A wider bandwidth inflates the null variance, so every
 function that standardizes refuses it.  The type II error against theta is
 Phi(x_alpha - kappa^{-1} sigma^{-2} n h^{1/2} T1n(theta)) with
 T1n(theta) = sum_j |Khat(j h) theta_j|^2, the energy S of theta.
@@ -48,6 +50,8 @@ from .spectra import Spectrum
 MASS_TOL = 1e-8
 # how far, in null sd, a Monte Carlo plan's truncation may shift T_n's null mean
 MAX_NULL_SHIFT = 0.1
+# the largest j_max that ``least_j_max`` searches: 2^21 normals a replication
+MAX_SEARCHED_J_MAX = 2**20
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,28 @@ def energy_form(kernel: Kernel, h: float, j_max: int, n: int, sigma: float) -> E
     w[1:] *= 2.0
     center = sigma**2 / (n * h) * kernel.l2_norm_sq
     return EnergyForm(np.repeat(w, 2), center, 1.0 / scale)
+
+
+def null_shifts(kernel: Kernel, h: float, j_max: int) -> np.ndarray:
+    """T_n's null mean, in null sd, at truncation J = 0..j_max: (sum_{|j| <= J}
+    Khat(j h)^2 - ||K||^2 / h) (h / kappa^2)^{1/2}, free of n and sigma.  It
+    rises to 0 as J grows; entry J has the same bits at any j_max >= J."""
+    form = energy_form(kernel, h, j_max, 1, 1.0)
+    return (np.cumsum(form.weights[0::2]) - form.offset) / form.sd
+
+
+def least_j_max(kernel: Kernel, h: float, floor: int) -> int:
+    """The least j_max >= floor whose null shift lies within ``MAX_NULL_SHIFT``,
+    searched over a doubling range that stops at ``MAX_SEARCHED_J_MAX``."""
+    top = floor
+    while True:
+        within = np.abs(null_shifts(kernel, h, top)[floor:]) <= MAX_NULL_SHIFT
+        if within[-1]:
+            return floor + int(np.argmax(within))
+        if top >= MAX_SEARCHED_J_MAX:
+            raise ConfigError(f"at h={h!r} the {kernel.name} kernel needs j_max > {top} to keep the null mean "
+                              f"of T_n within +-{MAX_NULL_SHIFT} sd; take a larger s or a smaller n")
+        top = min(2 * top, MAX_SEARCHED_J_MAX)
 
 
 def kernel_statistic(obs: SequenceObservation, kernel: Kernel, h: float) -> float:

@@ -349,9 +349,7 @@ def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     j_max = max(1024, theta_support) if p["j_max"] is None else p["j_max"]
     th = _padded(cfg.theta, j_max + 1, complex)
     form = kernels_mod.energy_form(kernel, h, j_max, cfg.n, cfg.sigma)
-    # The form is centred by the infinite sum sigma^2 ||K||^2 / (n h); the
-    # mean of its truncation, in null sd, does not depend on n or sigma.
-    shift = (cfg.sigma**2 / cfg.n * form.weights[0::2].sum() - form.offset) / form.sd
+    shift = kernels_mod.null_shifts(kernel, h, j_max)[-1]
     if not abs(shift) <= kernels_mod.MAX_NULL_SHIFT:
         raise ConfigError(f"kernel plan: at h={h!r} the truncation j_max={j_max} shifts the null mean of T_n "
                           f"by {shift:+.3g} sd, past +-{kernels_mod.MAX_NULL_SHIFT}; raise j_max")
@@ -365,11 +363,20 @@ def _perturbed(theta: Spectrum | None) -> bool:
     return theta is not None and bool(np.any(theta.coeffs))
 
 
+def _check_no_noise_level(cfg: ExperimentConfig) -> None:
+    """Refuse a ``sigma`` other than 1: an i.i.d. sample has no noise level."""
+    if cfg.sigma != 1.0:
+        raise ConfigError(f"{cfg.family} family draws an i.i.d. sample, which has no noise level; "
+                          f"'sigma' must be 1, got {cfg.sigma!r}")
+
+
 def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     """Null uniforms are binned as they are, faster than sorting them; under
     an alternative each row is read sorted and counted against the plan's
     cell thresholds (``chisq.cell_thresholds``), so no point is inverted.  A
-    zero perturbation bins and predicts as the null (drift 0, no warning)."""
+    zero perturbation bins and predicts as the null (drift 0, no warning).
+    A ``sigma`` other than 1 is refused first, as ``_plan_cvm`` refuses it."""
+    _check_no_noise_level(cfg)
     k, n = p["k"], cfg.n
     if k < 2:
         raise ConfigError("chisq family needs k >= 2 cells")
@@ -392,6 +399,8 @@ def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
 
 
 def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+    """Refuses a ``sigma`` other than 1 before it calibrates its null table."""
+    _check_no_noise_level(cfg)
     if p["calibration_seed"] < 0:
         raise ConfigError("params.calibration_seed must be a non-negative integer")
     calibration = cvm_mod.calibrate_cvm(
@@ -431,14 +440,21 @@ def _quadratic_rate(s: float) -> tuple[float, float]:
     return r, 2.0 - 4.0 * r
 
 
+def _tuned_kernel(rates: CalibrationRates, n: int, j_max: int) -> dict:
+    """A box kernel at h = n^-(tuning exponent), on ``kernels.least_j_max``."""
+    h = float(n**-rates.tuning_exponent)
+    return {"kernel": "box", "h": h, "j_max": kernels_mod.least_j_max(kernels_mod.KERNELS["box"], h, j_max)}
+
+
 @dataclass(frozen=True)
 class Family:
     """One test family.  ``basis`` is the basis of its theta; ``params`` maps
     each param to (kind, default), ``REQUIRED`` marking one without a
     default; ``plan(config, params)`` checks the params' cross-field rules,
     then builds the plan.  ``rate(s)`` gives (r, tuning exponent), and
-    ``tuned(rates, n, j_max)`` the params of a consistency-experiment run;
-    either is None where the family has none."""
+    ``tuned(rates, n, j_max)`` the params of a consistency-experiment run,
+    whose j_max is at least the given one; either is None where the family
+    has none."""
 
     basis: str
     params: dict
@@ -456,7 +472,7 @@ FAMILIES = {
     "kernel": Family(
         "complex-exponential", {"kernel": (str, REQUIRED), "h": (float, REQUIRED), "j_max": (int, None)},
         _plan_kernel, _quadratic_rate,
-        lambda rates, n, j_max: {"kernel": "box", "h": float(n**-rates.tuning_exponent), "j_max": j_max},
+        _tuned_kernel,
     ),
     "chisq": Family(
         "complex-exponential", {"k": (int, REQUIRED)}, _plan_chisq, _quadratic_rate,

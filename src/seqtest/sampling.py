@@ -295,6 +295,13 @@ def cdf_grid(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     return x, cdf
 
 
+def check_zero_mean(spec: Spectrum) -> None:
+    """Refuse a complex spectrum whose j = 0 coefficient is not 0: 1 + f
+    would integrate to 1 + coeffs[0], so it is not a density."""
+    if spec.basis == "complex-exponential" and spec.coeffs[0] != 0:
+        raise ConfigError(f"not a density: the j = 0 coefficient must be 0, got {spec.coeffs[0].real:g}")
+
+
 def iid_sampler(spec: Spectrum):
     """The inverse-CDF map ``u -> x`` that turns uniforms on [0, 1) into
     i.i.d. points from the density 1 + f, on [0, 1]: where 1 + f exceeds 2
@@ -312,11 +319,10 @@ def iid_sampler(spec: Spectrum):
     (a row that steps back is sorted again), and its chi-square plans invert
     only the cell thresholds of ``chisq.cell_thresholds``, once per plan.
     The engine samples a spectrum of zeros as the null, with no map.  A
-    complex spectrum whose j = 0 coefficient is not 0 is a ConfigError,
-    since 1 + f would integrate to 1 + coeffs[0].
+    complex spectrum whose j = 0 coefficient is not 0 is a ConfigError
+    (``check_zero_mean``).
     """
-    if spec.basis == "complex-exponential" and spec.coeffs[0] != 0:
-        raise ConfigError(f"not a density: the j = 0 coefficient must be 0, got {spec.coeffs[0].real:g}")
+    check_zero_mean(spec)
     floor = min_density(spec)
     if floor < MIN_DENSITY:
         raise ConfigError(

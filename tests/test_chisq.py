@@ -131,6 +131,22 @@ class TestCellIntegrals:
         with pytest.raises(ConfigError):
             cell_integrals(Spectrum(basis="cosine", coeffs=np.ones(3)), 4)
 
+    def test_nonzero_mean_is_not_a_density(self):
+        """A j = 0 coefficient other than 0 makes 1 + f integrate to
+        1 + coeffs[0]: the prediction helpers refuse it as the sampler
+        does, with its message, instead of scoring it (44.05 at k = 8,
+        n = 1000 against 4.05 with coeffs[0] = 0)."""
+        theta = Spectrum("complex-exponential", np.array([0.2, 0.0, 0.05]))
+        with pytest.raises(ConfigError) as sampler:
+            iid_sampler(theta)
+        for helper in (lambda: cell_integrals(theta, 8), lambda: population_chisq_functional(theta, 8, 1000),
+                       lambda: predicted_type2_chisq(theta, 8, 1000, 0.05)):
+            with pytest.raises(ConfigError) as refused:
+                helper()
+            assert str(refused.value) == str(sampler.value) == "not a density: the j = 0 coefficient must be 0, got 0.2"
+        mean_zero = Spectrum("complex-exponential", np.array([0.0, 0.0, 0.05]))
+        assert population_chisq_functional(mean_zero, 8, 1000) == pytest.approx(4.05, abs=0.005)
+
 
 class TestAliasing:
     def test_two_paths_agree(self):

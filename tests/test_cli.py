@@ -22,18 +22,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtest import cli, montecarlo
-from seqtest.cli import SUMMARY_FIELDS, main
+from seqtest.cli import main
 from seqtest.design import solve_design
 from seqtest.errors import NumericError
-from seqtest.experiments import (
-    CONSISTENCY_FIELDS,
-    DECOMPOSITION_FIELDS,
-    MEMBERSHIP_FIELDS,
-    POWER_CURVE_FIELDS,
-    bayes_membership_rate,
-)
+from seqtest.experiments import bayes_membership_rate
 
 HASH_RE = re.compile(r"^[0-9a-f]{12}$")
+
+# each command's CSV header, column for column
+SUMMARY_HEADER = "experiment,reps,rejections,rate,std_err,seed,config_hash"
+POWER_CURVE_HEADER = "scale,power,empirical_type2,predicted_type2,gap,std_err,reps,seed,config_hash"
+CONSISTENCY_HEADER = "C,m,n,power,predicted_drift,std_err,reps,seed,config_hash"
+DECOMPOSITION_HEADER = (
+    "gamma,power_f,power_projected,power_residual,gap,"
+    "std_err_f,std_err_projected,std_err_residual,reps,seed,config_hash"
+)
+MEMBERSHIP_HEADER = "draws,members,rate,std_err,delta,seed"
 
 
 def _config(tmp_path, name, payload) -> str:
@@ -67,11 +71,11 @@ class TestSimulate:
         out = tmp_path / "summary.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         header, row = _rows(out)
-        assert header == ",".join(SUMMARY_FIELDS)
-        cells = row.split(",")
-        assert cells[0].startswith("quadratic-")
-        assert cells[SUMMARY_FIELDS.index("seed")] == "7"
-        assert HASH_RE.match(cells[SUMMARY_FIELDS.index("config_hash")])
+        assert header == SUMMARY_HEADER
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["experiment"].startswith("quadratic-")
+        assert cells["seed"] == "7"
+        assert HASH_RE.match(cells["config_hash"])
         assert "rate=" in capsys.readouterr().out
 
     def test_json_output_carries_the_config(self, tmp_path):
@@ -92,9 +96,9 @@ class TestSimulate:
             "--out", str(out),
         ]) == 0
         _, row = _rows(out)
-        cells = row.split(",")
-        assert cells[SUMMARY_FIELDS.index("seed")] == "99"
-        assert cells[SUMMARY_FIELDS.index("reps")] == "30"
+        cells = dict(zip(SUMMARY_HEADER.split(","), row.split(",")))
+        assert cells["seed"] == "99"
+        assert cells["reps"] == "30"
 
     def test_thread_count_does_not_change_the_bytes(self, tmp_path):
         cfg = _config(tmp_path, "sim.json", _simulate_payload())
@@ -112,7 +116,7 @@ class TestPowerCurveCommand:
         out = tmp_path / "curve.csv"
         assert main(["power-curve", "--config", cfg, "--out", str(out)]) == 0
         header, *rows = _rows(out)
-        assert header == ",".join(POWER_CURVE_FIELDS)
+        assert header == POWER_CURVE_HEADER
         assert len(rows) == 2
         assert "scale=0 power=" in capsys.readouterr().out
 
@@ -130,7 +134,7 @@ class TestExperimentCommands:
         out = tmp_path / "cons.csv"
         assert main(["experiment", "consistency", "--config", cfg, "--out", str(out)]) == 0
         header, *rows = _rows(out)
-        assert header == ",".join(CONSISTENCY_FIELDS)
+        assert header == CONSISTENCY_HEADER
         assert len(rows) == 2
 
     def test_consistency_rejects_leftover_keys(self, tmp_path):
@@ -165,6 +169,19 @@ class TestExperimentCommands:
         assert "'n'" in err and "'n_schedule'" in err and "only one" in err
         assert "unknown" not in err
 
+    def test_tuned_kernel_consistency_runs(self, tmp_path):
+        """At s = 0.5, n = 1e4 the tuned bandwidth h = 0.00215 needs j_max =
+        3118 for its null shift; the run takes it, where j_max = 1024 would
+        shift T_n by -0.309 sd."""
+        cfg = _config(tmp_path, "cons.json", {
+            "family": "kernel", "s": 0.5, "c_schedule": [1.0, 4.0], "n": 10**4, "reps": 5, "seed": 1,
+        })
+        out = tmp_path / "cons.csv"
+        assert main(["experiment", "consistency", "--config", cfg, "--out", str(out)]) == 0
+        header, *rows = _rows(out)
+        assert header == CONSISTENCY_HEADER
+        assert len(rows) == 2
+
     def test_decomposition_csv(self, tmp_path):
         cfg = _config(tmp_path, "decomp.json", {
             "family": "quadratic", "n": 300, "reps": 30, "seed": 3,
@@ -175,7 +192,7 @@ class TestExperimentCommands:
         out = tmp_path / "decomp.csv"
         assert main(["experiment", "decomposition", "--config", cfg, "--out", str(out)]) == 0
         header, *rows = _rows(out)
-        assert header == ",".join(DECOMPOSITION_FIELDS)
+        assert header == DECOMPOSITION_HEADER
         assert len(rows) == 2
 
 
@@ -271,8 +288,8 @@ class TestBayesMembershipCommand:
         want = bayes_membership_rate(solve_design(1.0, 1.0, 4e-5, 10000), 0.2, 40, 77001)
         assert f"{want['members']}/40 draws" in capsys.readouterr().out
         header, row = _rows(out)
-        assert header == ",".join(MEMBERSHIP_FIELDS)
-        cells = dict(zip(MEMBERSHIP_FIELDS, row.split(",")))
+        assert header == MEMBERSHIP_HEADER
+        cells = dict(zip(header.split(","), row.split(",")))
         assert int(cells["members"]) == want["members"]
         assert cells["seed"] == "77001"
 
@@ -502,8 +519,8 @@ class TestOutRule:
     JSON-only commands refuse any other path."""
 
     @pytest.mark.parametrize("argv,payload,fields", [
-        (["simulate"], _simulate_payload(reps=10), SUMMARY_FIELDS),
-        (["power-curve"], {**_simulate_payload(reps=10), "scales": [0.0, 1.0]}, POWER_CURVE_FIELDS),
+        (["simulate"], _simulate_payload(reps=10), tuple(SUMMARY_HEADER.split(","))),
+        (["power-curve"], {**_simulate_payload(reps=10), "scales": [0.0, 1.0]}, tuple(POWER_CURVE_HEADER.split(","))),
     ])
     def test_other_suffix_writes_csv(self, argv, payload, fields, tmp_path):
         cfg = _config(tmp_path, "cfg.json", payload)
@@ -530,6 +547,15 @@ class TestOutRule:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("family", ["chisq", "cvm"])
+    def test_density_families_refuse_sigma(self, family, tmp_path, capsys):
+        """An i.i.d. sample has no noise level: chisq and cvm refuse any
+        sigma but 1, which they would not read."""
+        assert main(["simulate", "--config", _config(tmp_path, "sim.json", {**_params(family), "sigma": 2.0})]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config:" in err and "'sigma' must be 1, got 2.0" in err
+        assert main(["simulate", "--config", _config(tmp_path, "sim.json", {**_params(family), "sigma": 1.0})]) == 0
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
         assert "invalid config:" in capsys.readouterr().err
@@ -609,7 +635,7 @@ class TestParserReuse:
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["simulate", "--config", cfg, "--seed", "3", "--reps", "20", "--out", str(first)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(second)]) == 0
-        rows = [dict(zip(SUMMARY_FIELDS, _rows(path)[1].split(","))) for path in (first, second)]
+        rows = [dict(zip(SUMMARY_HEADER.split(","), _rows(path)[1].split(","))) for path in (first, second)]
         assert [(row["reps"], row["seed"]) for row in rows] == [("20", "3"), ("10", "7")]
 
 
@@ -636,7 +662,7 @@ class TestOverrideFlags:
         argv = ["experiment", "bayes-membership", "--config", cfg, "--seed", "77001", "--out", str(out)]
         assert main(argv) == 0
         _, row = _rows(out)
-        assert dict(zip(MEMBERSHIP_FIELDS, row.split(",")))["seed"] == "77001"
+        assert dict(zip(MEMBERSHIP_HEADER.split(","), row.split(",")))["seed"] == "77001"
 
 
 # every subcommand with a small valid config; the fuzz below breaks them

@@ -18,9 +18,6 @@ from seqtest import experiments
 from seqtest.design import solve_design, solve_inverse_design
 from seqtest.errors import ConfigError, NumericError
 from seqtest.experiments import (
-    CONSISTENCY_FIELDS,
-    DECOMPOSITION_FIELDS,
-    POWER_CURVE_FIELDS,
     bayes_membership_rate,
     consistency_experiment,
     maxiset_decomposition_experiment,
@@ -34,6 +31,17 @@ from seqtest.spectra import Spectrum, besov_seminorm
 
 NULL_RATE_BAND = 0.05  # |rate - alpha| at 400 reps; ~4.6 binomial sigmas
 
+# each driver's row keys, in order; the CLI writes them as its CSV columns
+POWER_CURVE_KEYS = (
+    "scale", "power", "empirical_type2", "predicted_type2", "gap", "std_err", "reps", "seed", "config_hash",
+)
+CONSISTENCY_KEYS = ("C", "m", "n", "power", "predicted_drift", "std_err", "reps", "seed", "config_hash")
+DECOMPOSITION_KEYS = (
+    "gamma", "power_f", "power_projected", "power_residual", "gap",
+    "std_err_f", "std_err_projected", "std_err_residual", "reps", "seed", "config_hash",
+)
+MEMBERSHIP_KEYS = ("draws", "members", "rate", "std_err", "delta", "seed")
+
 
 def _quadratic_config(reps: int = 400, seed: int = 71, coeffs=(0.15, 0.05)) -> ExperimentConfig:
     return ExperimentConfig(
@@ -46,12 +54,47 @@ def _quadratic_config(reps: int = 400, seed: int = 71, coeffs=(0.15, 0.05)) -> E
     )
 
 
+def _cvm_config(reps: int = 30) -> ExperimentConfig:
+    return ExperimentConfig(
+        family="cvm", n=60, reps=reps, seed=9,
+        theta=Spectrum("cosine", np.array([0.25, -0.1])), params={"calibration_reps": 300},
+    )
+
+
+# each driver with a small call, and the keys of its rows
+DRIVER_ROWS = {
+    "power curve": (lambda: power_curve(_quadratic_config(reps=20), scales=[0.0, 1.0, 2.0]), POWER_CURVE_KEYS),
+    "cvm power curve": (lambda: power_curve(_cvm_config(), scales=[0.0, 1.0]), POWER_CURVE_KEYS),
+    "consistency": (
+        lambda: consistency_experiment("quadratic", 1.0, [1.0, 4.0, 8.0], 400, reps=10, seed=5), CONSISTENCY_KEYS,
+    ),
+    "decomposition": (
+        lambda: maxiset_decomposition_experiment(_quadratic_config(reps=10), s=1.0, gammas=[0.1, 0.2]),
+        DECOMPOSITION_KEYS,
+    ),
+    "bayes membership": (
+        lambda: [bayes_membership_rate(solve_design(s=1.0, p0=1.0, rho_n=1e-2, n=1000), 0.3, 5, 88)],
+        MEMBERSHIP_KEYS,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVER_ROWS))
+def test_every_row_has_the_first_rows_keys(name):
+    """The CLI writes a CSV's columns from its first row's keys, so every
+    row must hold those keys, in that order."""
+    run, keys = DRIVER_ROWS[name]
+    rows = run()
+    assert [tuple(row) for row in rows] == [tuple(rows[0])] * len(rows)
+    assert tuple(rows[0]) == keys
+
+
 class TestPowerCurve:
     def test_row_schema_and_identities(self):
         rows = power_curve(_quadratic_config(reps=200), scales=[0.0, 1.0, 2.0])
         assert len(rows) == 3
         for row in rows:
-            assert tuple(row) == POWER_CURVE_FIELDS
+            assert tuple(row) == POWER_CURVE_KEYS
             assert row["empirical_type2"] == 1.0 - row["power"]
             assert row["gap"] == abs(row["empirical_type2"] - row["predicted_type2"])
             assert row["reps"] == 200
@@ -74,15 +117,7 @@ class TestPowerCurve:
         assert all(len(row["config_hash"]) == 12 for row in rows)
 
     def test_cvm_rows_have_no_prediction(self):
-        config = ExperimentConfig(
-            family="cvm",
-            n=60,
-            reps=30,
-            seed=9,
-            theta=Spectrum("cosine", np.array([0.25, -0.1])),
-            params={"calibration_reps": 300},
-        )
-        rows = power_curve(config, scales=[0.0, 1.0])
+        rows = power_curve(_cvm_config(), scales=[0.0, 1.0])
         assert all(row["predicted_type2"] is None for row in rows)
         assert all(row["gap"] is None for row in rows)
 
@@ -101,7 +136,7 @@ class TestConsistencyExperiment:
             "quadratic", s=1.0, c_schedule=[1.0, 8.0], n_schedule=400,
             reps=60, seed=5,
         )
-        assert [tuple(row) for row in rows] == [CONSISTENCY_FIELDS] * 2
+        assert [tuple(row) for row in rows] == [CONSISTENCY_KEYS] * 2
         # m grows like C^{1/(2s)}: the block moves out as the radius grows
         assert rows[1]["m"] > rows[0]["m"]
         assert all(row["n"] == 400 for row in rows)
@@ -127,6 +162,26 @@ class TestConsistencyExperiment:
             )
         assert len(rows) == 2
         assert all(0.0 <= row["power"] <= 1.0 for row in rows)
+
+    def test_tuned_kernel_takes_the_least_j_max_within_the_shift(self, monkeypatch):
+        """A tuned kernel point takes max(1024, 2m + 8) when its null shift is
+        within kernels.MAX_NULL_SHIFT there, as before, and otherwise the
+        least j_max past it that is: at s = 0.5, n = 1e4 every point takes
+        3118, so the three plans draw alike and form one group."""
+        built = []
+
+        def spy(cfg):
+            built.append((cfg.params["h"], cfg.params["j_max"]))
+            return build_plan(cfg)
+
+        build_plan = experiments.build_plan
+        monkeypatch.setattr(experiments, "build_plan", spy)
+        rows = consistency_experiment("kernel", 0.5, [1.0, 4.0, 16.0], 10**4, reps=5, seed=1)
+        assert [row["m"] for row in rows] == [58, 232, 928]  # floors 1024, 1024, 1864
+        assert [j_max for _, j_max in built] == [3118] * 3
+        built.clear()
+        rows = consistency_experiment("kernel", 1.0, [1.0, 4.0], 400, reps=5, seed=1)
+        assert [j_max for _, j_max in built] == [max(1024, 2 * row["m"] + 8) for row in rows]
 
     def test_rejects_decreasing_schedule(self):
         with pytest.raises(ConfigError, match="increasing"):
@@ -160,7 +215,7 @@ class TestDecompositionExperiment:
         semi = besov_seminorm(config.theta, 1.0)
         gammas = [2.0 * np.sqrt(semi), 4.0 * np.sqrt(semi)]
         rows = maxiset_decomposition_experiment(config, s=1.0, gammas=gammas)
-        assert [tuple(row) for row in rows] == [DECOMPOSITION_FIELDS] * 2
+        assert [tuple(row) for row in rows] == [DECOMPOSITION_KEYS] * 2
         for row in rows:
             # projection is the identity inside the ball, hashes coincide,
             # and the two runs share every replication stream
@@ -193,7 +248,7 @@ class TestDecompositionExperiment:
         assert sorted(scored) == sorted(built * 2)  # 300 replications: blocks of 256 and 44
         assert rows[2]["power_projected"] == rows[2]["power_f"]
         path = tmp_path / "decomposition.csv"
-        write_csv(path, DECOMPOSITION_FIELDS, rows)
+        write_csv(path, list(rows[0]), rows)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "311fc79ba15d7318d8b3574b06be6e61ea21a350f2beee7ce88fd98eeb21e890"
         )

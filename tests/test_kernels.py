@@ -13,12 +13,15 @@ from helpers import kernel_transform_quadrature, space_domain_energy
 import seqtest
 from seqtest.errors import ConfigError
 from seqtest.kernels import (
+    MAX_NULL_SHIFT,
     Kernel,
     box_kernel,
     energy_form,
     epanechnikov_kernel,
     kernel_statistic,
     kernel_test,
+    least_j_max,
+    null_shifts,
     predicted_type2_kernel,
     triangle_kernel,
 )
@@ -135,6 +138,30 @@ class TestStatistic:
         spectral = energy_form(triangle_kernel(), h, y.max_frequency, 1000, 1.0).energy(y.coeffs)
         direct = space_domain_energy(y, triangle_kernel(), h, grid=4096)
         assert direct == pytest.approx(spectral, rel=SPACE_DOMAIN_RTOL)
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("n,s,shift,want", [(10**4, 0.5, -0.309, 3118), (10**6, 1.0, -0.122, 1217)])
+    def test_least_j_max_at_a_tuned_bandwidth(self, n, s, shift, want):
+        """h = n^(-2 / (1 + 4 s)) shifts the null mean past MAX_NULL_SHIFT at
+        j_max = 1024; ``least_j_max`` returns the first truncation inside it."""
+        h = float(n ** (-2.0 / (1.0 + 4.0 * s)))
+        shifts = null_shifts(box_kernel(), h, want)
+        assert shifts[1024] == pytest.approx(shift, abs=5e-4)
+        assert np.all(np.diff(shifts) >= 0) and shifts[-1] < 0
+        assert least_j_max(box_kernel(), h, 1024) == want
+        assert abs(shifts[want]) <= MAX_NULL_SHIFT < abs(shifts[want - 1])
+        assert least_j_max(box_kernel(), h, want + 5) == want + 5
+
+    def test_shift_does_not_depend_on_n_or_sigma(self):
+        h, j_max = 0.01, 300
+        form = energy_form(box_kernel(), h, j_max, 700, 1.7)
+        direct = (1.7**2 / 700 * form.weights[0::2].sum() - form.offset) / form.sd
+        assert null_shifts(box_kernel(), h, j_max)[-1] == pytest.approx(direct, rel=1e-10)
+
+    def test_a_bandwidth_past_the_search_is_refused(self):
+        with pytest.raises(ConfigError, match=r"h=1e-06 the box kernel needs j_max > 1048576"):
+            least_j_max(box_kernel(), 1e-6, 1024)
 
 
 class TestPrediction:

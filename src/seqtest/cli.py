@@ -34,7 +34,7 @@ from .experiments import (
     write_csv,
     write_json,
 )
-from .montecarlo import CONFIG_KEYS, REQUIRED, ExperimentConfig, read_keys, run_monte_carlo, take
+from .montecarlo import CONFIG_KEYS, REQUIRED, ExperimentConfig, canonical_hash, read_keys, run_monte_carlo, take
 from .spectra import BesovBall, Spectrum, besov_seminorm, first_violated_tail, project_besov
 
 # the integer flags that override a config key of the same name; a command
@@ -168,8 +168,9 @@ def _cmd_minimax_design(args) -> None:
 
 def _cmd_bayes_membership(args) -> None:
     kwargs = read_keys(_load_config(args), MEMBERSHIP_KEYS, "bayes-membership config")
+    config_hash = canonical_hash(kwargs)
     design = design_mod.solve_design(**{key: kwargs.pop(key) for key in _DESIGN_KEYS})
-    row = bayes_membership_rate(design, **kwargs)
+    row = dict(bayes_membership_rate(design, **kwargs), config_hash=config_hash)
     print(
         f"k_n={design.k_n}: {row['members']}/{row['draws']} draws in the "
         f"alternative set (rate {row['rate']:.4f}, std_err {row['std_err']:.4f})"

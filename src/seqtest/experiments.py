@@ -1,9 +1,10 @@
 """Experiment drivers: power curves, the consistency boundary, the
 projection decomposition, and prior membership — plus the CSV/JSON writers.
 
-Every row carries the resolved seed and a 12-hex config hash so any line of
-any table can be replayed exactly; a driver's rows share their keys, in
-order, and a CSV's columns are those keys.  CSV files start with
+Every row carries the resolved seed and a 12-hex config hash, so any line of
+any table can be replayed exactly (the CLI adds the hash to a ``simulate``
+row and to ``bayes_membership_rate``'s row); a driver's rows share their
+keys, in order, and a CSV's columns are those keys.  CSV files start with
 ``# schema=<OUTPUT_SCHEMA>`` and JSON files hold it under ``"schema"``; CSVs
 format floats with ``repr``, which is shortest-roundtrip and platform-stable;
 together with the replication-seeded engine this makes outputs byte-identical

@@ -198,10 +198,15 @@ class ExperimentConfig:
         return ExperimentConfig(**{key: value for key, value in values.items() if value is not None})
 
     def config_hash(self) -> str:
-        """The first 12 hex digits of the sha256 of the canonical config JSON;
-        a numpy scalar or array in it hashes as the Python numbers it holds."""
-        canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"), default=_json_numpy)
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+        """``canonical_hash`` of the config JSON."""
+        return canonical_hash(self.to_json_dict())
+
+
+def canonical_hash(data: dict) -> str:
+    """The first 12 hex digits of the sha256 of ``data`` as canonical JSON;
+    a numpy scalar or array in it hashes as the Python numbers it holds."""
+    canon = json.dumps(data, sort_keys=True, separators=(",", ":"), default=_json_numpy)
+    return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
 def _json_numpy(value):

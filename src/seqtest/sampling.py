@@ -235,21 +235,12 @@ def evaluate_perturbation(spec: Spectrum, x: np.ndarray) -> np.ndarray:
         for p, c in enumerate(spec.coeffs):
             if c != 0.0:
                 out += c * math.sqrt(2.0) * np.cos(math.pi * (p + 1) * x)
-    elif spec.basis == "complex-exponential":
+    else:
         out += float(np.real(spec.coeffs[0]))
         for j in range(1, spec.coeffs.size):
             c = spec.coeffs[j]
             if c != 0:
                 out += 2.0 * (c.real * np.cos(2 * math.pi * j * x) - c.imag * np.sin(2 * math.pi * j * x))
-    else:  # haar
-        for p, c in enumerate(spec.coeffs):
-            if c == 0.0:
-                continue
-            level = int(math.floor(math.log2(p + 1)))
-            offset = p + 1 - 2**level
-            t = x * 2**level - offset
-            vals = np.where((t >= 0) & (t < 0.5), 1.0, np.where((t >= 0.5) & (t < 1.0), -1.0, 0.0))
-            out += c * 2 ** (level / 2.0) * vals
     return out
 
 
@@ -262,7 +253,7 @@ def cumulative_perturbation(spec: Spectrum, x: np.ndarray) -> np.ndarray:
             if c != 0.0:
                 j = p + 1
                 out += c * math.sqrt(2.0) * np.sin(math.pi * j * x) / (math.pi * j)
-    elif spec.basis == "complex-exponential":
+    else:
         out += float(np.real(spec.coeffs[0])) * x
         for j in range(1, spec.coeffs.size):
             c = spec.coeffs[j]
@@ -270,14 +261,6 @@ def cumulative_perturbation(spec: Spectrum, x: np.ndarray) -> np.ndarray:
                 w = 2 * math.pi * j
                 # 2 Re[c (e^{iwx} - 1) / (iw)]
                 out += (2.0 / w) * (c.real * np.sin(w * x) + c.imag * (np.cos(w * x) - 1.0))
-    else:  # haar: the primitive of one bump is a tent of height 2^{-i}/2
-        for p, c in enumerate(spec.coeffs):
-            if c == 0.0:
-                continue
-            level = int(math.floor(math.log2(p + 1)))
-            offset = p + 1 - 2**level
-            t = np.clip(x * 2**level - offset, 0.0, 1.0)
-            out += c * 2 ** (-level / 2.0) * np.minimum(t, 1.0 - t)
     return out
 
 

@@ -1,7 +1,7 @@
 """Coefficient sequences, smoothness balls, and the metric projection onto them.
 
 A Spectrum holds the coefficients of a mean-zero perturbation f of the uniform
-density (or of a signal in the Gaussian sequence model) in one of three
+density (or of a signal in the Gaussian sequence model) in one of two
 orthonormal systems on (0, 1):
 
 * ``cosine``:  phi_j(x) = sqrt(2) cos(pi j x), j = 1..J; real coefficients,
@@ -10,9 +10,6 @@ orthonormal systems on (0, 1):
   stored (``coeffs[p]`` belongs to j = p) and the negative half is implied by
   conjugate symmetry theta_{-j} = conj(theta_j).  ``coeffs[0]`` must be real,
   and for a density perturbation zero (``iid_sampler`` refuses any other).
-* ``haar``:  psi_{i,q}(x) = 2^{i/2} psi(2^i x - q) with psi = 1 on (0, 1/2)
-  and -1 on (1/2, 1); level-major order, ``coeffs[2^i - 1 + q]`` belongs to
-  (i, q).
 
 The smoothness ball with index s > 0 and budget p0 > 0 is the set of
 sequences whose tail energy decays like k^{-2s}:
@@ -32,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, finite_real
 
-BASES = ("cosine", "complex-exponential", "haar")
+BASES = ("cosine", "complex-exponential")
 
 # Relative slack on the budget when testing ball membership.
 CONTAINS_REL_TOL = 1e-12

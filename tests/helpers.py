@@ -390,15 +390,14 @@ def omega_sq_blocks(n: int, seed: int, lo: int, hi: int, inverse=None):
         yield score(block)
 
 
-# densities 1 + f with |f| <= 0.85: up to six cosines with |coeff| <= 0.1, four
-# complex frequencies with parts of at most 0.05, or three Haar levels
+# densities 1 + f with |f| <= 0.85: up to six cosines with |coeff| <= 0.1, or
+# four complex frequencies with parts of at most 0.05
 _small = st.floats(min_value=-0.1, max_value=0.1, allow_nan=False)
 valid_spectra = st.one_of(
     st.lists(_small, min_size=1, max_size=6).map(lambda c: Spectrum("cosine", np.array(c))),
     st.lists(st.tuples(_small, _small), min_size=1, max_size=4).map(
         lambda c: Spectrum("complex-exponential", np.array([0j] + [complex(re / 2, im / 2) for re, im in c]))
     ),
-    st.lists(_small, min_size=1, max_size=7).map(lambda c: Spectrum("haar", np.array(c))),
 )
 
 

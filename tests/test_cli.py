@@ -37,7 +37,7 @@ DECOMPOSITION_HEADER = (
     "gamma,power_f,power_projected,power_residual,gap,"
     "std_err_f,std_err_projected,std_err_residual,reps,seed,config_hash"
 )
-MEMBERSHIP_HEADER = "draws,members,rate,std_err,delta,seed"
+MEMBERSHIP_HEADER = "draws,members,rate,std_err,delta,seed,config_hash"
 
 
 def _config(tmp_path, name, payload) -> str:
@@ -255,6 +255,13 @@ class TestProjectBesovCommand:
         assert main(["project-besov", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["seminorm_after"] <= 0.05 * (1 + 1e-12)
 
+    def test_haar_theta_exits_2(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "proj.json", {
+            "theta": {"basis": "haar", "coeffs": [0.5, 0.3, 0.2]}, "s": 1, "p0": 0.05,
+        })
+        assert main(["project-besov", "--config", cfg]) == 2
+        assert "unknown basis 'haar'" in capsys.readouterr().err
+
 
 class TestCalibrateCvmCommand:
     def test_calibration_run(self, tmp_path, capsys):
@@ -292,6 +299,17 @@ class TestBayesMembershipCommand:
         cells = dict(zip(header.split(","), row.split(",")))
         assert int(cells["members"]) == want["members"]
         assert cells["seed"] == "77001"
+
+    def test_row_hashes_the_resolved_config(self, tmp_path):
+        hashes = []
+        for delta in (0.2, 0.3):
+            cfg = _config(tmp_path, "bayes.json", {**_DESIGN, "delta": delta, "draws": 10, "seed": 1})
+            out = tmp_path / "bayes.csv"
+            assert main(["experiment", "bayes-membership", "--config", cfg, "--out", str(out)]) == 0
+            header, row = _rows(out)
+            hashes.append(dict(zip(header.split(","), row.split(",")))["config_hash"])
+        assert all(HASH_RE.match(h) for h in hashes)
+        assert hashes[0] != hashes[1]
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = _config(tmp_path, "bayes.json", {

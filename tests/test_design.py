@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqtest import design as design_mod
 from seqtest.design import (
     DEFAULT_MIN_TRUNCATION,
     least_favorable,
@@ -18,7 +19,7 @@ from seqtest.design import (
     solve_design,
     solve_inverse_design,
 )
-from seqtest.errors import ConfigError, InfeasibleDesignError
+from seqtest.errors import ConfigError, InfeasibleDesignError, NumericError
 from seqtest.experiments import bayes_membership_rate
 from seqtest.report import normal_cdf, upper_quantile
 from seqtest.sampling import SequenceObservation, draw_sequence_observation, rng_for_replication
@@ -59,6 +60,17 @@ class TestDirectSolver:
         d = solve_design(0.8, 1.7, 2e-4, 4000)
         assert d.eq_budget_residual <= 1e-12  # kappa^2 is defined from k_n
         assert d.eq_radius_residual <= d.residual_bound
+
+    @pytest.mark.parametrize("excess,refused", [(1e-10, False), (1e-8, True)])
+    def test_radius_residual_slack_is_1e_9(self, excess, refused):
+        d = solve_design(**ORACLE)
+        args = (d.s, d.p0, d.rho_n, d.n, d.sigma, d.k_n, d.kappa_j2, d.c_n, d.eq_budget_residual)
+        radius_res = d.residual_bound + excess
+        if refused:
+            with pytest.raises(NumericError, match="exceeds the rounding bound"):
+                design_mod._build(*args, radius_res)
+        else:
+            assert design_mod._build(*args, radius_res).eq_radius_residual == radius_res
 
     @given(
         s=st.floats(min_value=0.5, max_value=2.5),

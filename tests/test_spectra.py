@@ -53,6 +53,12 @@ class TestSpectrum:
         with pytest.raises(ConfigError):
             Spectrum(basis="fourier", coeffs=np.ones(3))
 
+    def test_haar_is_not_a_basis(self):
+        # no test family reads a Haar spectrum; the chi-square Haar identity
+        # builds its functions from the sample (chisq.haar_statistic)
+        with pytest.raises(ConfigError, match="unknown basis 'haar'"):
+            Spectrum("haar", [0.05])
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ConfigError):
             Spectrum(basis="cosine", coeffs=np.array([]))

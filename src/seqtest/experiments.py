@@ -8,12 +8,12 @@ keys, in order, and a CSV's columns are those keys.  CSV files start with
 ``# schema=<OUTPUT_SCHEMA>`` and JSON files hold it under ``"schema"``; CSVs
 format floats with ``repr``, which is shortest-roundtrip and platform-stable;
 together with the replication-seeded engine this makes outputs byte-identical
-across thread counts.  A driver builds the plans of its call, then runs them
-together (``montecarlo.run_plans``): plans that draw alike, as a power
-curve's, a decomposition's and a consistency run's do, share one pass over
-the replication stream.  ``threads`` bounds each group's pool width, and a
-group with small replications runs on one thread (``montecarlo.pool_width``);
-a decomposition plans and scores its f once for all its gammas.
+across thread counts.  A driver makes every config of its call before any
+plan is built, so a bad schedule point is reported before a plan fails; then
+``montecarlo.run_plans`` plans each distinct config once (a decomposition's f
+once for all its gammas) and runs them together: plans that draw alike, as a
+power curve's, a decomposition's and a consistency run's do, share one pass
+over the replication stream.  ``threads`` bounds each group's pool width.
 
 Prior membership scores its draws in blocks.  Each draw reads only the
 prior's support, min(j_max, floor(k_n / delta)) normals, the prefix of the
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import design as design_mod
 from .errors import ConfigError, NumericError
-from .montecarlo import FAMILIES, ExperimentConfig, build_plan, calibration_rates, run_plans
+from .montecarlo import FAMILIES, ExperimentConfig, calibration_rates, run_plans
 from .spectra import BesovBall, Spectrum, make_tail_alternative, project_besov
 
 # version of every CSV and JSON output; a change to the random streams bumps it
@@ -48,9 +48,8 @@ def power_curve(config: ExperimentConfig, scales, threads: int = 1) -> list[dict
         raise ConfigError("power_curve needs at least one scale")
     base = config.theta
     configs = [replace(config, theta=Spectrum(base.basis, np.asarray(base.coeffs) * scale)) for scale in s_values]
-    plans = [build_plan(cfg) for cfg in configs]
     rows = []
-    for scale, cfg, plan, summary in zip(s_values, configs, plans, run_plans(configs, plans, threads)):
+    for scale, cfg, (plan, summary) in zip(s_values, configs, run_plans(configs, threads)):
         predicted = plan.predicted_type2
         empirical_beta = 1.0 - summary.rate
         rows.append({
@@ -103,7 +102,7 @@ def consistency_experiment(
     if min(n_values) < 1:
         raise ConfigError("sample sizes n must be positive")
     rates = calibration_rates(s, family)
-    points, configs, plans = [], [], []
+    points, configs = [], []
     for c_val, n in zip(c_values, n_values):
         energy = (norm_scale * n**-rates.r) ** 2
         m = round((c_val / energy) ** (1.0 / (2.0 * s)))
@@ -117,7 +116,6 @@ def consistency_experiment(
         )
         points.append((c_val, m, n))
         configs.append(cfg)
-        plans.append(build_plan(cfg))
     return [
         {
             "C": c_val,
@@ -130,7 +128,7 @@ def consistency_experiment(
             "seed": seed,
             "config_hash": cfg.config_hash(),
         }
-        for (c_val, m, n), cfg, plan, summary in zip(points, configs, plans, run_plans(configs, plans, threads))
+        for (c_val, m, n), cfg, (plan, summary) in zip(points, configs, run_plans(configs, threads))
     ]
 
 
@@ -157,18 +155,13 @@ def maxiset_decomposition_experiment(
     if len(g_values) < 2 or any(b <= a for a, b in zip(g_values, g_values[1:])):
         raise ConfigError("gamma schedule must be increasing with at least two points")
     f_n = config.theta
-    configs, plans, built = [], [], {}
+    configs = []
     for gamma in g_values:
         ball = BesovBall(s, gamma**2)
         f_proj = project_besov(f_n, ball)
         residual = Spectrum(f_n.basis, np.asarray(f_n.coeffs) - np.asarray(f_proj.coeffs))
-        for spec in (f_n, f_proj, residual):
-            configs.append(replace(config, theta=spec))
-            key = configs[-1].config_hash()
-            if key not in built:
-                built[key] = build_plan(configs[-1])
-            plans.append(built[key])
-    summaries = run_plans(configs, plans, threads)
+        configs += [replace(config, theta=spec) for spec in (f_n, f_proj, residual)]
+    summaries = [summary for _, summary in run_plans(configs, threads)]
     rows = []
     for gamma, i in zip(g_values, range(0, len(configs), 3)):
         f_run, projected_run, residual_run = summaries[i : i + 3]

@@ -27,7 +27,10 @@ T1n(theta) = sum_j |Khat(j h) theta_j|^2, the energy S of theta.
 Every function here has one path: the transform table Khat(j h) is built
 from the kernel's closed-form ``transform`` at the length of the spectrum it
 weights, and ||K||^2 and kappa^2 are closed-form constants each ``Kernel``
-carries (rationals for the three stock kernels).  T_n is the ``EnergyForm``
+carries (rationals for the three stock kernels).  The Epanechnikov
+transform 3 (sin a - a cos a) / a^3, a = 2 pi omega, cancels as a falls, so
+below |a| = 1 it is its Taylor series to a^18 in Horner form, within 5e-16
+relative of the exact value on (0, 3].  T_n is the ``EnergyForm``
 that ``energy_form`` builds, T1n(theta) its ``energy`` and the drift above
 its ``drift``.
 """
@@ -85,12 +88,20 @@ def _triangle_transform(w: np.ndarray) -> np.ndarray:
 
 
 def _epanechnikov_transform(w: np.ndarray) -> np.ndarray:
+    """3 (sin a - a cos a) / a^3 at a = 2 pi w.  The closed form cancels as a
+    falls (4e-8 relative at a = 1e-4), so below |a| = 1 it is the Taylor
+    series sum_{k=1..10} (-1)^(k+1) 6k / (2k+1)! a^(2k-2) in Horner form,
+    whose first omitted term is below 3e-21."""
     w = np.asarray(w, dtype=float)
     a = 2.0 * math.pi * w
-    small = np.abs(a) < 1e-4
+    small = np.abs(a) < 1.0
     a_safe = np.where(small, 1.0, a)
-    exact = 3.0 * (np.sin(a_safe) - a_safe * np.cos(a_safe)) / a_safe**3
-    return np.where(small, 1.0 - a**2 / 10.0, exact)
+    closed = 3.0 * (np.sin(a_safe) - a_safe * np.cos(a_safe)) / a_safe**3
+    x = np.where(small, a * a, 0.0)
+    series = np.zeros_like(x)
+    for k in range(10, 0, -1):
+        series = series * x + (-1) ** (k + 1) * 6 * k / math.factorial(2 * k + 1)
+    return np.where(small, series, closed)
 
 
 # K * K is a piecewise polynomial of degree 1, 3 and 5 for the box, triangle

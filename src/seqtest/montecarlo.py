@@ -19,22 +19,22 @@ loop, one pass over the blocks of ``sampling.replication_blocks`` (each
 replication's draws in a row of one reused buffer) in which every plan of
 the group counts the rows above its threshold.  No scorer writes its block,
 so every plan reads the block as drawn, or sorted once for all of them when
-any plan reads sorted rows.  ``run_plans`` scores a repeated config once,
-and ``run_monte_carlo`` runs a group of one.  Every statistic calls the same
-core as its ``*_test`` function and has the bits of a replication scored
-alone.  The quadratic, kernel and minimax plans differ only in the
-``EnergyForm`` and theta they build, and share one scorer and one drift, the
-form's; the scorer forms y = theta + noise in a new array and takes the
-energy of all its rows in one call.  The chi-square and CvM plans draw the
-uniforms that ``sample_iid`` draws and read them through cell counts and
-``omega_sq``.
+any plan reads sorted rows.  ``run_plans`` plans and scores each distinct
+config once; ``run_monte_carlo`` runs a group of one through the same
+counter.  Every statistic calls the same core as its ``*_test`` function and
+has the bits of a replication scored alone.  The quadratic, kernel and
+minimax plans differ only in the ``EnergyForm`` and theta they build, and
+share one scorer and one drift, the form's; the scorer forms y = theta +
+noise in a new array and takes the energy of all its rows in one call.  The
+chi-square and CvM plans draw the uniforms that ``sample_iid`` draws and read
+them through cell counts and ``omega_sq``.
 
 ``threads`` is an upper bound on the pool width; ``pool_width`` sets the
 width from the group.  A group of K plans whose K * ``draws`` values a
 replication fall below ``POOL_MIN_DRAWS``, or that has fewer than 4
 replications, runs on the calling thread, since the pool would cost more
 than it saves; a larger one is split into spans over at most as many threads
-as the CPUs the process may use.
+as the CPUs the process may use (``concurrent.futures`` loads only then).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable, get_args, get_origin
 
@@ -529,42 +528,44 @@ def pool_width(draws: int, reps: int, threads: int) -> int:
     return min(threads, _usable_cpus(), reps)
 
 
-def run_plans(
-    configs: list[ExperimentConfig],
-    plans: list[MonteCarloPlan],
-    threads: int = 1,
-) -> list[MonteCarloSummary]:
-    """The summary of each config's ``reps`` replications under its plan.
+def _summaries(runs: dict[str, tuple[ExperimentConfig, MonteCarloPlan]], threads: int) -> dict[str, MonteCarloSummary]:
+    """The summary of each run {``config_hash``: (config, plan)}, by hash.
     Plans that share (seed, reps, draws, draw) make one pass over the stream
-    (``group_counts``), and each counts what it counts alone; a repeated
-    (``config_hash``, plan) is scored once.  ``pool_width`` sets a group's
-    width from its K plans' K * draws values a replication; each span counts
-    all K plans."""
-    hashes = [config.config_hash() for config in configs]
-    first: dict[tuple, int] = {}
-    source = [first.setdefault((digest, id(plan)), i) for i, (digest, plan) in enumerate(zip(hashes, plans))]
-    groups: dict[tuple, list[int]] = {}
-    for i, (config, plan) in enumerate(zip(configs, plans)):
-        if source[i] == i:
-            groups.setdefault((plan.seed, config.reps, plan.draws, plan.draw), []).append(i)
-    rejections = [0] * len(plans)
+    (``group_counts``), and each counts what it counts alone.  ``pool_width``
+    sets a group's width from its K plans' K * draws values a replication;
+    each span counts all K plans."""
+    groups: dict[tuple, list[str]] = {}
+    for digest, (config, plan) in runs.items():
+        groups.setdefault((plan.seed, config.reps, plan.draws, plan.draw), []).append(digest)
+    summaries = {}
     for (_, reps, draws, _), members in groups.items():
-        group = [plans[i] for i in members]
+        group = [runs[digest][1] for digest in members]
         width = pool_width(len(group) * draws, reps, threads)
         if width == 1:
             counts = group_counts(group, 0, reps)
         else:
-            pieces = min(4 * width, reps)
-            edges = np.linspace(0, reps, pieces + 1).astype(int)
+            from concurrent.futures import ThreadPoolExecutor  # here, since most runs never reach the pool
+            edges = np.linspace(0, reps, min(4 * width, reps) + 1).astype(int)
             spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
             with ThreadPoolExecutor(max_workers=width) as pool:
                 counts = sum(pool.map(lambda span: group_counts(group, *span), spans))
-        for i, count in zip(members, counts):
-            rejections[i] = int(count)
-    return [
-        MonteCarloSummary(f"{config.family}-{digest}", config.reps, rejections[i], config.seed)
-        for config, digest, i in zip(configs, hashes, source)
-    ]
+        for digest, count in zip(members, counts):
+            config = runs[digest][0]
+            summaries[digest] = MonteCarloSummary(f"{config.family}-{digest}", reps, int(count), config.seed)
+    return summaries
+
+
+def run_plans(configs: list[ExperimentConfig], threads: int = 1) -> list[tuple[MonteCarloPlan, MonteCarloSummary]]:
+    """Each config's plan and summary, in config order: ``build_plan`` runs
+    once for each distinct ``config_hash``, in config order, so a repeated
+    config is planned and scored once, and the plans run in ``_summaries``."""
+    hashes = [config.config_hash() for config in configs]
+    runs: dict[str, tuple[ExperimentConfig, MonteCarloPlan]] = {}
+    for digest, config in zip(hashes, configs):
+        if digest not in runs:
+            runs[digest] = (config, build_plan(config))
+    summaries = _summaries(runs, threads)
+    return [(runs[digest][1], summaries[digest]) for digest in hashes]
 
 
 def run_monte_carlo(
@@ -576,5 +577,5 @@ def run_monte_carlo(
     one.  ``threads`` is an upper bound on the pool width, which
     ``pool_width`` sets from the plan: the count, and so the summary, is the
     same at any width."""
-    plan = build_plan(config) if plan is None else plan
-    return run_plans([config], [plan], threads)[0]
+    digest = config.config_hash()
+    return _summaries({digest: (config, build_plan(config) if plan is None else plan)}, threads)[digest]

@@ -216,10 +216,14 @@ class TestMinimaxDesignCommand:
         assert main(["minimax-design", "--config", cfg]) == 0
         assert "k_n=" in capsys.readouterr().out
 
-    def test_infeasible_radius_exits_3(self, tmp_path, capsys):
-        cfg = _config(tmp_path, "design.json", {
-            "s": 1.0, "p0": 1.0, "rho_n": 10.0, "n": 100,
-        })
+    @pytest.mark.parametrize("payload", [
+        {"s": 1.0, "p0": 1.0, "rho_n": 10.0, "n": 100},
+        {"s": 0.1, "p0": 1.0, "rho_n": 1e-8, "n": 100},  # the breakpoint overflows
+        {"s": 0.01, "p0": 1.0, "rho_n": 1e-10, "n": 100},  # ... past a float, an OverflowError
+        {"s": 1.0, "p0": 1.0, "rho_n": 5.0, "n": 100, "lambdas": [1, 1]},  # too large for the eigenvalues
+    ], ids=["rho_n too large", "breakpoint overflows", "breakpoint overflows a float", "too large for the eigenvalues"])
+    def test_infeasible_radius_exits_3(self, payload, tmp_path, capsys):
+        cfg = _config(tmp_path, "design.json", payload)
         assert main(["minimax-design", "--config", cfg]) == 3
         assert "infeasible design:" in capsys.readouterr().err
 
@@ -344,6 +348,7 @@ BAD_CONFIGS = {
     "kernel name": (["simulate"], _params("kernel", kernel=["box"])),
     "quadratic gamma": (["simulate"], _params("quadratic", gamma="a")),
     "quadratic kappa_sq": (["simulate"], _params("quadratic", kappa_sq=["a"])),
+    "quadratic negative kappa_sq": (["simulate"], _params("quadratic", kappa_sq=[1, -1])),
     "minimax s": (["simulate"], _params("minimax", s="a")),
     "minimax j_max": (["simulate"], _params("minimax", j_max="x")),
     "calibration_reps": (["simulate"], _params("cvm", calibration_reps="x")),
@@ -353,8 +358,10 @@ BAD_CONFIGS = {
     "text scales": (["power-curve"], {**_simulate_payload(reps=10), "scales": ["a"]}),
     "empty scales": (["power-curve"], {**_simulate_payload(reps=10), "scales": []}),
     "scalar c_schedule": (["experiment", "consistency"], {**_CONSISTENCY, "c_schedule": 5}),
+    "consistency zero n": (["experiment", "consistency"], {**_CONSISTENCY, "n": 0}),
     "text gammas": (["experiment", "decomposition"], {**_DECOMPOSITION, "gammas": "ab"}),
     "design j_max": (["minimax-design"], {**_DESIGN, "j_max": "x"}),
+    "design one eigenvalue": (["minimax-design"], {**_DESIGN, "lambdas": [1]}),
     "design negative j_max": (
         ["minimax-design"], {"s": 1, "p0": 1, "rho_n": 2e-3, "n": 200, "j_max": -256},
     ),

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +215,20 @@ class TestCalibration:
         finally:
             sys.setswitchinterval(old_interval)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A write whose rename into place fails raises, and removes the temp
+        file it wrote, so the cache directory holds what it held before."""
+        table = calibrate_cvm(40, reps=300, seed=9)
+
+        def failing_replace(src, dst):
+            assert Path(src).exists()  # the temp file was written
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cvm.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            _write_cache(tmp_path / "cvm_null_n40_reps300_seed9.json", table)
+        assert list(tmp_path.iterdir()) == []
 
     def test_memo_draws_each_table_once(self, tmp_path, monkeypatch):
         calls = []

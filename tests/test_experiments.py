@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import prior_members
-from seqtest import experiments
+from seqtest import montecarlo
 from seqtest.design import solve_design, solve_inverse_design
 from seqtest.errors import ConfigError, NumericError
 from seqtest.experiments import (
@@ -174,8 +174,8 @@ class TestConsistencyExperiment:
             built.append((cfg.params["h"], cfg.params["j_max"]))
             return build_plan(cfg)
 
-        build_plan = experiments.build_plan
-        monkeypatch.setattr(experiments, "build_plan", spy)
+        build_plan = montecarlo.build_plan
+        monkeypatch.setattr(montecarlo, "build_plan", spy)
         rows = consistency_experiment("kernel", 0.5, [1.0, 4.0, 16.0], 10**4, reps=5, seed=1)
         assert [row["m"] for row in rows] == [58, 232, 928]  # floors 1024, 1024, 1864
         assert [j_max for _, j_max in built] == [3118] * 3
@@ -241,8 +241,8 @@ class TestDecompositionExperiment:
 
             return replace(plan, score=score)
 
-        build_plan = experiments.build_plan
-        monkeypatch.setattr(experiments, "build_plan", counting)
+        build_plan = montecarlo.build_plan
+        monkeypatch.setattr(montecarlo, "build_plan", counting)
         rows = maxiset_decomposition_experiment(config, s=1.0, gammas=[0.4 * g, 0.7 * g, 2.0 * g])
         assert len(built) == len(set(built)) == 6
         assert sorted(scored) == sorted(built * 2)  # 300 replications: blocks of 256 and 44

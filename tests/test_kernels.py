@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,21 @@ class TestTransforms:
         np.testing.assert_allclose(
             kern.transform(omega), kernel_transform_quadrature(kern, omega), atol=1e-10
         )
+
+    def test_epanechnikov_transform_within_5e_16_of_its_taylor_sum(self):
+        """3 (sin a - a cos a) / a^3 against its Taylor sum in exact rational
+        arithmetic, on a log grid of a = 2 pi w over (0, 3]: the series below
+        |a| = 1 and the closed form above it are within 5e-16 relative, where
+        the closed form alone cancels to 4e-8 near a = 1e-4."""
+        w = np.geomspace(1e-7, 3.0, 400) / (2.0 * math.pi)
+        got = epanechnikov_kernel().transform(w)
+        for wi, value in zip(w, got):
+            x = Fraction(2.0 * math.pi * float(wi)) ** 2  # the a the transform forms, squared exactly
+            term = want = Fraction(1)
+            for k in range(2, 31):  # term k is (-1)^(k+1) 6k / (2k+1)! a^(2k-2)
+                term *= -x * k / ((k - 1) * 2 * k * (2 * k + 1))
+                want += term
+            assert abs(Fraction(float(value)) - want) <= 5e-16 * want
 
     @pytest.mark.parametrize(
         "kern,rtol,j_sum",
@@ -184,14 +200,15 @@ def test_import_leaves_scipy_integrate_out():
     """The library evaluates every kernel transform and constant in closed
     form, so importing it loads neither scipy's quadrature package nor
     numpy's polynomial (Gauss-Legendre) one.  Nor does it load numpy.random,
-    which ``sampling._seed_state_type`` defers to first use: importing it
+    which ``sampling._seed_state_type`` defers to first use, or
+    concurrent.futures, which only a group on the thread pool imports: each
     costs milliseconds that every run's start-up would pay."""
     src = str(Path(seqtest.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
         "import sys, seqtest; "
         "print('scipy.integrate' in sys.modules, any(m.startswith('numpy.polynomial') for m in sys.modules), "
-        "any(m.startswith('numpy.random') for m in sys.modules))"
+        "any(m.startswith('numpy.random') for m in sys.modules), 'concurrent.futures' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False False"
+    assert out.stdout.strip() == "False False False False"

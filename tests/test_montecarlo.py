@@ -1,5 +1,6 @@
 """Monte Carlo engine: config contract, seeded streams, fast-path equivalence."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -554,7 +555,7 @@ class TestScheduling:
                 widths.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         cfg = ExperimentConfig(
             family="chisq", n=2 * POOL_MIN_DRAWS, reps=40, seed=15,
             theta=Spectrum(basis="complex-exponential", coeffs=np.array([0.0, 0.0, 0.0, 0.01], dtype=complex)),
@@ -576,7 +577,7 @@ class TestScheduling:
                 widths.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         cfg = ExperimentConfig(
             family="cvm", n=2 * POOL_MIN_DRAWS, reps=13, seed=16,
             theta=Spectrum(basis="cosine", coeffs=np.array([0.0, 0.015])),
@@ -595,7 +596,7 @@ class TestScheduling:
         cfg = ExperimentConfig(family="quadratic", n=300, reps=101, seed=11, params={"gamma": 2.0, "j_max": 32})
         plan = build_plan(cfg)
         serial = run_monte_carlo(cfg, threads=1, plan=plan)
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         assert run_monte_carlo(cfg, threads=8, plan=plan).to_json_dict() == serial.to_json_dict()
 
     def test_width_rule(self, monkeypatch):
@@ -700,8 +701,8 @@ class TestGroupedRunner:
 
         monkeypatch.setattr(montecarlo, "group_counts", counted)
         for threads in (1, 2):
-            grouped = montecarlo.run_plans(configs, [build_plan(cfg) for cfg in configs], threads)
-            assert [summary.to_json_dict() for summary in grouped] == alone
+            grouped = montecarlo.run_plans(configs, threads)
+            assert [summary.to_json_dict() for _, summary in grouped] == alone
         assert passes == [len(configs), len(configs)]
 
     def test_plans_group_by_stream(self):
@@ -710,8 +711,8 @@ class TestGroupedRunner:
         configs = _group_configs("chisq") + _group_configs("cvm") + _group_configs("chisq", seed=32)
         configs.insert(2, _group_configs("quadratic")[1])
         alone = [run_monte_carlo(cfg).to_json_dict() for cfg in configs]
-        grouped = montecarlo.run_plans(configs, [build_plan(cfg) for cfg in configs])
-        assert [summary.to_json_dict() for summary in grouped] == alone
+        grouped = montecarlo.run_plans(configs)
+        assert [summary.to_json_dict() for _, summary in grouped] == alone
 
     def test_group_reaches_the_pool(self, monkeypatch):
         """Two plans of POOL_MIN_DRAWS / 2 draws each run on one thread alone,
@@ -725,7 +726,7 @@ class TestGroupedRunner:
                 widths.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         half = POOL_MIN_DRAWS // 2
         configs = [
             ExperimentConfig(family="quadratic", n=2000, reps=8, seed=5, theta=theta,
@@ -736,9 +737,9 @@ class TestGroupedRunner:
         assert [plan.draws for plan in plans] == [half, half]
         alone = [run_monte_carlo(cfg, 2, plan).to_json_dict() for cfg, plan in zip(configs, plans)]
         assert widths == []
-        grouped = montecarlo.run_plans(configs, plans, 2)
+        grouped = montecarlo.run_plans(configs, 2)
         assert widths == [2]
-        assert [summary.to_json_dict() for summary in grouped] == alone
+        assert [summary.to_json_dict() for _, summary in grouped] == alone
 
     @pytest.mark.parametrize("family", sorted(_GROUPS))
     def test_no_scorer_writes_its_block(self, family):
@@ -802,8 +803,8 @@ class TestGroupedRunner:
             return real(plans, lo, hi)
 
         monkeypatch.setattr(montecarlo, "group_counts", counted)
-        grouped = montecarlo.run_plans(configs, [build_plan(cfg) for cfg in configs], threads)
-        assert [summary.to_json_dict() for summary in grouped] == alone
+        grouped = montecarlo.run_plans(configs, threads)
+        assert [summary.to_json_dict() for _, summary in grouped] == alone
         assert {size for size, _ in passes} == {4}
         assert len(passes) == (1 if threads == 1 else 8)
 
@@ -875,6 +876,23 @@ class TestPlansAndRates:
         assert plan.details["k_n"] == d.k_n
         assert plan.details["a_n"] == pytest.approx(d.a_n, rel=1e-15)
         assert plan.details["drift"] == pytest.approx(math.sqrt(d.a_n / 2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_inverse_design_plan_counts_what_minimax_test_counts(self, threads):
+        """A least favorable minimax plan on the inverse design of lambda_j =
+        j^-1/2 counts, at one thread and at two, the rejections of
+        ``minimax_test`` on each replication's observation: 31 of 200."""
+        lambdas = np.arange(1, 401, dtype=float) ** -0.5
+        cfg = ExperimentConfig(family="minimax", n=1000, reps=200, seed=7, params={
+            "s": 1.0, "p0": 1.0, "rho_n": 0.02, "lambdas": lambdas.tolist(), "least_favorable": True,
+        })
+        d = design_mod.solve_inverse_design(1.0, 1.0, 0.02, 1000, 1.0, lambdas)
+        theta = least_favorable(d)
+        want = sum(
+            minimax_test(draw_sequence_observation(theta, 1000, 1.0, rng_for_replication(7, rep)), d, 0.05).reject
+            for rep in range(200)
+        )
+        assert run_monte_carlo(cfg, threads=threads).rejections == want == 31
 
     @pytest.mark.parametrize("family,n,params", [
         ("quadratic", 500, {"gamma": 2.0, "j_max": 64}),

@@ -168,6 +168,8 @@ class ExperimentConfig:
                 finite_real(value, key)
         if not isinstance(self.theta, (Spectrum, type(None))):
             raise ConfigError(f"'theta' must be a Spectrum, got {self.theta!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"'params' must be a dict, got {self.params!r}")
         if self.n < 1 or self.reps < 1:
             raise ConfigError("n and reps must be positive integers")
         if not 0.0 < self.alpha < 1.0:
@@ -237,14 +239,14 @@ class MonteCarloSummary:
 
 @dataclass(frozen=True)
 class MonteCarloPlan:
-    """Compiled run.  Replication r draws ``draws`` values, ``draw(rng, out=
-    row)`` with the generator of (``seed``, r), into a row of a block of
-    ``sampling.replication_blocks``; ``score`` maps a block to one statistic
-    a row, and a replication rejects when its statistic exceeds
-    ``threshold``.  ``draws`` also sets the pool width.  ``score`` never
-    writes its block, and reads each row sorted when ``sorted_rows``."""
+    """Compiled run of ``config``.  Replication r draws ``draws`` values,
+    ``draw(rng, out=row)`` with the generator of (``config.seed``, r), into a
+    row of a block of ``sampling.replication_blocks``; ``score`` maps a block
+    to one statistic a row, and a replication rejects when its statistic
+    exceeds ``threshold``.  ``draws`` also sets the pool width.  ``score``
+    never writes its block, and reads each row sorted when ``sorted_rows``."""
 
-    seed: int
+    config: ExperimentConfig
     draws: int
     draw: Callable
     score: Callable[[np.ndarray], np.ndarray]
@@ -263,7 +265,7 @@ def group_counts(plans: list[MonteCarloPlan], lo: int, hi: int) -> np.ndarray:
     head = plans[0]
     counts = np.zeros(len(plans), dtype=np.int64)
     sort = any(plan.sorted_rows for plan in plans)
-    for block in replication_blocks(head.seed, lo, hi, head.draws, head.draw):
+    for block in replication_blocks(head.config.seed, lo, hi, head.draws, head.draw):
         if sort:
             block.sort(axis=1)
         for k, plan in enumerate(plans):
@@ -309,7 +311,7 @@ def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarra
     if not math.isfinite(drift):
         raise ConfigError(f"{cfg.family} plan: drift={drift}; theta, n or 1/sigma is too large for a float")
     score = _sequence_scorer(form, th, cfg.n, cfg.sigma)
-    return MonteCarloPlan(cfg.seed, form.weights.size, np.random.Generator.standard_normal, score,
+    return MonteCarloPlan(cfg, form.weights.size, np.random.Generator.standard_normal, score,
                           upper_quantile(cfg.alpha), normal_type2(drift, cfg.alpha), details, False)
 
 
@@ -398,7 +400,7 @@ def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     def score(block: np.ndarray) -> np.ndarray:
         return chisq_mod.standardized_chisq(chisq_mod.statistic_from_counts(counts(block), n, k), k)
 
-    return MonteCarloPlan(cfg.seed, n, np.random.Generator.random, score, upper_quantile(cfg.alpha),
+    return MonteCarloPlan(cfg, n, np.random.Generator.random, score, upper_quantile(cfg.alpha),
                           normal_type2(drift, cfg.alpha), {"k": k, "drift": drift}, sorted_rows)
 
 
@@ -420,7 +422,7 @@ def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
 
     margin = 0.0 if cfg.theta is None else n * cvm_mod.cvm_population(cfg.theta)
     details = {"critical_value": critical, "margin": margin, "calibration_reps": calibration.reps}
-    return MonteCarloPlan(cfg.seed, n, np.random.Generator.random, score, critical, None, details, True)
+    return MonteCarloPlan(cfg, n, np.random.Generator.random, score, critical, None, details, True)
 
 
 @dataclass(frozen=True)
@@ -528,18 +530,18 @@ def pool_width(draws: int, reps: int, threads: int) -> int:
     return min(threads, _usable_cpus(), reps)
 
 
-def _summaries(runs: dict[str, tuple[ExperimentConfig, MonteCarloPlan]], threads: int) -> dict[str, MonteCarloSummary]:
-    """The summary of each run {``config_hash``: (config, plan)}, by hash.
+def _summaries(plans: dict[str, MonteCarloPlan], threads: int) -> dict[str, MonteCarloSummary]:
+    """The summary of each plan {``config_hash`` of its config: plan}, by hash.
     Plans that share (seed, reps, draws, draw) make one pass over the stream
     (``group_counts``), and each counts what it counts alone.  ``pool_width``
     sets a group's width from its K plans' K * draws values a replication;
     each span counts all K plans."""
     groups: dict[tuple, list[str]] = {}
-    for digest, (config, plan) in runs.items():
-        groups.setdefault((plan.seed, config.reps, plan.draws, plan.draw), []).append(digest)
+    for digest, plan in plans.items():
+        groups.setdefault((plan.config.seed, plan.config.reps, plan.draws, plan.draw), []).append(digest)
     summaries = {}
-    for (_, reps, draws, _), members in groups.items():
-        group = [runs[digest][1] for digest in members]
+    for (seed, reps, draws, _), members in groups.items():
+        group = [plans[digest] for digest in members]
         width = pool_width(len(group) * draws, reps, threads)
         if width == 1:
             counts = group_counts(group, 0, reps)
@@ -549,23 +551,23 @@ def _summaries(runs: dict[str, tuple[ExperimentConfig, MonteCarloPlan]], threads
             spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
             with ThreadPoolExecutor(max_workers=width) as pool:
                 counts = sum(pool.map(lambda span: group_counts(group, *span), spans))
-        for digest, count in zip(members, counts):
-            config = runs[digest][0]
-            summaries[digest] = MonteCarloSummary(f"{config.family}-{digest}", reps, int(count), config.seed)
+        for digest, plan, count in zip(members, group, counts):
+            summaries[digest] = MonteCarloSummary(f"{plan.config.family}-{digest}", reps, int(count), seed)
     return summaries
 
 
 def run_plans(configs: list[ExperimentConfig], threads: int = 1) -> list[tuple[MonteCarloPlan, MonteCarloSummary]]:
-    """Each config's plan and summary, in config order: ``build_plan`` runs
-    once for each distinct ``config_hash``, in config order, so a repeated
-    config is planned and scored once, and the plans run in ``_summaries``."""
-    hashes = [config.config_hash() for config in configs]
-    runs: dict[str, tuple[ExperimentConfig, MonteCarloPlan]] = {}
+    """Each config's plan and summary, in config order: every config is
+    validated, then ``build_plan`` runs once for each distinct
+    ``config_hash``, in config order, so a repeated config is planned and
+    scored once, and the plans run in ``_summaries``."""
+    hashes = _validated_hashes(configs)
+    plans: dict[str, MonteCarloPlan] = {}
     for digest, config in zip(hashes, configs):
-        if digest not in runs:
-            runs[digest] = (config, build_plan(config))
-    summaries = _summaries(runs, threads)
-    return [(runs[digest][1], summaries[digest]) for digest in hashes]
+        if digest not in plans:
+            plans[digest] = build_plan(config)
+    summaries = _summaries(plans, threads)
+    return [(plans[digest], summaries[digest]) for digest in hashes]
 
 
 def run_monte_carlo(
@@ -576,6 +578,20 @@ def run_monte_carlo(
     """Count the rejections of ``config.reps`` replications, as a group of
     one.  ``threads`` is an upper bound on the pool width, which
     ``pool_width`` sets from the plan: the count, and so the summary, is the
-    same at any width."""
-    digest = config.config_hash()
-    return _summaries({digest: (config, build_plan(config) if plan is None else plan)}, threads)[digest]
+    same at any width.  A ``plan`` given must be ``build_plan``'s of this
+    config (the same object, or one of the same ``config_hash``)."""
+    (digest,) = _validated_hashes([config])
+    if plan is None:
+        plan = build_plan(config)
+    elif plan.config is not config and plan.config.config_hash() != digest:
+        raise ConfigError(f"the plan was built from config {plan.config.config_hash()}, not {digest}")
+    return _summaries({digest: plan}, threads)[digest]
+
+
+def _validated_hashes(configs: list[ExperimentConfig]) -> list[str]:
+    """Each config's ``config_hash``, once ``validate`` has passed every
+    config: a field of the wrong type is a ConfigError, not an error of the
+    JSON encoder."""
+    for config in configs:
+        config.validate()
+    return [config.config_hash() for config in configs]

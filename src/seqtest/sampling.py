@@ -15,7 +15,7 @@ All randomness flows through numpy Generators.  ``rng_for_replication``
 derives one generator per (seed, replication) pair with a splittable mix, so
 a replication's data does not depend on scheduling or worker count.  It is
 the scalar reference; ``replication_rngs`` computes the same SeedSequence
-hash for a block of replications at once and yields bit-identical streams.
+hash for any seed and index, a block at a time, with bit-identical streams.
 ``replication_blocks`` is the one loop over replications: it draws each
 replication's values into a row of one reused buffer, and every Monte Carlo
 plan, the CvM null table and the Bayes prior draws score its blocks.
@@ -60,22 +60,22 @@ def rng_for_replication(seed: int, replication: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(replication)])))
 
 
-# numpy's SeedSequence hash (bit_generator.pyx), for an entropy of two 32-bit
-# words (seed, replication) and a pool of four words.  Each hashmix call
-# multiplies its running constant once, so the constants of every call are
-# fixed ahead of time: call i XORs with HASH_A[i] and multiplies by
-# HASH_A[i + 1] (HASH_B likewise for the output words).  They are computed in
-# Python ints masked to 32 bits and stored as uint32 columns.
+# numpy's SeedSequence hash (bit_generator.pyx), for any number of 32-bit
+# entropy words and a pool of four words.  Each hashmix call multiplies its
+# running constant once, so the constants of every call are fixed ahead of
+# time: call i XORs with HASH_A[i] and multiplies by HASH_A[i + 1] (HASH_B
+# likewise for the output words).  They are computed in Python ints masked to
+# 32 bits and stored as uint32 columns.
 _POOL_SIZE = 4
 _STATE_WORDS = 8  # PCG64 asks for four uint64 words
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
+@functools.cache
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
     return np.array([[init * pow(mult, i, 2**32) % 2**32] for i in range(calls + 1)], dtype=np.uint32)
 
 
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE**2)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, _STATE_WORDS)
 # replications seeded per block: enough to amortize the hash, small enough
 # that memory stays flat for any replication count
@@ -89,20 +89,30 @@ def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return value ^ (value >> 16)
 
 
-def _seed_states(seed: int, reps: np.ndarray) -> np.ndarray:
-    """Row r is ``SeedSequence([seed, reps[r]]).generate_state(4, np.uint64)``,
-    for a seed and uint32 replication indices below 2**32."""
+def _words(value: int) -> list[int]:
+    """numpy's entropy words of an int >= 0: 32 bits each, lowest first; 0 is one word."""
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """Row r is ``SeedSequence(entropy[:, r]).generate_state(4, np.uint64)``,
+    for uint32 entropy words, one column a generator."""
+    hash_a = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE * max(_POOL_SIZE, entropy.shape[0]))
     with np.errstate(over="ignore"):
-        pool = np.zeros((_POOL_SIZE, reps.size), dtype=np.uint32)
-        pool[0], pool[1] = seed, reps
-        pool = _hashmix(pool, _HASH_A[: _POOL_SIZE + 1])
+        pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+        pool[: entropy.shape[0]] = entropy[:_POOL_SIZE]
+        pool = _hashmix(pool, hash_a[: _POOL_SIZE + 1])
         # mix every word into the three others; word src stays fixed meanwhile
         for src in range(_POOL_SIZE):
             dst = [d for d in range(_POOL_SIZE) if d != src]
             first = _POOL_SIZE + 3 * src
-            hashed = _hashmix(pool[src], _HASH_A[first : first + 4])
+            hashed = _hashmix(pool[src], hash_a[first : first + 4])
             mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
             pool[dst] = mixed ^ (mixed >> 16)
+        for src in range(_POOL_SIZE, entropy.shape[0]):  # then each word past the pool into all four
+            hashed = _hashmix(entropy[src], hash_a[_POOL_SIZE * src : _POOL_SIZE * (src + 1) + 1])
+            mixed = pool * _MIX_MULT_L - hashed * _MIX_MULT_R
+            pool = mixed ^ (mixed >> 16)
         words = _hashmix(np.tile(pool, (_STATE_WORDS // _POOL_SIZE, 1)), _HASH_B)
     return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
 
@@ -125,26 +135,23 @@ def _seed_state_type() -> type:
 
 def replication_rngs(seed: int, lo: int, hi: int):
     """The generators of replications lo..hi-1, each bit-identical to
-    ``rng_for_replication(seed, rep)``, built a block at a time.
-
-    A seed or replication index of 2**32 or more takes more than one entropy
-    word, which the block hash does not cover; those replications fall back
-    to ``rng_for_replication``.
-    """
+    ``rng_for_replication(seed, rep)``, built a block at a time for any seed
+    and index."""
     if seed < 0 or lo < 0:
         raise ConfigError("seed and replication index must be non-negative")
     return _replication_rngs(int(seed), int(lo), int(hi))
 
 
 def _replication_rngs(seed: int, lo: int, hi: int):
-    seed_state = _seed_state_type()
-    hashed_hi = lo if seed >= 2**32 else min(hi, 2**32)
-    for start in range(lo, hashed_hi, _BLOCK):
-        reps = np.arange(start, min(start + _BLOCK, hashed_hi), dtype=np.uint32)
-        for state in _seed_states(seed, reps):
+    seed_state, seed_words, start = _seed_state_type(), _words(seed), lo
+    while start < hi:
+        # a block ends at a multiple of 2**32 too, so its indices differ only in their lowest word
+        stop = min(start + _BLOCK, hi, (start >> 32 << 32) + 2**32)
+        entropy = np.repeat(np.array(seed_words + _words(start), dtype=np.uint32)[:, None], stop - start, axis=1)
+        entropy[len(seed_words)] += np.arange(stop - start, dtype=np.uint32)
+        for state in _seed_states(entropy):
             yield np.random.Generator(np.random.PCG64(seed_state(state)))
-    for rep in range(max(lo, hashed_hi), hi):
-        yield rng_for_replication(seed, rep)
+        start = stop
 
 
 def block_rows(count: int, width: int) -> int:

@@ -128,8 +128,12 @@ class TestCellIntegrals:
         assert cell_integrals(theta, 7).sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_cosine_basis_rejected(self):
-        with pytest.raises(ConfigError):
-            cell_integrals(Spectrum(basis="cosine", coeffs=np.ones(3)), 4)
+        """So are fewer than two cells, and a sample size below one."""
+        theta = Spectrum("complex-exponential", np.array([0.0, 0.1]))
+        for refused in (lambda: cell_integrals(Spectrum(basis="cosine", coeffs=np.ones(3)), 4),
+                        lambda: cell_integrals(theta, 1), lambda: population_chisq_functional(theta, 8, 0)):
+            with pytest.raises(ConfigError):
+                refused()
 
     def test_nonzero_mean_is_not_a_density(self):
         """A j = 0 coefficient other than 0 makes 1 + f integrate to

@@ -65,7 +65,9 @@ class TestReplicationStreams:
 
 class TestReplicationBlocks:
     """``replication_rngs`` yields the generators of ``rng_for_replication``,
-    word for word, inside a block, across block edges and past 2**32."""
+    word for word, inside a block, across block edges and past 2**32, 2**64
+    and 2**96: a seed and an index of five or more 32-bit words in all reach
+    the SeedSequence mix past its pool of four."""
 
     @staticmethod
     def _assert_same(seed, lo, rngs):
@@ -77,8 +79,8 @@ class TestReplicationBlocks:
             )
 
     @given(
-        seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**34)),
-        lo=st.one_of(st.integers(0, 5000), st.integers(2**32 - 300, 2**32 + 3)),
+        seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**96 + 5, 2**200 + 3]), st.integers(0, 2**34)),
+        lo=st.one_of(st.integers(0, 5000), st.integers(2**32 - 300, 2**32 + 3), st.integers(2**64 - 2, 2**64 + 300)),
         span=st.sampled_from([1, 255, 256, 257]),
     )
     @example(seed=0, lo=3, span=255)
@@ -87,10 +89,27 @@ class TestReplicationBlocks:
     @example(seed=2**32 - 1, lo=1, span=1)
     @example(seed=2**32, lo=5, span=257)
     @example(seed=7, lo=2**32 - 200, span=257)
+    @example(seed=2**64, lo=2**64 - 2, span=257)
+    @example(seed=2**96 + 5, lo=2**32 - 2, span=256)
+    @example(seed=2**200 + 3, lo=2**64 - 2, span=255)
     def test_block_matches_scalar_reference(self, seed, lo, span):
         rngs = list(replication_rngs(seed, lo, lo + span))
         assert len(rngs) == span
         self._assert_same(seed, lo, rngs)
+
+    def test_one_path_for_every_seed(self, monkeypatch):
+        """A seed or index past 2**32 is hashed a block at a time like any
+        other, with no call to the scalar reference."""
+        def scalar(seed, replication=0):
+            raise AssertionError("replication_rngs fell back to rng_for_replication")
+
+        monkeypatch.setattr(sampling, "rng_for_replication", scalar)
+        for seed, lo, hi in [(5 * 10**9, 0, 300), (7, 2**32 - 2, 2**32 + 300)]:
+            rngs = list(replication_rngs(seed, lo, hi))
+            assert len(rngs) == hi - lo
+            for rep, rng in zip(itertools.count(lo), rngs):
+                want = np.random.SeedSequence([seed, rep]).generate_state(4, np.uint64)
+                np.testing.assert_array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), want)
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32])
     def test_past_two_to_the_32_is_lazy(self, seed):

@@ -351,10 +351,14 @@ class TestTailAlternative:
         cos = make_tail_alternative(5, 0.9, 1.0, basis="cosine")
         cpx = make_tail_alternative(5, 0.9, 1.0, basis="complex-exponential")
         assert cpx.norm_sq() == pytest.approx(cos.norm_sq(), rel=1e-12)
+        assert cos.max_frequency == cpx.max_frequency == 10  # both end the block at 2m
 
     def test_truncation_must_hold_block(self):
-        with pytest.raises(ConfigError):
-            make_tail_alternative(0, 1.0, 1.0)
+        """A block needs m >= 1, and also c > 0, s > 0 and a known basis."""
+        for m, c, s, basis in [(0, 1.0, 1.0, "cosine"), (4, 0.0, 1.0, "cosine"), (4, 1.0, -0.5, "cosine"),
+                               (4, 1.0, 1.0, "haar")]:
+            with pytest.raises(ConfigError):
+                make_tail_alternative(m, c, s, basis)
 
 
 class TestCalibrationRates:

@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_length
 from .report import TestReport
 from .sampling import replication_blocks, validate_sample
 from .spectra import Spectrum
@@ -210,6 +210,8 @@ def calibrate_cvm(
     """
     if n < 1 or reps < 100:
         raise ConfigError("need n >= 1 and reps >= 100 for calibration")
+    check_length("n", n)
+    check_length("reps", reps)
     path = None if cache_dir is None else _cache_path(Path(cache_dir), n, reps, seed)
     if path is not None:
         cached = _read_cache(path, n, reps, seed)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleDesignError, NumericError
+from .errors import ConfigError, InfeasibleDesignError, NumericError, check_length
 from .quadratic import EnergyForm
 from .report import TestReport, normal_type2, upper_quantile
 from .sampling import SequenceObservation, check_noise_level, replication_blocks
@@ -121,8 +121,6 @@ def solve_design(
     j_max: int | None = None,
 ) -> DetectionDesign:
     _validate_common(s, p0, rho_n, n, sigma)
-    if j_max is not None and j_max < 1:
-        raise ConfigError("truncation j_max must be positive")
 
     # radius equation with kappa^2 eliminated, (2s+1) P0 k^-2s = rho_n, solved for k
     if (2.0 * s + 1.0) * p0 < rho_n:
@@ -136,6 +134,7 @@ def solve_design(
     k_n = max(1, int(round(k_real)))
     if j_max is None:
         j_max = max(TRUNCATION_MULTIPLIER * k_n, DEFAULT_MIN_TRUNCATION)
+    check_length("j_max", j_max)
     if k_n > j_max:
         raise InfeasibleDesignError(f"breakpoint k_n={k_n} exceeds truncation j_max={j_max}")
 
@@ -148,6 +147,7 @@ def solve_design(
     return _build(s, p0, rho_n, n, sigma, k_n, kappa_j2, n * rho_n / sigma**2, budget_res, radius_res)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a gap, weight or sum past a float is refused
 def solve_inverse_design(
     s: float,
     p0: float,
@@ -174,6 +174,8 @@ def solve_inverse_design(
     # a_k at each candidate breakpoint k: continuity of the least favorable profile there
     a_k = 2.0 * s * p0 * j ** (-(1.0 + 2.0 * s)) * lam**4
     gaps = a_k * np.cumsum(lam**-4) + p0 * j ** (-2.0 * s) - rho_n
+    if not np.all(np.isfinite(gaps)):
+        raise ConfigError("s, p0, rho_n and lambdas put the radius equation's gaps past a float")
     if gaps[0] < 0.0:
         raise InfeasibleDesignError("rho_n too large for the eigenvalue sequence: no breakpoint k >= 1")
     below = np.nonzero(gaps <= 0.0)[0]
@@ -205,6 +207,8 @@ def _build(
         a_n = sigma**-4 * n**2 * float(np.sum(kappa_j2**2))
     if not 0.0 < a_n < math.inf:
         raise ConfigError(f"A_n = {a_n!r} is not a positive finite float; the weights are too large or too small")
+    if not all(map(math.isfinite, (c_n, budget_res, radius_res))):
+        raise ConfigError(f"c_n = {c_n!r} or a residual of the design equations is not a finite float")
     design = DetectionDesign(
         s=s, p0=p0, rho_n=rho_n, n=n, sigma=sigma, k_n=k_n, kappa_n2=float(kappa_j2[k_n - 1]),
         kappa_j2=kappa_j2, a_n=a_n, c_n=c_n,
@@ -266,6 +270,7 @@ def least_favorable(design: DetectionDesign) -> Spectrum:
 def _resolve_delta(design: DetectionDesign, delta: float) -> DetectionDesign:
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
+    check_length("delta", design.k_n / delta)  # the prior's support, inf where the quotient overflows
     shifted = (design.s, design.p0 * (1.0 - delta), design.rho_n * (1.0 + delta), design.n, design.sigma)
     if design.lambdas is not None:
         return solve_inverse_design(*shifted, design.lambdas, j_max=design.j_max)

@@ -31,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import design as design_mod
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_length
 from .montecarlo import FAMILIES, ExperimentConfig, calibration_rates, run_plans
 from .spectra import BesovBall, Spectrum, make_tail_alternative, project_besov
 
@@ -104,12 +104,16 @@ def consistency_experiment(
     rates = calibration_rates(s, family)
     points, configs = [], []
     for c_val, n in zip(c_values, n_values):
-        energy = (norm_scale * n**-rates.r) ** 2
-        m = round((c_val / energy) ** (1.0 / (2.0 * s)))
+        try:  # the energy must be finite and positive, and the block within the size rule
+            energy = (norm_scale * n**-rates.r) ** 2
+            m = round((c_val / energy) ** (1.0 / (2.0 * s)))
+            j_max = check_length("j_max", max(1024, 2 * m + 8))
+        except (OverflowError, ZeroDivisionError, ConfigError):
+            raise ConfigError(f"norm_scale={norm_scale!r} at n={n} puts the energy of the tail block at C={c_val}, "
+                              "or its start m, out of range") from None
         if m < 1:
             raise ConfigError(f"schedule infeasible: C={c_val} needs block start m >= 1")
         theta = make_tail_alternative(m, c_val, s, basis=record.basis)
-        j_max = max(1024, 2 * m + 8)
         cfg = ExperimentConfig(
             family=family, n=n, reps=reps, seed=seed, alpha=alpha,
             theta=theta, params=record.tuned(rates, n, j_max),

@@ -1,10 +1,14 @@
 """Replication-seeded Monte Carlo engine over the five test families.
 
 ``FAMILIES`` holds one ``Family`` record per test family and is the only
-table keyed by family name.  ``ExperimentConfig.validate`` makes the generic
-checks of a run; the first lines of each planner make its family's
-cross-field checks, before any design solve, sampler build or CvM
-calibration.  ``build_plan`` runs both.
+table keyed by family name.  A config is checked in two places.
+``ExperimentConfig.resolve`` makes the generic checks and returns a
+``Resolved`` record: the config's hash, its typed params, and the lengths
+its plan allocates (``Family.sizes``), each within ``errors.check_length``.
+The first lines of each planner, which reads only that record, make its
+family's cross-field checks, before any design solve, sampler build or CvM
+calibration.  ``build_plan``, ``run_plans`` and ``run_monte_carlo`` resolve
+each config once, and every config of a call before they plan any.
 
 Every replication ``rep`` of a run draws from ``rng_for_replication(seed,
 rep)``, so the stream a replication sees is a pure function of (seed, rep):
@@ -56,7 +60,7 @@ from . import design as design_mod
 from . import kernels as kernels_mod
 from . import quadratic as quad_mod
 from .cvm import DEFAULT_CALIBRATION_REPS, DEFAULT_CALIBRATION_SEED
-from .errors import ConfigError, finite_real
+from .errors import ConfigError, check_length, finite_real
 from .report import normal_type2, upper_quantile
 from .sampling import check_noise_level, complex_pairs, iid_sampler, replication_blocks
 from .spectra import Spectrum
@@ -151,12 +155,13 @@ class ExperimentConfig:
     theta: Spectrum | None = None
     params: dict = field(default_factory=dict)
 
-    def validate(self) -> dict:
-        """Make the generic checks and return the params typed, with defaults
-        filled in.  The int and float keys of ``CONFIG_KEYS`` must be ints
-        (not bools) and finite reals, as ``take`` reads them from JSON, and
-        theta a Spectrum or None.  The family's cross-field checks run in its
-        planner, so only ``build_plan`` makes every check."""
+    def resolve(self) -> Resolved:
+        """Make the generic checks and return the ``Resolved`` record.  The
+        int and float keys of ``CONFIG_KEYS`` must be ints (not bools) and
+        finite reals, as ``take`` reads them from JSON, theta a Spectrum or
+        None, and each of the family's ``sizes`` within ``check_length``.
+        The family's cross-field checks run in its planner, so only a plan
+        build makes every check."""
         family = FAMILIES.get(self.family) if isinstance(self.family, str) else None
         if family is None:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
@@ -180,9 +185,11 @@ class ExperimentConfig:
         if self.theta is not None and self.theta.basis != family.basis:
             raise ConfigError(f"family {self.family!r} expects theta in the {family.basis!r} basis")
         p = read_keys(dict(self.params), family.params, f"{self.family} param")
-        if p.get("j_max") is not None and p["j_max"] < 1:
-            raise ConfigError("params.j_max must be a positive integer")
-        return p
+        sizes = family.sizes(self, p)
+        for key, length in sizes.items():
+            if length is not None:
+                check_length(key, length)
+        return Resolved(self, self.config_hash(), p, sizes)
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -201,6 +208,17 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """``canonical_hash`` of the config JSON."""
         return canonical_hash(self.to_json_dict())
+
+
+@dataclass(frozen=True)
+class Resolved:
+    """A checked config: its ``config_hash``, its params typed with their
+    defaults filled in, and ``Family.sizes``, the lengths its plan allocates."""
+
+    config: ExperimentConfig
+    digest: str
+    params: dict
+    sizes: dict
 
 
 def canonical_hash(data: dict) -> str:
@@ -315,28 +333,30 @@ def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarra
                           upper_quantile(cfg.alpha), normal_type2(drift, cfg.alpha), details, False)
 
 
-def _plan_quadratic(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+def _plan_quadratic(r: Resolved) -> MonteCarloPlan:
+    cfg, p, j_max = r.config, r.params, r.sizes["j_max"]
     kq = p["kappa_sq"]
     if (kq is None) == (p["gamma"] is None):
         raise ConfigError("quadratic family needs exactly one of 'kappa_sq' or 'gamma'")
     if kq is not None and cfg.params.get("j_max") is not None:
         raise ConfigError("quadratic params.j_max applies only with 'gamma'; 'kappa_sq' sets its own length")
-    if kq is not None and (kq.size == 0 or np.any(kq < 0)):
-        raise ConfigError("kappa_sq must be a non-empty non-negative 1-d array")
+    if kq is not None and np.any(kq < 0):  # an empty one fails the size rule
+        raise ConfigError("kappa_sq must be a non-negative 1-d array")
     if kq is None:
-        kq = quad_mod.example_coefficients(cfg.n, p["gamma"], p["j_max"])
+        kq = quad_mod.example_coefficients(cfg.n, p["gamma"], j_max)
     form = quad_mod.energy_form(kq, cfg.n, cfg.sigma)
-    return _plan_energy(cfg, form, _padded(cfg.theta, kq.size, float), {"j_max": kq.size})
+    return _plan_energy(cfg, form, _padded(cfg.theta, j_max, float), {"j_max": j_max})
 
 
-def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+def _plan_minimax(r: Resolved) -> MonteCarloPlan:
+    cfg, p = r.config, r.params
     if p["least_favorable"] and cfg.theta is not None:
         raise ConfigError("give either an explicit theta or least_favorable, not both")
     design_args = (p["s"], p["p0"], p["rho_n"], cfg.n, cfg.sigma)
     if p["lambdas"] is not None:
-        dsg = design_mod.solve_inverse_design(*design_args, p["lambdas"], j_max=p["j_max"])
+        dsg = design_mod.solve_inverse_design(*design_args, p["lambdas"], j_max=r.sizes["j_max"])
     else:
-        dsg = design_mod.solve_design(*design_args, j_max=p["j_max"])
+        dsg = design_mod.solve_design(*design_args, j_max=r.sizes["j_max"])
     if p["least_favorable"]:
         th = design_mod.least_favorable(dsg).coeffs
     else:
@@ -345,14 +365,19 @@ def _plan_minimax(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
     return _plan_energy(cfg, design_mod.energy_form(dsg), th, details)
 
 
-def _plan_kernel(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+def _kernel_sizes(cfg: ExperimentConfig, p: dict) -> dict:
+    """j_max, by default the larger of 1024 and theta's support, and the 2 (j_max + 1) normals a replication draws."""
+    j_max = p["j_max"] if p["j_max"] is not None else max(1024, 0 if cfg.theta is None else cfg.theta.coeffs.size - 1)
+    return {"j_max": j_max, "normals": 2 * (j_max + 1)}
+
+
+def _plan_kernel(r: Resolved) -> MonteCarloPlan:
+    cfg, p, j_max = r.config, r.params, r.sizes["j_max"]
     if p["kernel"] not in kernels_mod.KERNELS:
         raise ConfigError(f"kernel must be one of {sorted(kernels_mod.KERNELS)}")
     kernel = kernels_mod.KERNELS[p["kernel"]]
     h = p["h"]
     kernels_mod.check_bandwidth(kernel, h)
-    theta_support = 0 if cfg.theta is None else cfg.theta.coeffs.size - 1
-    j_max = max(1024, theta_support) if p["j_max"] is None else p["j_max"]
     th = _padded(cfg.theta, j_max + 1, complex)
     form = kernels_mod.energy_form(kernel, h, j_max, cfg.n, cfg.sigma)
     shift = kernels_mod.null_shifts(kernel, h, j_max)[-1]
@@ -376,14 +401,14 @@ def _check_no_noise_level(cfg: ExperimentConfig) -> None:
                           f"'sigma' must be 1, got {cfg.sigma!r}")
 
 
-def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+def _plan_chisq(r: Resolved) -> MonteCarloPlan:
     """Null uniforms are binned as they are, faster than sorting them; under
     an alternative each row is read sorted and counted against the plan's
     cell thresholds (``chisq.cell_thresholds``), so no point is inverted.  A
     zero perturbation bins and predicts as the null (drift 0, no warning).
     A ``sigma`` other than 1 is refused first, as ``_plan_cvm`` refuses it."""
+    cfg, k, n = r.config, r.sizes["k"], r.sizes["n"]
     _check_no_noise_level(cfg)
-    k, n = p["k"], cfg.n
     if k < 2:
         raise ConfigError("chisq family needs k >= 2 cells")
     sorted_rows = _perturbed(cfg.theta)
@@ -404,16 +429,16 @@ def _plan_chisq(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
                           normal_type2(drift, cfg.alpha), {"k": k, "drift": drift}, sorted_rows)
 
 
-def _plan_cvm(cfg: ExperimentConfig, p: dict) -> MonteCarloPlan:
+def _plan_cvm(r: Resolved) -> MonteCarloPlan:
     """Refuses a ``sigma`` other than 1 before it calibrates its null table."""
+    cfg, p, n = r.config, r.params, r.sizes["n"]
     _check_no_noise_level(cfg)
     if p["calibration_seed"] < 0:
         raise ConfigError("params.calibration_seed must be a non-negative integer")
     calibration = cvm_mod.calibrate_cvm(
-        cfg.n, reps=p["calibration_reps"], seed=p["calibration_seed"], cache_dir=p["cache_dir"]
+        n, reps=r.sizes["calibration_reps"], seed=p["calibration_seed"], cache_dir=p["cache_dir"]
     )
     critical = calibration.critical_value(cfg.alpha)
-    n = cfg.n
     omega_sq = cvm_mod.omega_sq_scorer(n, iid_sampler(cfg.theta) if _perturbed(cfg.theta) else None)
 
     def score(block: np.ndarray) -> np.ndarray:
@@ -456,15 +481,18 @@ def _tuned_kernel(rates: CalibrationRates, n: int, j_max: int) -> dict:
 class Family:
     """One test family.  ``basis`` is the basis of its theta; ``params`` maps
     each param to (kind, default), ``REQUIRED`` marking one without a
-    default; ``plan(config, params)`` checks the params' cross-field rules,
-    then builds the plan.  ``rate(s)`` gives (r, tuning exponent), and
-    ``tuned(rates, n, j_max)`` the params of a consistency-experiment run,
-    whose j_max is at least the given one; either is None where the family
-    has none."""
+    default; ``sizes(config, params)`` gives each length its plan allocates,
+    {name: length}, None where the planner's solver sets and checks its own;
+    ``plan(resolved)`` checks the params' cross-field rules, then builds the
+    plan from the ``Resolved`` record.  ``rate(s)`` gives (r, tuning
+    exponent), and ``tuned(rates, n, j_max)`` the params of a
+    consistency-experiment run, whose j_max is at least the given one; either
+    is None where the family has none."""
 
     basis: str
     params: dict
-    plan: Callable[[ExperimentConfig, dict], MonteCarloPlan]
+    sizes: Callable[[ExperimentConfig, dict], dict]
+    plan: Callable[[Resolved], MonteCarloPlan]
     rate: Callable[[float], tuple[float, float | None]] | None = None
     tuned: Callable[[CalibrationRates, int, int], dict] | None = None
 
@@ -472,27 +500,30 @@ class Family:
 FAMILIES = {
     "quadratic": Family(
         "cosine", {"gamma": (float, None), "j_max": (int, 4096), "kappa_sq": (np.ndarray, None)},
+        lambda cfg, p: {"j_max": p["j_max"] if p["kappa_sq"] is None else p["kappa_sq"].size},
         _plan_quadratic, _quadratic_rate,
         lambda rates, n, j_max: {"gamma": (1.0 + 4.0 * rates.s) / 2.0, "j_max": j_max},
     ),
     "kernel": Family(
         "complex-exponential", {"kernel": (str, REQUIRED), "h": (float, REQUIRED), "j_max": (int, None)},
-        _plan_kernel, _quadratic_rate,
+        _kernel_sizes, _plan_kernel, _quadratic_rate,
         _tuned_kernel,
     ),
     "chisq": Family(
-        "complex-exponential", {"k": (int, REQUIRED)}, _plan_chisq, _quadratic_rate,
+        "complex-exponential", {"k": (int, REQUIRED)},
+        lambda cfg, p: {"n": cfg.n, "k": p["k"]}, _plan_chisq, _quadratic_rate,
         lambda rates, n, j_max: {"k": max(2, round(n**rates.tuning_exponent))},
     ),
     "cvm": Family("cosine", {
         "calibration_reps": (int, DEFAULT_CALIBRATION_REPS),
         "calibration_seed": (int, DEFAULT_CALIBRATION_SEED),
         "cache_dir": (str, None),
-    }, _plan_cvm, lambda s: (s / (2.0 + 2.0 * s), None)),
+    }, lambda cfg, p: {"n": cfg.n, "calibration_reps": p["calibration_reps"]}, _plan_cvm,
+        lambda s: (s / (2.0 + 2.0 * s), None)),
     "minimax": Family("cosine", {
         "s": (float, REQUIRED), "p0": (float, REQUIRED), "rho_n": (float, REQUIRED), "j_max": (int, None),
         "lambdas": (np.ndarray, None), "least_favorable": (bool, False),
-    }, _plan_minimax),
+    }, lambda cfg, p: {"j_max": p["j_max"]}, _plan_minimax),
 }
 
 
@@ -508,10 +539,13 @@ def calibration_rates(s: float, family: str) -> CalibrationRates:
 
 
 def build_plan(config: ExperimentConfig) -> MonteCarloPlan:
-    """Make every check of ``config`` (``validate``, then the planner's own
+    """Make every check of ``config`` (``resolve``, then the planner's own
     first lines) and compile its plan."""
-    params = config.validate()
-    return FAMILIES[config.family].plan(config, params)
+    return _plan(config.resolve())
+
+
+def _plan(resolved: Resolved) -> MonteCarloPlan:
+    return FAMILIES[resolved.config.family].plan(resolved)
 
 
 def _usable_cpus() -> int:
@@ -558,16 +592,16 @@ def _summaries(plans: dict[str, MonteCarloPlan], threads: int) -> dict[str, Mont
 
 def run_plans(configs: list[ExperimentConfig], threads: int = 1) -> list[tuple[MonteCarloPlan, MonteCarloSummary]]:
     """Each config's plan and summary, in config order: every config is
-    validated, then ``build_plan`` runs once for each distinct
-    ``config_hash``, in config order, so a repeated config is planned and
-    scored once, and the plans run in ``_summaries``."""
-    hashes = _validated_hashes(configs)
+    resolved, then ``_plan`` runs once for each distinct digest, in config
+    order, so a repeated config is planned and scored once, and the plans
+    run in ``_summaries``."""
+    resolved = [config.resolve() for config in configs]
     plans: dict[str, MonteCarloPlan] = {}
-    for digest, config in zip(hashes, configs):
-        if digest not in plans:
-            plans[digest] = build_plan(config)
+    for r in resolved:
+        if r.digest not in plans:
+            plans[r.digest] = _plan(r)
     summaries = _summaries(plans, threads)
-    return [(plans[digest], summaries[digest]) for digest in hashes]
+    return [(plans[r.digest], summaries[r.digest]) for r in resolved]
 
 
 def run_monte_carlo(
@@ -580,18 +614,9 @@ def run_monte_carlo(
     ``pool_width`` sets from the plan: the count, and so the summary, is the
     same at any width.  A ``plan`` given must be ``build_plan``'s of this
     config (the same object, or one of the same ``config_hash``)."""
-    (digest,) = _validated_hashes([config])
+    resolved = config.resolve()
     if plan is None:
-        plan = build_plan(config)
-    elif plan.config is not config and plan.config.config_hash() != digest:
-        raise ConfigError(f"the plan was built from config {plan.config.config_hash()}, not {digest}")
-    return _summaries({digest: plan}, threads)[digest]
-
-
-def _validated_hashes(configs: list[ExperimentConfig]) -> list[str]:
-    """Each config's ``config_hash``, once ``validate`` has passed every
-    config: a field of the wrong type is a ConfigError, not an error of the
-    JSON encoder."""
-    for config in configs:
-        config.validate()
-    return [config.config_hash() for config in configs]
+        plan = _plan(resolved)
+    elif plan.config is not config and plan.config.config_hash() != resolved.digest:
+        raise ConfigError(f"the plan was built from config {plan.config.config_hash()}, not {resolved.digest}")
+    return _summaries({resolved.digest: plan}, threads)[resolved.digest]

@@ -14,14 +14,16 @@ import math
 import os
 import re
 import tempfile
+import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from seqtest import cli, montecarlo
+from seqtest import cli, errors, montecarlo
 from seqtest.cli import main
 from seqtest.design import solve_design
 from seqtest.errors import NumericError
@@ -339,6 +341,7 @@ def _params(family: str, **params) -> dict:
 _DESIGN = {"s": 1.0, "p0": 1.0, "rho_n": 3e-4, "n": 10000}
 _CONSISTENCY = {"family": "quadratic", "s": 1.0, "c_schedule": [1.0, 4.0], "n": 300, "reps": 10, "seed": 1}
 _DECOMPOSITION = {**_simulate_payload(reps=10), "s": 1.0, "gammas": [0.5, 1.0]}
+_INVERSE = {"s": 1.0, "p0": 1.0, "rho_n": 0.1, "n": 200, "j_max": 4, "lambdas": [1.0, 0.5, 0.25, 0.125]}
 
 BAD_CONFIGS = {
     "chisq k": (["simulate"], _params("chisq", k="x")),
@@ -388,10 +391,12 @@ BAD_CONFIGS = {
         {"theta": {"basis": "cosine", "coeffs": [1, 1, 1]}, "s": 400, "p0": 0.5},
     ),
     "quadratic j_max with kappa_sq": (["simulate"], _params("quadratic", kappa_sq=[1, 0.5, 0.25], j_max=7)),
-    # petabyte-scale arrays, refused before anything is allocated; a size
-    # between about 1e8 and 1e13 elements might really be allocated
+    # petabyte-scale arrays, refused by the size rule (errors.check_length)
+    # before anything is allocated: no length past the float64 values this
+    # machine's physical memory holds reaches numpy
     "quadratic petabyte j_max": (["simulate"], _params("quadratic", j_max=10**15)),
     "kernel petabyte j_max": (["simulate"], _params("kernel", j_max=10**15)),
+    "kernel zero j_max": (["simulate"], _params("kernel", j_max=0)),
     "design petabyte truncation": (["minimax-design"], {"s": 0.1, "p0": 1, "rho_n": 2e-3, "n": 200}),
     # coefficients whose energy overflows a float
     "quadratic overflowing theta": (
@@ -441,6 +446,56 @@ BAD_CONFIGS = {
     "cvm negative calibration_seed": (
         ["simulate"], _params("cvm", calibration_reps=100, calibration_seed=-1, cache_dir="cache"),
     ),
+    # a schedule whose energy (norm_scale n^-r)^2 overflows, underflows to 0,
+    # or puts the tail block's start m past the size rule
+    "consistency overflowing norm_scale": (["experiment", "consistency"], {**_CONSISTENCY, "norm_scale": 1e300}),
+    "consistency vanishing norm_scale": (["experiment", "consistency"], {**_CONSISTENCY, "norm_scale": 1e-300}),
+    "consistency tiny norm_scale": (["experiment", "consistency"], {**_CONSISTENCY, "norm_scale": 1e-150}),
+    "consistency huge n": (["experiment", "consistency"], {**_CONSISTENCY, "n": 10**150}),
+    # a delta whose prior support k_n / delta overflows a float
+    "membership tiny delta": (["experiment", "bayes-membership"], {**_DESIGN, "delta": 5e-324, "draws": 8, "seed": 1}),
+    # lengths of 2^63 or more, as ints or as floats, which numpy cannot index
+    "quadratic huge j_max": (["simulate"], _params("quadratic", j_max=1e150)),
+    "kernel huge j_max": (["simulate"], _params("kernel", j_max=2**63)),
+    "chisq null k past int64": (["simulate"], _params("chisq", k=2**64 + 1)),
+    "chisq null huge k": (["simulate"], _params("chisq", k=2**63)),
+    "chisq alternative huge k": (
+        ["simulate"],
+        {**_params("chisq", k=2**63), "theta": {"basis": "complex-exponential", "coeffs": [[0, 0], [0.05, 0]]}},
+    ),
+    "chisq huge n": (["simulate"], {**_params("chisq"), "n": 2**63}),
+    "cvm huge n": (["simulate"], {**_params("cvm"), "n": 1e150}),
+    "calibrate cvm huge n": (["calibrate", "cvm"], {"n": 2**63, "reps": 100}),
+    "minimax huge j_max": (["simulate"], _params("minimax", j_max=2**63)),
+    # found by TestKeyTableFuzz: an inverse design whose weights, gaps or sums
+    # leave float range (each a RuntimeWarning before), and a direct design
+    # whose null mean c_n = n rho_n / sigma^2 overflows (exit 0 before)
+    "inverse design huge s": (["minimax-design"], {**_INVERSE, "s": 1e300}),
+    "inverse design overflowing lambdas": (["minimax-design"], {**_INVERSE, "j_max": 3, "lambdas": [1e300, 1e-300, 1]}),
+    "inverse design vanishing lambdas": (["minimax-design"], {**_INVERSE, "j_max": 2, "lambdas": [5e-324, 1]}),
+    "inverse design overflowing c_n": (
+        ["minimax-design"], {**_INVERSE, "s": 1e-3, "p0": 1e300, "rho_n": 1e300, "n": 2**63},
+    ),
+    "design overflowing c_n": (
+        ["minimax-design"], {"s": 1e-300, "p0": 1e300, "rho_n": 1e300, "n": 2**63, "j_max": 256},
+    ),
+}
+# the part of its message by which each refusal above names its key
+NAMED_KEYS = {
+    "consistency overflowing norm_scale": "norm_scale=1e+300",
+    "consistency vanishing norm_scale": "norm_scale=1e-300",
+    "consistency tiny norm_scale": "norm_scale=1e-150",
+    "consistency huge n": f"at n={10**150}",
+    "membership tiny delta": "'delta' asks for",
+    "quadratic huge j_max": "'j_max' asks for",
+    "kernel huge j_max": "'j_max' asks for",
+    "chisq null k past int64": "'k' asks for",
+    "chisq null huge k": "'k' asks for",
+    "chisq alternative huge k": "'k' asks for",
+    "chisq huge n": "'n' asks for",
+    "cvm huge n": "'n' asks for",
+    "calibrate cvm huge n": "'n' asks for",
+    "minimax huge j_max": "'j_max' asks for",
 }
 
 
@@ -455,6 +510,12 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert "invalid config:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(NAMED_KEYS))
+    def test_refusal_names_its_key(self, name, tmp_path, capsys):
+        argv, payload = BAD_CONFIGS[name]
+        assert main(argv + ["--config", _config(tmp_path, "bad.json", payload)]) == 2
+        assert NAMED_KEYS[name] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,payload",
@@ -856,5 +917,129 @@ class TestConfigFuzz:
                     os.chdir(home)
             assert code in (0, 2, 3, 4), err.getvalue()
             assert "Traceback" not in err.getvalue()
+
+        run()
+
+
+# Each command's config keys, from the tables the code declares: a key added
+# to a table is fuzzed with no new test.  power-curve and decomposition read
+# their own keys ahead of CONFIG_KEYS.
+_COMMAND_KEYS = {
+    "simulate": montecarlo.CONFIG_KEYS,
+    "power-curve": {"scales": (list[float], montecarlo.REQUIRED), **montecarlo.CONFIG_KEYS},
+    "experiment consistency": cli.CONSISTENCY_KEYS,
+    "experiment decomposition": {
+        "s": (float, montecarlo.REQUIRED), "gammas": (list[float], montecarlo.REQUIRED), **montecarlo.CONFIG_KEYS,
+    },
+    "experiment bayes-membership": cli.MEMBERSHIP_KEYS,
+    "minimax-design": cli.MINIMAX_DESIGN_KEYS,
+    "project-besov": cli.PROJECTION_KEYS,
+    "calibrate cvm": cli.CALIBRATION_KEYS,
+}
+# the counts of work a run does; a huge one is a run that never ends, not a
+# traceback or an allocation, so these take small or invalid values only
+_WORK_COUNTS = {"reps", "draws", "calibration_reps"}
+_SMALL_COUNTS = [1, 2, 8, 0, -1, 1.5, 5e-324, math.nan, math.inf, -1e300, -(2**63), "x", True, None, []]
+# every kind's neighbours: non-finite, extreme and fractional numbers, wrong types, empty and nested lists
+_EXTREMES = [math.nan, math.inf, -math.inf, 5e-324, 1e-150, 1e300, -1e300, 0, -1, 0.5, 1, 2**63, 2**64 + 1]
+_WRONG_TYPES = ["x", "", True, None, [], [[]], [[1.0, 2.0]], {}]
+# the valid words of the string keys that take one
+_WORDS = {"family": sorted(montecarlo.FAMILIES), "kernel": sorted(montecarlo.kernels_mod.KERNELS)}
+# the size rule's reading of this machine's memory, lowered so that no fuzz
+# case allocates more than 128 MB (a length the real rule admits is then
+# refused, through the same check), whatever machine runs the suite
+_FUZZ_FLOATS = 2**24
+_FUZZ_EXAMPLES = max(300, settings().max_examples)  # HYPOTHESIS_PROFILE=long asks for more
+
+
+def _number_lists(draw) -> list:
+    element = st.sampled_from(_EXTREMES) | st.lists(st.sampled_from(_EXTREMES), max_size=3)
+    return draw(st.lists(element, max_size=3))
+
+
+def _fuzz_value(draw, key: str, kind):
+    """A value of ``kind`` or one of its neighbours, for ``key``."""
+    if key in _WORK_COUNTS:
+        return draw(st.sampled_from(_SMALL_COUNTS))
+    if kind is montecarlo.Spectrum:
+        basis = draw(st.sampled_from(["cosine", "complex-exponential", "haar"]))
+        return draw(st.sampled_from([{"basis": basis, "coeffs": _number_lists(draw)}, *_WRONG_TYPES]))
+    if kind is np.ndarray or typing.get_origin(kind) is list:
+        return draw(st.sampled_from([_number_lists(draw), *_EXTREMES, *_WRONG_TYPES]))
+    if kind is dict:
+        return draw(st.sampled_from([{}, {"sigam": 2.0}, *_WRONG_TYPES]))
+    return draw(st.sampled_from([*_WORDS.get(key, []), *_EXTREMES, *_WRONG_TYPES]))
+
+
+def _small(argv: list, base: dict) -> tuple:
+    """A fuzz base with at most 8 replications or draws; a CvM calibration needs 100."""
+    counts = {} if argv == ["calibrate", "cvm"] else {key: 8 for key in ("reps", "draws") if key in base}
+    return argv, {**base, **counts}
+
+
+_SMALL_BASES = {name: _small(*base) for name, base in _FUZZ_BASES.items()}
+
+
+@st.composite
+def _table_fuzz_cases(draw):
+    name = draw(st.sampled_from(sorted(_SMALL_BASES)))
+    argv, base = _SMALL_BASES[name]
+    payload = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 2))):
+        params = payload.get("params")
+        family = montecarlo.FAMILIES.get(payload.get("family")) if isinstance(payload.get("family"), str) else None
+        tables = [_COMMAND_KEYS[" ".join(argv)]]
+        if family is not None and isinstance(params, dict):
+            tables.append(family.params)
+        table = draw(st.sampled_from(tables))
+        target = payload if table is tables[0] else params
+        action = draw(st.sampled_from(["set", "set", "drop", "unknown"]))
+        if action == "unknown":
+            target["sigam"] = 2.0
+        elif action == "drop" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        else:
+            key = draw(st.sampled_from(sorted(table)))
+            target[key] = _fuzz_value(draw, key, table[key][0])
+    return name, argv, payload
+
+
+class TestKeyTableFuzz:
+    """One or two keys of a small valid config of each command, each set to
+    a value of its declared kind or a neighbour of it, or dropped, or an
+    unknown key added: ``main`` ends in exit 0, 2, 3 or 4, and no exception
+    escapes it.  The only warning accepted is the chi-square drift window's,
+    which a valid run may print."""
+
+    @pytest.mark.parametrize("name", sorted(_SMALL_BASES))
+    def test_base_config_is_small_and_valid(self, name, tmp_path, monkeypatch, capsys):
+        argv, base = _SMALL_BASES[name]
+        assert base.get("n", 0) <= 1000 and base.get("draws", 0) <= 8
+        assert base.get("reps", 0) <= (100 if argv == ["calibrate", "cvm"] else 8)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--config", _config(tmp_path, "cfg.json", base)]) == 0, capsys.readouterr().err
+
+    def test_every_mutation_exits_cleanly(self, monkeypatch):
+        monkeypatch.setattr(errors, "physical_floats", lambda: _FUZZ_FLOATS)
+
+        @settings(max_examples=_FUZZ_EXAMPLES, derandomize=True, deadline=None)
+        @given(_table_fuzz_cases())
+        def run(case):
+            name, argv, payload = case
+            err = io.StringIO()
+            home = os.getcwd()
+            with tempfile.TemporaryDirectory() as workdir:
+                os.chdir(workdir)  # a relative cache_dir stays in here
+                try:
+                    with open("cfg.json", "w") as fh:
+                        json.dump(payload, fh)
+                    with warnings.catch_warnings():
+                        warnings.filterwarnings("ignore", r"population functional .* outside", UserWarning)
+                        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                            code = main(argv + ["--config", "cfg.json", "--threads", "1"])
+                finally:
+                    os.chdir(home)
+            event(f"exit {code}")
+            assert code in (0, 2, 3, 4), (name, payload, err.getvalue())
 
         run()

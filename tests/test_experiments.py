@@ -170,12 +170,12 @@ class TestConsistencyExperiment:
         3118, so the three plans draw alike and form one group."""
         built = []
 
-        def spy(cfg):
-            built.append((cfg.params["h"], cfg.params["j_max"]))
-            return build_plan(cfg)
+        def spy(resolved):
+            built.append((resolved.params["h"], resolved.params["j_max"]))
+            return plan(resolved)
 
-        build_plan = montecarlo.build_plan
-        monkeypatch.setattr(montecarlo, "build_plan", spy)
+        plan = montecarlo._plan
+        monkeypatch.setattr(montecarlo, "_plan", spy)
         rows = consistency_experiment("kernel", 0.5, [1.0, 4.0, 16.0], 10**4, reps=5, seed=1)
         assert [row["m"] for row in rows] == [58, 232, 928]  # floors 1024, 1024, 1864
         assert [j_max for _, j_max in built] == [3118] * 3
@@ -231,18 +231,18 @@ class TestDecompositionExperiment:
         g = float(np.sqrt(besov_seminorm(config.theta, 1.0)))
         built, scored = [], []
 
-        def counting(cfg):
-            plan = build_plan(cfg)
-            built.append(cfg.config_hash())
+        def counting(resolved):
+            plan = plan_of(resolved)
+            built.append(resolved.digest)
 
             def score(block):
-                scored.append(cfg.config_hash())
+                scored.append(resolved.digest)
                 return plan.score(block)
 
             return replace(plan, score=score)
 
-        build_plan = montecarlo.build_plan
-        monkeypatch.setattr(montecarlo, "build_plan", counting)
+        plan_of = montecarlo._plan
+        monkeypatch.setattr(montecarlo, "_plan", counting)
         rows = maxiset_decomposition_experiment(config, s=1.0, gammas=[0.4 * g, 0.7 * g, 2.0 * g])
         assert len(built) == len(set(built)) == 6
         assert sorted(scored) == sorted(built * 2)  # 300 replications: blocks of 256 and 44

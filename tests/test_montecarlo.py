@@ -22,6 +22,7 @@ from scipy import stats
 from helpers import exact_power, imhof_sf, omega_sq_blocks, valid_spectra
 from seqtest import chisq as chisq_mod
 from seqtest import design as design_mod
+from seqtest import errors
 from seqtest import kernels as kernels_mod
 from seqtest import montecarlo
 from seqtest import quadratic as quad_mod
@@ -91,7 +92,7 @@ def _pad_complex(theta, j_max):
 class TestConfigContract:
     def test_hash_is_pinned(self):
         assert _reference_config().config_hash() == REFERENCE_HASH
-        with pytest.raises(TypeError):  # JSON has no sets; validate refuses one before any hash
+        with pytest.raises(TypeError):  # JSON has no sets; resolve refuses one before any hash
             montecarlo.canonical_hash({"k": {1, 2}})
 
     def test_hash_ignores_param_insertion_order(self):
@@ -150,11 +151,11 @@ class TestConfigContract:
             theta=Spectrum(basis=theta_basis, coeffs=coeffs), params=params,
         )
         with pytest.raises(ConfigError):
-            cfg.validate()
+            cfg.resolve()
 
     def test_family_specific_validation(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(family="ks", n=10, reps=10, seed=0).validate()
+            ExperimentConfig(family="ks", n=10, reps=10, seed=0).resolve()
         with pytest.raises(ConfigError):  # both tuning styles at once
             build_plan(ExperimentConfig(
                 family="quadratic", n=10, reps=10, seed=0,
@@ -172,7 +173,7 @@ class TestConfigContract:
             build_plan(ExperimentConfig(family="chisq", n=10, reps=10, seed=0, params={"k": 1}))
         with pytest.raises(ConfigError):
             ExperimentConfig(family="minimax", n=10, reps=10, seed=0,
-                             params={"s": 1.0, "p0": 1.0}).validate()
+                             params={"s": 1.0, "p0": 1.0}).resolve()
         with pytest.raises(ConfigError):  # explicit theta and least_favorable together
             build_plan(ExperimentConfig(
                 family="minimax", n=10, reps=10, seed=0,
@@ -181,7 +182,7 @@ class TestConfigContract:
             ))
         with pytest.raises(ConfigError):  # unknown key
             ExperimentConfig(family="chisq", n=10, reps=10, seed=0,
-                             params={"k": 4, "cells": 4}).validate()
+                             params={"k": 4, "cells": 4}).resolve()
 
     @pytest.mark.parametrize("field", [
         {"n": 1000.5}, {"reps": 10.5}, {"n": True}, {"seed": True},
@@ -190,11 +191,11 @@ class TestConfigContract:
     ])
     def test_python_config_typed_as_json(self, field):
         """A config built in Python is typed as ``take`` types a JSON one:
-        each of these is a ConfigError from ``validate`` and from every entry
+        each of these is a ConfigError from ``resolve`` and from every entry
         point, which checks a config before it hashes it, not a traceback
         from the engine or the JSON encoder."""
         cfg = ExperimentConfig(**{"family": "chisq", "n": 1000, "reps": 10, "seed": 1, "params": {"k": 5}, **field})
-        for entry in (ExperimentConfig.validate, build_plan, run_monte_carlo, lambda c: montecarlo.run_plans([c])):
+        for entry in (ExperimentConfig.resolve, build_plan, run_monte_carlo, lambda c: montecarlo.run_plans([c])):
             with pytest.raises(ConfigError):
                 entry(cfg)
 
@@ -215,6 +216,75 @@ class TestConfigContract:
                                theta=None if theta is None else Spectrum(basis, np.array(theta)))
         with pytest.raises(ConfigError):
             build_plan(cfg)
+
+    @pytest.mark.parametrize("family,params,n,key", [
+        ("quadratic", {"gamma": 2.0, "j_max": 65}, 100, "j_max"),
+        ("quadratic", {"kappa_sq": [1.0] * 65}, 100, "j_max"),
+        ("kernel", {"kernel": "box", "h": 0.1}, 100, "j_max"),  # the default, 1024
+        ("kernel", {"kernel": "box", "h": 0.1, "j_max": 40}, 100, "normals"),  # 2 (40 + 1)
+        ("chisq", {"k": 65}, 10, "k"),
+        ("chisq", {"k": 8}, 65, "n"),
+        ("cvm", {}, 10, "calibration_reps"),
+        ("minimax", {"s": 1.0, "p0": 1.0, "rho_n": 2e-3, "j_max": 65}, 100, "j_max"),
+    ])
+    def test_size_rule_refuses_before_any_planner(self, monkeypatch, family, params, n, key):
+        """With the memory reading lowered to 64 floats, each length past it
+        is a ConfigError naming its key from every entry point, and no
+        planner runs and nothing is allocated."""
+        def fail(*args, **kwargs):
+            raise AssertionError("a planner or an allocation ran before the size rule")
+
+        monkeypatch.setattr(errors, "physical_floats", lambda: 64)
+        for target in ("seqtest.montecarlo._plan", "numpy.zeros", "numpy.empty", "numpy.arange"):
+            monkeypatch.setattr(target, fail)
+        cfg = ExperimentConfig(family=family, n=n, reps=10, seed=0, params=params)
+        for entry in (ExperimentConfig.resolve, build_plan, run_monte_carlo, lambda c: montecarlo.run_plans([c])):
+            with pytest.raises(ConfigError, match=f"'{key}' asks for"):
+                entry(cfg)
+
+    def test_size_rule_outside_the_engine(self, monkeypatch):
+        """The paths that build no ExperimentConfig read the same rule: the
+        direct design's truncation, given or by default 20 k_n, the prior
+        support k_n / delta, and a CvM calibration's n and reps."""
+        design = solve_design(1.0, 1.0, 2e-3, 200, j_max=64)  # k_n = 39
+        monkeypatch.setattr(errors, "physical_floats", lambda: 64)
+        monkeypatch.setattr("numpy.arange", lambda *args, **kwargs: pytest.fail("allocated"))
+        monkeypatch.setattr("seqtest.cvm.replication_blocks", lambda *args: pytest.fail("calibrated"))
+        for call, key in [
+            (lambda: solve_design(1.0, 1.0, 2e-3, 200), "j_max"),  # 780
+            (lambda: solve_design(1.0, 1.0, 2e-3, 200, j_max=65), "j_max"),
+            (lambda: design_mod.prior_profile(design, 0.5), "delta"),  # 78
+            (lambda: calibrate_cvm(65, reps=100), "n"),
+            (lambda: calibrate_cvm(10, reps=100), "reps"),
+        ]:
+            with pytest.raises(ConfigError, match=f"'{key}' asks for"):
+                call()
+
+    def test_each_config_is_resolved_once(self, monkeypatch):
+        """``run_plans`` resolves each config of a call once, a repeated one
+        too, and plans each distinct digest once; ``run_monte_carlo``
+        resolves its config once."""
+        resolved, planned = [], []
+        resolve, plan = ExperimentConfig.resolve, montecarlo._plan
+
+        def counting_resolve(cfg):
+            resolved.append(cfg)
+            return resolve(cfg)
+
+        def counting_plan(r):
+            planned.append(r.digest)
+            return plan(r)
+
+        monkeypatch.setattr(ExperimentConfig, "resolve", counting_resolve)
+        monkeypatch.setattr(montecarlo, "_plan", counting_plan)
+        a = ExperimentConfig("quadratic", 300, 5, 1, params={"gamma": 2.0, "j_max": 32})
+        configs = [a, replace(a, seed=2), a, replace(a)]
+        montecarlo.run_plans(configs)
+        assert [id(cfg) for cfg in resolved] == [id(cfg) for cfg in configs]
+        assert planned == [a.config_hash(), configs[1].config_hash()]
+        resolved.clear()
+        run_monte_carlo(a)
+        assert resolved == [a]
 
     def test_kernel_truncation_bounds_the_null_shift(self):
         """The box kernel at h = 1e-3 and the default j_max = 1024 centres
@@ -467,7 +537,7 @@ class TestPinnedSequenceCurves:
 
 def _exact_law_inputs(cfg: ExperimentConfig):
     """(form, mean, noise variance) per real coordinate of a sequence plan's y."""
-    p = cfg.validate()
+    p = cfg.resolve().params
     var = cfg.sigma**2 / cfg.n
     if cfg.family == "quadratic":
         kq = example_coefficients(cfg.n, p["gamma"], p["j_max"])

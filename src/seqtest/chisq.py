@@ -108,6 +108,23 @@ def statistic_from_counts(counts: np.ndarray, n: int, k: int) -> np.ndarray:
     return k * n * np.sum((counts / n - 1.0 / k) ** 2, axis=-1)
 
 
+def block_statistic(n: int, k: int, inverse=None):
+    """The map from a block of n uniforms a row, left as it is, to each row's
+    standardized T_n, as ``chisq_test`` scores its sample: binned in any order
+    for the null (``inverse`` None), and for ``inverse = iid_sampler(theta)``
+    sorted and counted against ``cell_thresholds``, so no point is inverted."""
+    thresholds = None if inverse is None else cell_thresholds(inverse, k)
+
+    def score(block: np.ndarray) -> np.ndarray:
+        if thresholds is None:
+            counts = binned(block, k)
+        else:
+            counts = np.diff([np.searchsorted(row, thresholds) for row in block], axis=1)
+        return standardized_chisq(statistic_from_counts(counts, n, k), k)
+
+    return score
+
+
 def cell_counts(sample: np.ndarray, k: int) -> np.ndarray:
     if k < 2:
         raise ConfigError("need at least k = 2 cells")

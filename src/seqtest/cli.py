@@ -153,11 +153,8 @@ def _cmd_decomposition(args) -> None:
 
 def _cmd_minimax_design(args) -> None:
     kwargs = read_keys(_load_config(args), MINIMAX_DESIGN_KEYS, "design config")
-    alpha, lambdas = kwargs.pop("alpha"), kwargs.pop("lambdas")
-    if lambdas is not None:
-        design = design_mod.solve_inverse_design(lambdas=lambdas, **kwargs)
-    else:
-        design = design_mod.solve_design(**kwargs)
+    alpha = kwargs.pop("alpha")
+    design = design_mod.solve(**kwargs)
     predicted = design_mod.predicted_type2_minimax(design, alpha)
     print(
         f"k_n={design.k_n} a_n={design.a_n:.6g} c_n={design.c_n:.6g} "

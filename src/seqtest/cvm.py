@@ -29,11 +29,10 @@ JSON.  The classical asymptotic 0.95 quantile of omega^2 is not used here;
 the test suite keeps it as a cross-check of the tables.
 
 Replications are scored a block at a time: the table and the Monte Carlo
-engine's CvM plans score the uniform blocks of ``sampling.replication_blocks``
-with ``omega_sq_scorer``, which reads rows that its caller sorted (the table
-sorts its own blocks, the engine once per block for a group of plans) and
-scores them all with one call of ``omega_sq``, with the bits of a
-replication scored alone.
+engine's CvM plans (``block_statistic``) score the uniform blocks of
+``sampling.replication_blocks`` with one call of ``omega_sq``, on rows that
+the caller sorted (the table sorts its own blocks, the engine once per block
+for a group of plans), with the bits of a replication scored alone.
 """
 
 from __future__ import annotations
@@ -77,12 +76,12 @@ def omega_sq(x_sorted: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.sum((x_sorted - grid) ** 2, axis=-1) + 1.0 / (12.0 * grid.size)
 
 
-def omega_sq_scorer(n: int, inverse=None):
+def block_statistic(n: int, inverse=None):
     """The map from a block of n sorted uniforms a row, left as it is, to each
-    row's n T^2.  With ``inverse = iid_sampler(theta)`` the rows map to the
-    sorted ``sample_iid`` sample; the map is nondecreasing but for ulps at a
-    grid node (``chisq.cell_thresholds``), so only a row that steps back is
-    sorted again."""
+    row's n T^2, as ``cvm_test`` standardizes that row's sample.  With
+    ``inverse = iid_sampler(theta)`` the rows map to the sorted ``sample_iid``
+    sample; the map is nondecreasing but for ulps at a grid node
+    (``chisq.cell_thresholds``), so only a row that steps back is sorted again."""
     grid = order_grid(n)
 
     def score(block: np.ndarray) -> np.ndarray:
@@ -91,7 +90,8 @@ def omega_sq_scorer(n: int, inverse=None):
             back = np.any(block[:, 1:] < block[:, :-1], axis=1)
             if back.any():
                 block[back] = np.sort(block[back], axis=1)
-        return omega_sq(block, grid)
+        # n * (omega^2 / n) is n T^2 as cvm_test forms it, rounding included
+        return n * (omega_sq(block, grid) / n)
 
     return score
 
@@ -182,11 +182,11 @@ def _write_cache(path: Path, table: CvmCalibration) -> None:
 def _simulate(n: int, reps: int, seed: int) -> CvmCalibration:
     """The null table of n T^2 from reps seeded replications, read-only,
     since every later call with the same (n, reps, seed) shares it."""
-    score = omega_sq_scorer(n)
+    grid = order_grid(n)
     scores = []
     for block in replication_blocks(seed, 0, reps, n, np.random.Generator.random):
         block.sort(axis=1)
-        scores.append(score(block))
+        scores.append(omega_sq(block, grid))
     values = np.concatenate(scores)
     values.sort()
     values.setflags(write=False)

@@ -195,6 +195,14 @@ def solve_inverse_design(
     return _build(s, p0, rho_n, n, sigma, k_n, kappa_j2, c_n, budget_res, radius_res, lambdas=lam)
 
 
+def solve(s: float, p0: float, rho_n: float, n: int, sigma: float = 1.0,
+          lambdas: np.ndarray | None = None, j_max: int | None = None) -> DetectionDesign:
+    """``solve_inverse_design`` when ``lambdas`` are given, else ``solve_design``."""
+    if lambdas is not None:
+        return solve_inverse_design(s, p0, rho_n, n, sigma, lambdas, j_max=j_max)
+    return solve_design(s, p0, rho_n, n, sigma, j_max=j_max)
+
+
 def _build(
     s: float, p0: float, rho_n: float, n: int, sigma: float, k_n: int, kappa_j2: np.ndarray,
     c_n: float, budget_res: float, radius_res: float, lambdas: np.ndarray | None = None,
@@ -272,9 +280,7 @@ def _resolve_delta(design: DetectionDesign, delta: float) -> DetectionDesign:
         raise ConfigError("delta must lie in (0, 1)")
     check_length("delta", design.k_n / delta)  # the prior's support, inf where the quotient overflows
     shifted = (design.s, design.p0 * (1.0 - delta), design.rho_n * (1.0 + delta), design.n, design.sigma)
-    if design.lambdas is not None:
-        return solve_inverse_design(*shifted, design.lambdas, j_max=design.j_max)
-    return solve_design(*shifted, j_max=design.j_max)
+    return solve(*shifted, design.lambdas, j_max=design.j_max)
 
 
 def prior_profile(design: DetectionDesign, delta: float) -> np.ndarray:

@@ -17,11 +17,11 @@ spectral form is exact: for 0 < h <= 1 / (4b) the Poisson summation identities
 hold exactly (the quartic sum folds K*K*K*K, of support 4b, at +-1/h), so
 T_n has mean 0 and variance 1 under the null up to the truncation of the
 stored frequencies.  ``null_shifts`` gives that truncation's shift of the
-null mean, in null sd; a Monte Carlo plan bounds it by ``MAX_NULL_SHIFT``,
-and a tuned consistency run takes ``least_j_max``, the least truncation
-within that bound.  A wider bandwidth inflates the null variance, so every
-function that standardizes refuses it.  The type II error against theta is
-Phi(x_alpha - kappa^{-1} sigma^{-2} n h^{1/2} T1n(theta)) with
+null mean, in null sd; ``truncated_form``, a plan's form, bounds it by
+``MAX_NULL_SHIFT``, and a tuned consistency run takes ``least_j_max``, the
+least truncation within it.  A wider bandwidth inflates the null variance,
+so every function that standardizes refuses it.  The type II error against
+theta is Phi(x_alpha - kappa^{-1} sigma^{-2} n h^{1/2} T1n(theta)) with
 T1n(theta) = sum_j |Khat(j h) theta_j|^2, the energy S of theta.
 
 Every function here has one path: the transform table Khat(j h) is built
@@ -128,32 +128,48 @@ def _require_complex(spec: Spectrum) -> Spectrum:
     return spec
 
 
-def check_bandwidth(kernel: Kernel, h: float) -> None:
-    """Refuse a bandwidth outside (0, 1 / (4b)], where the quartic Poisson
-    identity, and with it the null variance of T_n, fails."""
-    bound = 1.0 / (4.0 * kernel.halfwidth)
-    if not 0.0 < h <= bound:
-        raise ConfigError(f"bandwidth h={h!r} must lie in (0, {bound:g}] for the {kernel.name} kernel")
-
-
 def energy_form(kernel: Kernel, h: float, j_max: int, n: int, sigma: float) -> EnergyForm:
     """T_n over frequencies 0..j_max: each |y_j|^2 is the (re, im) pair of a
     complex y, weighted |Khat(j h)|^2 at j = 0 and twice that at j >= 1 (the
-    conjugate frequency -j).  The sd is 1 / (n h^{1/2} sigma^{-2} kappa^{-1})."""
-    check_bandwidth(kernel, h)
-    scale = n * math.sqrt(h) / sigma**2 / math.sqrt(kernel.kappa_sq)
+    conjugate frequency -j).  The sd is 1 / (n h^{1/2} sigma^{-2} kappa^{-1}).
+    An h outside (0, 1 / (4b)], where the quartic Poisson identity fails, is refused first."""
+    bound = 1.0 / (4.0 * kernel.halfwidth)
+    if not 0.0 < h <= bound:
+        raise ConfigError(f"bandwidth h={h!r} must lie in (0, {bound:g}] for the {kernel.name} kernel")
     w = kernel.transform(np.arange(j_max + 1, dtype=float) * h) ** 2
     w[1:] *= 2.0
+    return _scaled(kernel, h, np.repeat(w, 2), n, sigma)
+
+
+def _scaled(kernel: Kernel, h: float, weights: np.ndarray, n: int, sigma: float) -> EnergyForm:
+    """The form of ``energy_form`` at (n, sigma) on its ``weights``, which n and sigma leave as they are."""
+    scale = n * math.sqrt(h) / sigma**2 / math.sqrt(kernel.kappa_sq)
     center = sigma**2 / (n * h) * kernel.l2_norm_sq
-    return EnergyForm(np.repeat(w, 2), center, 1.0 / scale)
+    return EnergyForm(weights, center, 1.0 / scale)
+
+
+def _shifts(kernel: Kernel, h: float, weights: np.ndarray) -> np.ndarray:
+    unit = _scaled(kernel, h, weights, 1, 1.0)
+    return (np.cumsum(unit.weights[0::2]) - unit.offset) / unit.sd
 
 
 def null_shifts(kernel: Kernel, h: float, j_max: int) -> np.ndarray:
     """T_n's null mean, in null sd, at truncation J = 0..j_max: (sum_{|j| <= J}
     Khat(j h)^2 - ||K||^2 / h) (h / kappa^2)^{1/2}, free of n and sigma.  It
     rises to 0 as J grows; entry J has the same bits at any j_max >= J."""
-    form = energy_form(kernel, h, j_max, 1, 1.0)
-    return (np.cumsum(form.weights[0::2]) - form.offset) / form.sd
+    return _shifts(kernel, h, energy_form(kernel, h, j_max, 1, 1.0).weights)
+
+
+def truncated_form(kernel: Kernel, h: float, j_max: int, n: int, sigma: float) -> EnergyForm:
+    """``energy_form``, the form of a Monte Carlo plan, refused where its
+    truncation shifts the null mean past ``MAX_NULL_SHIFT``: the shift is
+    ``null_shifts``' last entry, read from the form's own weights."""
+    form = energy_form(kernel, h, j_max, n, sigma)
+    shift = _shifts(kernel, h, form.weights)[-1]
+    if not abs(shift) <= MAX_NULL_SHIFT:
+        raise ConfigError(f"kernel plan: at h={h!r} the truncation j_max={j_max} shifts the null mean of T_n "
+                          f"by {shift:+.3g} sd, past +-{MAX_NULL_SHIFT}; raise j_max")
+    return form
 
 
 def least_j_max(kernel: Kernel, h: float, floor: int) -> int:

@@ -25,13 +25,10 @@ the group counts the rows above its threshold.  No scorer writes its block,
 so every plan reads the block as drawn, or sorted once for all of them when
 any plan reads sorted rows.  ``run_plans`` plans and scores each distinct
 config once; ``run_monte_carlo`` runs a group of one through the same
-counter.  Every statistic calls the same core as its ``*_test`` function and
-has the bits of a replication scored alone.  The quadratic, kernel and
-minimax plans differ only in the ``EnergyForm`` and theta they build, and
-share one scorer and one drift, the form's; the scorer forms y = theta +
-noise in a new array and takes the energy of all its rows in one call.  The
-chi-square and CvM plans draw the uniforms that ``sample_iid`` draws and read
-them through cell counts and ``omega_sq``.
+counter.  A planner only wires: its block statistic is its family module's
+(``EnergyForm.block_statistic`` for the quadratic, kernel and minimax plans,
+``chisq.block_statistic``, ``cvm.block_statistic``), with the bits of that
+module's ``*_test`` on a replication scored alone.
 
 ``threads`` is an upper bound on the pool width; ``pool_width`` sets the
 width from the group.  A group of K plans whose K * ``draws`` values a
@@ -43,7 +40,6 @@ as the CPUs the process may use (``concurrent.futures`` loads only then).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -62,7 +58,7 @@ from . import quadratic as quad_mod
 from .cvm import DEFAULT_CALIBRATION_REPS, DEFAULT_CALIBRATION_SEED
 from .errors import ConfigError, check_length, finite_real
 from .report import normal_type2, upper_quantile
-from .sampling import check_noise_level, complex_pairs, iid_sampler, replication_blocks
+from .sampling import block_rows, check_noise_level, iid_sampler, replication_blocks
 from .spectra import Spectrum
 
 # a table's default for a key that must be given
@@ -299,26 +295,6 @@ def _padded(theta: Spectrum | None, size: int, dtype: type) -> np.ndarray:
     return out
 
 
-def _sequence_scorer(form: quad_mod.EnergyForm, th: np.ndarray, n: int, sigma: float):
-    """The standardized energy of y = theta + (sigma / sqrt(n)) xi for each
-    row of normals, drawn as ``draw_sequence_observation`` draws them, in a
-    new array."""
-    noise_scale = sigma / math.sqrt(n)
-    complex_ = np.iscomplexobj(th)
-    mean = th.view(float)
-
-    def score(block: np.ndarray) -> np.ndarray:
-        if complex_:
-            v = complex_pairs(block)
-            v *= noise_scale
-        else:
-            v = block * noise_scale
-        v += mean
-        return form.standardize(form.energy(v))
-
-    return score
-
-
 def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarray, details: dict) -> MonteCarloPlan:
     """The plan of a sequence-model family: draw y = theta + noise and reject
     when the family's standardized energy exceeds x_alpha.  The prediction
@@ -328,7 +304,7 @@ def _plan_energy(cfg: ExperimentConfig, form: quad_mod.EnergyForm, th: np.ndarra
         drift = details["drift"] = form.drift(th)
     if not math.isfinite(drift):
         raise ConfigError(f"{cfg.family} plan: drift={drift}; theta, n or 1/sigma is too large for a float")
-    score = _sequence_scorer(form, th, cfg.n, cfg.sigma)
+    score = form.block_statistic(th, cfg.n, cfg.sigma)
     return MonteCarloPlan(cfg, form.weights.size, np.random.Generator.standard_normal, score,
                           upper_quantile(cfg.alpha), normal_type2(drift, cfg.alpha), details, False)
 
@@ -352,15 +328,8 @@ def _plan_minimax(r: Resolved) -> MonteCarloPlan:
     cfg, p = r.config, r.params
     if p["least_favorable"] and cfg.theta is not None:
         raise ConfigError("give either an explicit theta or least_favorable, not both")
-    design_args = (p["s"], p["p0"], p["rho_n"], cfg.n, cfg.sigma)
-    if p["lambdas"] is not None:
-        dsg = design_mod.solve_inverse_design(*design_args, p["lambdas"], j_max=r.sizes["j_max"])
-    else:
-        dsg = design_mod.solve_design(*design_args, j_max=r.sizes["j_max"])
-    if p["least_favorable"]:
-        th = design_mod.least_favorable(dsg).coeffs
-    else:
-        th = _padded(cfg.theta, dsg.j_max, float)
+    dsg = design_mod.solve(p["s"], p["p0"], p["rho_n"], cfg.n, cfg.sigma, p["lambdas"], r.sizes["j_max"])
+    th = design_mod.least_favorable(dsg).coeffs if p["least_favorable"] else _padded(cfg.theta, dsg.j_max, float)
     details = {"k_n": dsg.k_n, "a_n": dsg.a_n, "c_n": dsg.c_n, "j_max": dsg.j_max}
     return _plan_energy(cfg, design_mod.energy_form(dsg), th, details)
 
@@ -375,23 +344,13 @@ def _plan_kernel(r: Resolved) -> MonteCarloPlan:
     cfg, p, j_max = r.config, r.params, r.sizes["j_max"]
     if p["kernel"] not in kernels_mod.KERNELS:
         raise ConfigError(f"kernel must be one of {sorted(kernels_mod.KERNELS)}")
-    kernel = kernels_mod.KERNELS[p["kernel"]]
-    h = p["h"]
-    kernels_mod.check_bandwidth(kernel, h)
-    th = _padded(cfg.theta, j_max + 1, complex)
-    form = kernels_mod.energy_form(kernel, h, j_max, cfg.n, cfg.sigma)
-    shift = kernels_mod.null_shifts(kernel, h, j_max)[-1]
-    if not abs(shift) <= kernels_mod.MAX_NULL_SHIFT:
-        raise ConfigError(f"kernel plan: at h={h!r} the truncation j_max={j_max} shifts the null mean of T_n "
-                          f"by {shift:+.3g} sd, past +-{kernels_mod.MAX_NULL_SHIFT}; raise j_max")
-    return _plan_energy(cfg, form, th, {"j_max": j_max, "h": h})
+    form = kernels_mod.truncated_form(kernels_mod.KERNELS[p["kernel"]], p["h"], j_max, cfg.n, cfg.sigma)
+    return _plan_energy(cfg, form, _padded(cfg.theta, j_max + 1, complex), {"j_max": j_max, "h": p["h"]})
 
 
-def _perturbed(theta: Spectrum | None) -> bool:
-    """Whether 1 + f is not the uniform density.  A zero f samples as the null:
-    its inverse CDF has slope 1, and (u - a) + a = u at its grid nodes a,
-    m / (``sampling.GRID_POINTS`` - 1)."""
-    return theta is not None and bool(np.any(theta.coeffs))
+def _inverse(theta: Spectrum | None):
+    """``iid_sampler(theta)``, or None for a zero f, whose inverse CDF (u - a) + a past each node a is u."""
+    return iid_sampler(theta) if theta is not None and np.any(theta.coeffs) else None
 
 
 def _check_no_noise_level(cfg: ExperimentConfig) -> None:
@@ -402,31 +361,18 @@ def _check_no_noise_level(cfg: ExperimentConfig) -> None:
 
 
 def _plan_chisq(r: Resolved) -> MonteCarloPlan:
-    """Null uniforms are binned as they are, faster than sorting them; under
-    an alternative each row is read sorted and counted against the plan's
-    cell thresholds (``chisq.cell_thresholds``), so no point is inverted.  A
-    zero perturbation bins and predicts as the null (drift 0, no warning).
-    A ``sigma`` other than 1 is refused first, as ``_plan_cvm`` refuses it."""
-    cfg, k, n = r.config, r.sizes["k"], r.sizes["n"]
+    """A zero perturbation bins and predicts as the null (drift 0, no
+    warning); an alternative reads each row sorted.  A ``sigma`` other than 1
+    is refused first, as ``_plan_cvm`` refuses it."""
+    cfg, k, n = r.config, r.params["k"], r.sizes["n"]
     _check_no_noise_level(cfg)
     if k < 2:
         raise ConfigError("chisq family needs k >= 2 cells")
-    sorted_rows = _perturbed(cfg.theta)
-    if sorted_rows:
-        thresholds = chisq_mod.cell_thresholds(iid_sampler(cfg.theta), k)
-
-        def counts(block: np.ndarray) -> np.ndarray:
-            return np.diff([np.searchsorted(row, thresholds) for row in block], axis=1)
-
-    else:
-        counts = functools.partial(chisq_mod.binned, k=k)
-    drift = chisq_mod.chisq_drift(cfg.theta, k, n) if sorted_rows else 0.0
-
-    def score(block: np.ndarray) -> np.ndarray:
-        return chisq_mod.standardized_chisq(chisq_mod.statistic_from_counts(counts(block), n, k), k)
-
+    inverse = _inverse(cfg.theta)
+    score = chisq_mod.block_statistic(n, k, inverse)
+    drift = 0.0 if inverse is None else chisq_mod.chisq_drift(cfg.theta, k, n)
     return MonteCarloPlan(cfg, n, np.random.Generator.random, score, upper_quantile(cfg.alpha),
-                          normal_type2(drift, cfg.alpha), {"k": k, "drift": drift}, sorted_rows)
+                          normal_type2(drift, cfg.alpha), {"k": k, "drift": drift}, inverse is not None)
 
 
 def _plan_cvm(r: Resolved) -> MonteCarloPlan:
@@ -439,12 +385,7 @@ def _plan_cvm(r: Resolved) -> MonteCarloPlan:
         n, reps=r.sizes["calibration_reps"], seed=p["calibration_seed"], cache_dir=p["cache_dir"]
     )
     critical = calibration.critical_value(cfg.alpha)
-    omega_sq = cvm_mod.omega_sq_scorer(n, iid_sampler(cfg.theta) if _perturbed(cfg.theta) else None)
-
-    def score(block: np.ndarray) -> np.ndarray:
-        # n * (omega^2 / n) is n T^2 as cvm_test forms it, rounding included
-        return n * (omega_sq(block) / n)
-
+    score = cvm_mod.block_statistic(n, _inverse(cfg.theta))
     margin = 0.0 if cfg.theta is None else n * cvm_mod.cvm_population(cfg.theta)
     details = {"critical_value": critical, "margin": margin, "calibration_reps": calibration.reps}
     return MonteCarloPlan(cfg, n, np.random.Generator.random, score, critical, None, details, True)
@@ -511,7 +452,9 @@ FAMILIES = {
     ),
     "chisq": Family(
         "complex-exponential", {"k": (int, REQUIRED)},
-        lambda cfg, p: {"n": cfg.n, "k": p["k"]}, _plan_chisq, _quadratic_rate,
+        # k counts for each row of a block of n uniforms; a k below 1 stays as it is, for the size rule to refuse
+        lambda cfg, p: {"n": cfg.n, "k": max(p["k"], p["k"] * block_rows(cfg.reps, cfg.n))},
+        _plan_chisq, _quadratic_rate,
         lambda rates, n, j_max: {"k": max(2, round(n**rates.tuning_exponent))},
     ),
     "cvm": Family("cosine", {

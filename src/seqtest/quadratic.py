@@ -21,8 +21,8 @@ formula and the finite-truncation standardization agree with no extra factor.
 minimax one, and ``EnergyForm.drift`` is the one drift of all three: the
 energy of the signal over the null sd, sum_j kappa^2_j theta_j^2 / sd0 here.
 Its energy is numpy's pairwise sum along the last axis, not a BLAS call, so
-a row of a Monte Carlo block has the bits of that observation alone, on any
-BLAS at any thread count.
+a row that ``EnergyForm.block_statistic`` scores in a Monte Carlo block has
+the bits of that observation alone, on any BLAS at any thread count.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import TestReport, normal_type2, upper_quantile
+from .sampling import complex_pairs
 from .spectra import Spectrum
 
 
@@ -68,6 +69,26 @@ class EnergyForm:
         null law when y = mean + noise: the paper's type II error is
         Phi(x_alpha - drift) (``report.normal_type2``)."""
         return float(self.energy(mean) / self.sd)
+
+    def block_statistic(self, mean: np.ndarray, n: int, sigma: float):
+        """The map from a block of standard normals, a row drawn as
+        ``draw_sequence_observation`` draws one observation (through
+        ``complex_pairs`` for a complex mean), to the standardized statistic
+        of each row's y = mean + (sigma / sqrt(n)) xi, formed in a new array."""
+        noise_scale = sigma / math.sqrt(n)
+        complex_ = np.iscomplexobj(mean)
+        base = mean.view(float)
+
+        def score(block: np.ndarray) -> np.ndarray:
+            if complex_:
+                v = complex_pairs(block)
+                v *= noise_scale
+            else:
+                v = block * noise_scale
+            v += base
+            return self.standardize(self.energy(v))
+
+        return score
 
 
 def example_coefficients(n: int, gamma: float, j_max: int) -> np.ndarray:

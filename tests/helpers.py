@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.optimize import minimize
 
-from seqtest.cvm import cvm_population, omega_sq, omega_sq_scorer, order_grid
+from seqtest.cvm import block_statistic, cvm_population, omega_sq, order_grid
 from seqtest.design import prior_profile
 from seqtest.errors import ConfigError
 from seqtest.report import upper_quantile
@@ -379,12 +379,12 @@ def simulate_reference(n: int, reps: int, seed: int) -> np.ndarray:
     return values
 
 
-def omega_sq_blocks(n: int, seed: int, lo: int, hi: int, inverse=None):
+def cvm_blocks(n: int, seed: int, lo: int, hi: int, inverse=None):
     """n T^2 of replications lo..hi-1, one array per block of
     ``replication_blocks``: replication r scores the n uniforms of
-    ``rng_for_replication(seed, r)``, sorted, through ``omega_sq_scorer(n,
-    inverse)``, as the engine's CvM plans and the calibration table do."""
-    score = omega_sq_scorer(n, inverse)
+    ``rng_for_replication(seed, r)``, sorted, through ``cvm.block_statistic(n,
+    inverse)``, as the engine's CvM plans do."""
+    score = block_statistic(n, inverse)
     for block in replication_blocks(seed, lo, hi, n, np.random.Generator.random):
         block.sort(axis=1)
         yield score(block)

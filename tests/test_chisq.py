@@ -8,6 +8,7 @@ from scipy import integrate
 
 from helpers import aliasing_sum, cross_frequency_sum
 from seqtest.chisq import (
+    block_statistic,
     cell_counts,
     cell_integrals,
     cell_thresholds,
@@ -20,7 +21,13 @@ from seqtest.chisq import (
 )
 from seqtest.errors import ConfigError
 from seqtest.report import upper_quantile
-from seqtest.sampling import evaluate_perturbation, iid_sampler, rng_for_replication, sample_iid
+from seqtest.sampling import (
+    evaluate_perturbation,
+    iid_sampler,
+    replication_blocks,
+    rng_for_replication,
+    sample_iid,
+)
 from seqtest.spectra import Spectrum
 
 HAAR_IDENTITY_ATOL = 1e-9
@@ -74,6 +81,32 @@ class TestStatistic:
 
     def test_standardization(self):
         assert standardized_chisq(11.0, 8) == pytest.approx((11.0 - 7.0) / 4.0)
+
+
+class TestBlockStatistic:
+    @pytest.mark.parametrize("n,k,theta", [
+        (300, 8, None),
+        (300, 8, Spectrum("complex-exponential", np.array([0.0, 0.1 + 0.05j]))),
+        (5000, 50, Spectrum("complex-exponential", np.array([0.0, 0.0, 0.0, 0.08]))),
+    ], ids=["null", "alternative", "density workload"])
+    def test_rows_have_the_bytes_of_chisq_test(self, n, k, theta):
+        """``block_statistic`` on drawn blocks of uniforms, each row sorted for
+        an alternative as the engine sorts it, gives row by row and byte for
+        byte ``chisq_test``'s standardized statistic of that replication's
+        sample drawn alone (``sample_iid`` for an alternative)."""
+        seed, lo, hi = 23, 3, 3 + 2 * max(1, 2**17 // (8 * n)) + 1
+        score = block_statistic(n, k, None if theta is None else iid_sampler(theta))
+        rows = []
+        for block in replication_blocks(seed, lo, hi, n, np.random.Generator.random):
+            if theta is not None:
+                block.sort(axis=1)
+            rows.append(score(block))
+        rows = np.concatenate(rows)
+        assert rows.size == hi - lo
+        for rep, row in zip(range(lo, hi), rows):
+            rng = rng_for_replication(seed, rep)
+            sample = rng.random(n) if theta is None else sample_iid(theta, n, rng)
+            assert row.tobytes() == np.float64(chisq_test(sample, k, 0.05).standardized).tobytes(), rep
 
 
 class TestSampledEndpoint:

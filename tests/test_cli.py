@@ -464,6 +464,9 @@ BAD_CONFIGS = {
         {**_params("chisq", k=2**63), "theta": {"basis": "complex-exponential", "coeffs": [[0, 0], [0.05, 0]]}},
     ),
     "chisq huge n": (["simulate"], {**_params("chisq"), "n": 2**63}),
+    # k = 2^27 counts a row fit in 1 GiB, but a block of 2048 rows of n = 8
+    # uniforms holds 2^38 counts (2 TiB)
+    "chisq block counts": (["simulate"], {**_params("chisq", k=2**27), "n": 8, "reps": 2048}),
     "cvm huge n": (["simulate"], {**_params("cvm"), "n": 1e150}),
     "calibrate cvm huge n": (["calibrate", "cvm"], {"n": 2**63, "reps": 100}),
     "minimax huge j_max": (["simulate"], _params("minimax", j_max=2**63)),
@@ -493,6 +496,7 @@ NAMED_KEYS = {
     "chisq null huge k": "'k' asks for",
     "chisq alternative huge k": "'k' asks for",
     "chisq huge n": "'n' asks for",
+    "chisq block counts": f"'k' asks for {2**38} float64 values",
     "cvm huge n": "'n' asks for",
     "calibrate cvm huge n": "'n' asks for",
     "minimax huge j_max": "'j_max' asks for",

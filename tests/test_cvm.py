@@ -18,7 +18,7 @@ from helpers import (
     cvm_population_quadrature,
     consistency_margin,
     cvm_statistic_quadrature,
-    omega_sq_blocks,
+    cvm_blocks,
     primitive_mean,
     simulate_reference,
 )
@@ -30,8 +30,8 @@ from seqtest.cvm import (
     cvm_population,
     cvm_statistic,
     cvm_test,
+    block_statistic,
     omega_sq,
-    omega_sq_scorer,
     order_grid,
 )
 from seqtest.cli import main
@@ -315,25 +315,25 @@ BLOCK_SPANS = {
 
 
 class TestBlockScores:
-    """Each entry of ``omega_sq_scorer`` on the sorted uniform blocks of
-    ``replication_blocks`` is the statistic of its replication's sample scored
-    alone, and the calibration table is the table of the
-    one-replication-at-a-time loop."""
+    """Each entry of ``block_statistic`` on the sorted uniform blocks of
+    ``replication_blocks`` has the bytes of ``cvm_test``'s standardized
+    statistic of its replication's sample scored alone, and the calibration
+    table is the table of the one-replication-at-a-time loop."""
 
     @pytest.mark.parametrize("n, lo, hi", BLOCK_SPANS.values(), ids=BLOCK_SPANS.keys())
     @pytest.mark.parametrize("theta", [None, Spectrum("cosine", np.array([0.0, 0.1, -0.05]))], ids=["null", "alt"])
     def test_rows_match_the_scalar_reference(self, n, lo, hi, theta):
         seed = 21
         inverse = None if theta is None else iid_sampler(theta)
-        blocks = list(omega_sq_blocks(n, seed, lo, hi, inverse))
+        blocks = list(cvm_blocks(n, seed, lo, hi, inverse))
+        table = CvmCalibration(n, 100, 0, np.zeros(100))  # any table of size n; only its n is read here
         rows = max(1, BLOCK_BYTES // (8 * n))
         assert [b.size for b in blocks] == [min(rows, hi - start) for start in range(lo, hi, rows)]
         scores = np.concatenate(blocks)
         for rep, score in zip(range(lo, hi), scores):
             rng = rng_for_replication(seed, rep)
             sample = rng.random(n) if theta is None else sample_iid(theta, n, rng)
-            # n * (omega^2 / n) is how the engine forms n T^2 from a score
-            assert n * (score / n) == n * cvm_statistic(sample)
+            assert score.tobytes() == np.float64(cvm_test(sample, 0.05, table).standardized).tobytes()
 
     @pytest.mark.parametrize("n, reps", [(1, 100), (30, 150), (1000, 130), (BLOCK_BYTES // 8 + 1, 100)])
     def test_table_matches_one_replication_at_a_time(self, n, reps):
@@ -359,12 +359,12 @@ class TestScorer:
         monkeypatch.setattr(cvm, "omega_sq", recorded)
         drawn = block.copy()
         drawn.setflags(write=False)
-        got = omega_sq_scorer(n, lambda u: mapped.copy())(drawn)
+        got = block_statistic(n, lambda u: mapped.copy())(drawn)
         assert np.array_equal(drawn, block)
         (scored,) = seen
         assert np.all(np.diff(scored, axis=1) >= 0)
         assert np.array_equal(scored, np.sort(mapped, axis=1))
-        assert got.tobytes() == omega_sq(np.sort(mapped, axis=1), order_grid(n)).tobytes()
+        assert got.tobytes() == (n * (omega_sq(np.sort(mapped, axis=1), order_grid(n)) / n)).tobytes()
 
 
 class TestCvmTest:

@@ -143,6 +143,19 @@ class TestInverseSolver:
         assert di.to_json_dict()["lambdas"] == [1.0] * d.j_max
         assert d.to_json_dict()["kappa_j2"] == [float(v) for v in d.kappa_j2]
 
+    @pytest.mark.parametrize("args,kwargs,direct", [
+        ((1.0, 1.0, 3e-4, 10_000), {}, lambda: solve_design(**ORACLE)),
+        ((1.0, 1.0, 2e-3, 200, 1.5), {"j_max": 512}, lambda: solve_design(1.0, 1.0, 2e-3, 200, 1.5, j_max=512)),
+        ((1.0, 1.0, 0.1, 200, 1.0, [1.0, 0.5, 0.25, 0.125]), {}, lambda: solve_inverse_design(
+            1.0, 1.0, 0.1, 200, 1.0, np.array([1.0, 0.5, 0.25, 0.125]))),
+        ((1.0, 1.0, 2e-4, 10_000), {"sigma": 0.8, "lambdas": np.arange(1, 2001.0) ** -0.5, "j_max": 1500},
+         lambda: solve_inverse_design(1.0, 1.0, 2e-4, 10_000, 0.8, np.arange(1, 2001.0) ** -0.5, j_max=1500)),
+    ], ids=["direct", "direct j_max", "inverse", "inverse j_max"])
+    def test_solve_dispatches_on_lambdas(self, args, kwargs, direct):
+        """``design.solve`` is ``solve_inverse_design`` when lambdas are
+        given and ``solve_design`` otherwise: its ``to_json_dict`` is theirs."""
+        assert design_mod.solve(*args, **kwargs).to_json_dict() == direct().to_json_dict()
+
     def test_eigenvalue_validation(self):
         with pytest.raises(ConfigError):
             solve_inverse_design(1.0, 1.0, 1e-3, 100, 1.0, np.array([1.0, 0.0]))

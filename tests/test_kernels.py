@@ -12,6 +12,7 @@ import pytest
 
 from helpers import kernel_transform_quadrature, space_domain_energy
 import seqtest
+from seqtest import kernels
 from seqtest.errors import ConfigError
 from seqtest.kernels import (
     MAX_NULL_SHIFT,
@@ -25,6 +26,7 @@ from seqtest.kernels import (
     null_shifts,
     predicted_type2_kernel,
     triangle_kernel,
+    truncated_form,
 )
 from seqtest.report import upper_quantile
 from seqtest.sampling import SequenceObservation
@@ -174,6 +176,27 @@ class TestTruncation:
         form = energy_form(box_kernel(), h, j_max, 700, 1.7)
         direct = (1.7**2 / 700 * form.weights[0::2].sum() - form.offset) / form.sd
         assert null_shifts(box_kernel(), h, j_max)[-1] == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("kern,h", [(box_kernel(), 0.01), (triangle_kernel(), 0.003), (epanechnikov_kernel(), 0.002)],
+                             ids=lambda v: getattr(v, "name", str(v)))
+    def test_plan_and_least_j_max_agree_bit_for_bit(self, kern, h, monkeypatch):
+        """``truncated_form`` accepts a j_max exactly when ``null_shifts``'
+        last entry lies within the bound, at any (n, sigma): at the least j_max
+        it accepts and one below it refuses, and with the bound moved onto the
+        shift's own bits, or one ulp inside it, the plan flips there too."""
+        floor = 8
+        want = least_j_max(kern, h, floor)
+        assert want > floor
+        for n, sigma in [(1, 1.0), (700, 1.7), (10**6, 0.05)]:
+            assert truncated_form(kern, h, want, n, sigma).weights.size == 2 * (want + 1)
+            with pytest.raises(ConfigError, match=f"j_max={want - 1} shifts"):
+                truncated_form(kern, h, want - 1, n, sigma)
+        shift = abs(null_shifts(kern, h, want)[-1])
+        monkeypatch.setattr(kernels, "MAX_NULL_SHIFT", shift)
+        truncated_form(kern, h, want, 700, 1.7)
+        monkeypatch.setattr(kernels, "MAX_NULL_SHIFT", np.nextafter(shift, 0.0))
+        with pytest.raises(ConfigError, match=f"j_max={want} shifts"):
+            truncated_form(kern, h, want, 700, 1.7)
 
     def test_a_bandwidth_past_the_search_is_refused(self):
         with pytest.raises(ConfigError, match=r"h=1e-06 the box kernel needs j_max > 1048576"):

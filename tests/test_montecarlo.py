@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import exact_power, imhof_sf, omega_sq_blocks, valid_spectra
+from helpers import cvm_blocks, exact_power, imhof_sf, valid_spectra
 from seqtest import chisq as chisq_mod
 from seqtest import design as design_mod
 from seqtest import errors
@@ -29,7 +29,7 @@ from seqtest import quadratic as quad_mod
 
 from seqtest.chisq import cell_index, cell_thresholds, chisq_test, population_chisq_functional
 from seqtest.cli import main as cli_main
-from seqtest.cvm import calibrate_cvm, cvm_test, omega_sq, order_grid
+from seqtest.cvm import calibrate_cvm, cvm_statistic, cvm_test
 from seqtest.design import least_favorable, minimax_test, solve_design
 from seqtest.errors import ConfigError
 from seqtest.kernels import box_kernel, kernel_test, triangle_kernel
@@ -203,7 +203,7 @@ class TestConfigContract:
         ("cvm", {"calibration_seed": -1}, None, ["seqtest.cvm.calibrate_cvm"]),
         ("minimax", {"s": 1.0, "p0": 1.0, "rho_n": 1e-3, "least_favorable": True}, [0.1],
          ["seqtest.design.solve_design", "seqtest.design.solve_inverse_design"]),
-        ("kernel", {"kernel": "box", "h": 1.5}, None, ["seqtest.kernels.energy_form"]),
+        ("kernel", {"kernel": "box", "h": 1.5}, None, ["numpy.arange"]),  # the transform table
     ])
     def test_checks_run_before_costly_work(self, monkeypatch, family, params, theta, costly):
         def fail(*args, **kwargs):
@@ -226,6 +226,7 @@ class TestConfigContract:
         ("chisq", {"k": 8}, 65, "n"),
         ("cvm", {}, 10, "calibration_reps"),
         ("minimax", {"s": 1.0, "p0": 1.0, "rho_n": 2e-3, "j_max": 65}, 100, "j_max"),
+        ("chisq", {"k": 8}, 8, "k"),  # a block of 10 rows of 8 counts
     ])
     def test_size_rule_refuses_before_any_planner(self, monkeypatch, family, params, n, key):
         """With the memory reading lowered to 64 floats, each length past it
@@ -259,6 +260,21 @@ class TestConfigContract:
         ]:
             with pytest.raises(ConfigError, match=f"'{key}' asks for"):
                 call()
+
+    def test_size_rule_counts_the_chisq_block_counts(self, tmp_path, monkeypatch, capsys):
+        """A chi-square block holds ``block_rows(reps, n)`` rows of k counts.
+        With the memory reading lowered to 2^24 floats, n = 1000 takes 16 rows
+        a block, so k = 2^20 fits and k = 2^21, though within the rule alone,
+        is refused naming k: exit 2, with no planner run and nothing allocated."""
+        monkeypatch.setattr(errors, "physical_floats", lambda: 2**24)
+        cfg = ExperimentConfig("chisq", 1000, 100, 0, params={"k": 2**20})
+        assert cfg.resolve().sizes["k"] == 2**24
+        for target in ("seqtest.montecarlo._plan", "numpy.zeros", "numpy.empty", "numpy.arange", "numpy.bincount"):
+            monkeypatch.setattr(target, lambda *args, **kwargs: pytest.fail("planned or allocated"))
+        path = tmp_path / "chisq.json"
+        path.write_text(json.dumps(replace(cfg, params={"k": 2**21}).to_json_dict()))
+        assert cli_main(["simulate", "--config", str(path)]) == 2
+        assert f"'k' asks for {2**25} float64 values" in capsys.readouterr().err
 
     def test_each_config_is_resolved_once(self, monkeypatch):
         """``run_plans`` resolves each config of a call once, a repeated one
@@ -420,8 +436,8 @@ class TestIidDraw:
 
     @given(spec=valid_spectra, n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
     def test_sorted_values_of_sample_iid(self, spec, n, seed):
-        want = omega_sq(np.sort(sample_iid(spec, n, rng_for_replication(seed, 3))), order_grid(n))
-        (got,) = omega_sq_blocks(n, seed, 3, 4, iid_sampler(spec))
+        want = n * cvm_statistic(sample_iid(spec, n, rng_for_replication(seed, 3)))
+        (got,) = cvm_blocks(n, seed, 3, 4, iid_sampler(spec))
         assert got.tobytes() == np.atleast_1d(want).tobytes()
 
 

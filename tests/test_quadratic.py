@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import check_regularity, half_mass_index
+from seqtest import design as design_mod
+from seqtest import kernels as kernels_mod
 from seqtest.errors import ConfigError
 from seqtest.kernels import box_kernel, kernel_test
 from seqtest.montecarlo import ExperimentConfig, build_plan
@@ -22,7 +24,7 @@ from seqtest.quadratic import (
     scale_to_drift,
 )
 from seqtest.report import upper_quantile
-from seqtest.sampling import SequenceObservation, draw_sequence_observation, rng_for_replication
+from seqtest.sampling import SequenceObservation, draw_sequence_observation, replication_blocks, rng_for_replication
 from seqtest.spectra import Spectrum
 
 # A_n for the rational weight family at n = 1000, gamma = 2, j_max = 4096;
@@ -112,6 +114,42 @@ class TestStatistic:
             block = block.view(complex)
         alone = np.array([form.standardize(form.energy(row)) for row in block])
         np.testing.assert_array_equal(form.standardize(form.energy(block)), alone)
+
+
+# each sequence-model family's form on (n, sigma), its signal, and its *_test
+BLOCK_CASES = {
+    "quadratic": lambda: (
+        energy_form(example_coefficients(500, 2.0, 64), 500, 1.3), Spectrum("cosine", np.r_[0.08, 0.05, np.zeros(62)]),
+        500, 1.3, lambda obs: quadratic_test(obs.y, example_coefficients(500, 2.0, 64), 500, 1.3, 0.05),
+    ),
+    "kernel": lambda: (
+        kernels_mod.energy_form(kernels_mod.triangle_kernel(), 0.11, 48, 800, 0.7),
+        Spectrum("complex-exponential", np.r_[0.0, 0.02 + 0.01j, np.zeros(47)]),
+        800, 0.7, lambda obs: kernel_test(obs, kernels_mod.triangle_kernel(), 0.11, 0.05),
+    ),
+    "minimax": lambda: (
+        design_mod.energy_form(design_mod.solve(1.0, 1.0, 2e-3, 2000)),
+        design_mod.least_favorable(design_mod.solve(1.0, 1.0, 2e-3, 2000)),
+        2000, 1.0, lambda obs: design_mod.minimax_test(obs, design_mod.solve(1.0, 1.0, 2e-3, 2000), 0.05),
+    ),
+}
+
+
+class TestBlockStatistic:
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_rows_have_the_bytes_of_each_test(self, name):
+        """``EnergyForm.block_statistic`` on drawn blocks of normals gives,
+        row by row and byte for byte, the standardized statistic of the
+        family's ``*_test`` on that replication's observation drawn alone."""
+        form, theta, n, sigma, test = BLOCK_CASES[name]()
+        seed, lo, hi = 17, 5, 45
+        score = form.block_statistic(theta.coeffs, n, sigma)
+        blocks = replication_blocks(seed, lo, hi, form.weights.size, np.random.Generator.standard_normal)
+        rows = np.concatenate([score(block) for block in blocks])
+        assert rows.size == hi - lo
+        for rep, row in zip(range(lo, hi), rows):
+            obs = draw_sequence_observation(theta, n, sigma, rng_for_replication(seed, rep))
+            assert row.tobytes() == np.float64(test(obs).standardized).tobytes(), rep
 
 
 # *_test calls whose null sd leaves the float range; the engine refuses the
